@@ -5,10 +5,11 @@ runs across an eps list with verdicts), ``check`` (structural identity,
 residual and commutator batteries) and ``version``.
 
 Exit codes are part of the contract: 0 success, 2 usage or config
-error, 3 a run hit a blow-up guard, 4 a verdict or tolerance gate
-failed. Output files are written atomically; the output directory is
-``--out``, else the config file's ``[output] dir``, else the
-``DEBYE_LIMIT_OUT`` environment variable, else the working directory.
+error, 3 a run hit a blow-up guard or its potential solve failed, 4 a
+verdict or tolerance gate failed. Output files are written atomically;
+the output directory is ``--out``, else the config file's ``[output]
+dir``, else the ``DEBYE_LIMIT_OUT`` environment variable, else the
+working directory.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ def cmd_simulate(cfg, args) -> int:
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
     write_trajectory_csv(traj, traj_path, s=cfg["run"]["s"])
     final = traj.final
-    phi = traj.phis[-1] if traj.phis is not None else None
-    snap_path = write_snapshot_csv(final, flow, eps, out, phi=phi)
+    snap_path = write_snapshot_csv(final, flow, eps, out, phi=traj.final_phi)
 
     print(f"simulate: flow={flow} eps={eps:g} grid={grid.n_points} "
           f"dt={traj.dt:g} steps to t={final.t:g}")

@@ -199,7 +199,8 @@ def gronwall_monitor(members, s: int, bound_factor: float = 2.0) -> GronwallRepo
         raise ValueError("bound_factor must be positive")
     sups = []
     for m in members:
-        sup = max(triple_norm(r, s).combined for r in m.remainders)
+        sup = max((triple_norm(r, s).combined for r in m.remainders),
+                  default=float("nan"))
         sups.append((m.eps, sup))
     ref_eps, ref_value = max(sups, key=lambda pair: pair[0])
     if any(m.blew_up for m in members):

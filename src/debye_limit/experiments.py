@@ -202,6 +202,11 @@ def quasineutral_identity_defect(traj) -> float:
     return worst
 
 
+def _sup(values) -> float:
+    """max of the values; NaN when a run recorded no potential at all."""
+    return max(values, default=float("nan"))
+
+
 def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
     rems = remainder_series(ep_traj, lim_traj)
     count = len(rems)
@@ -211,27 +216,27 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
     for s in spec.s_list:
         tns = [triple_norm(r, s) for r in rems]
         sup_norms[f"s{s}"] = {
-            "n1_Hs": max(t.n1_hs for t in tns),
-            "u1_triple": max(t.u1_triple for t in tns),
-            "phi1_triple": max(t.phi1_triple for t in tns),
-            "combined": max(t.combined for t in tns),
+            "n1_Hs": _sup(t.n1_hs for t in tns),
+            "u1_triple": _sup(t.u1_triple for t in tns),
+            "phi1_triple": _sup(t.phi1_triple for t in tns),
+            "combined": _sup(t.combined for t in tns),
         }
-        err_n = max(
+        err_n = _sup(
             hs_norm(Field(ep_traj.states[i].grid,
                           ep_traj.states[i].n.values - lim_traj.states[i].n.values), s)
             for i in range(count)
         )
-        err_u = max(
+        err_u = _sup(
             hs_norm(Field(ep_traj.states[i].grid,
                           ep_traj.states[i].u.values - lim_traj.states[i].u.values), s)
             for i in range(count)
         )
         errors[f"n_H{s}"] = err_n
         errors[f"u_H{s}"] = err_u
-        dens = max(elliptic_ratio_pair(r, s)[0] for r in rems)
-        pot = max(elliptic_ratio_pair(r, s)[1] for r in rems)
+        dens = _sup(elliptic_ratio_pair(r, s)[0] for r in rems)
+        pot = _sup(elliptic_ratio_pair(r, s)[1] for r in rems)
         elliptic[f"k{s}"] = {"density": dens, "potential": pot}
-    errors["phi_l2"] = max(
+    errors["phi_l2"] = _sup(
         l2_norm(Field(ep_traj.states[i].grid,
                       ep_traj.phis[i].values - np.log(ep_traj.states[i].n.values)))
         for i in range(count)

@@ -33,7 +33,7 @@ from .grid import (
     _hs_norm_values,
 )
 from .io_utils import write_csv
-from .poisson import PBSolveOptions, _solve_phi_values
+from .poisson import PBConvergenceError, PBSolveOptions, _solve_phi_values
 
 __all__ = [
     "EPState",
@@ -135,7 +135,7 @@ class RunOptions:
 @dataclass(frozen=True)
 class BlowUpEvent:
     t: float
-    reason: str  # "density_floor" | "norm_ceiling" | "non_finite"
+    reason: str  # "density_floor" | "norm_ceiling" | "non_finite" | "pb_divergence"
     value: float
     step_index: int
 
@@ -154,7 +154,9 @@ class Trajectory:
     """Recorded states of one run, plus solved potentials for the full flow.
 
     ``phis`` is aligned with ``states`` when ``eps > 0`` and None for
-    limit-flow runs. ``blowup`` is set when the run ended early.
+    limit-flow runs. ``blowup`` is set when the run ended early; when a
+    ``pb_divergence`` hit the solve for a recorded state, that last
+    state has no potential and ``phis`` is one entry shorter.
     """
 
     eps: float
@@ -173,6 +175,13 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
+    @property
+    def final_phi(self) -> Field | None:
+        """Potential of the final state, if the run solved one."""
+        if self.phis is None or len(self.phis) < len(self.states):
+            return None
+        return self.phis[-1]
+
 
 def default_dt(state: EPState) -> float:
     """Run-start time step: 0.25 * dx / (max|u| + 1.5)."""
@@ -180,12 +189,8 @@ def default_dt(state: EPState) -> float:
     return 0.25 * state.grid.dx / (umax + 1.5)
 
 
-def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray, eps: float,
-                pb: PBSolveOptions) -> tuple[np.ndarray, np.ndarray]:
-    if eps > 0.0:
-        phi, _, _ = _solve_phi_values(grid, n, eps, pb)
-    else:
-        phi = np.log(n)
+def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray,
+                phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dn = -_derivative_values(grid, _dealias_values(grid, n * u), 1)
     ux = _derivative_values(grid, u, 1)
     # the potential gradient is dealiased too: phi comes from a pointwise
@@ -204,15 +209,16 @@ def rhs_ep(state: EPState, eps: float,
     """Time derivative (dn, du) of the full flow; phi from the PB solve."""
     if not (eps > 0.0):
         raise ValueError(f"the full flow needs eps > 0, got {eps}")
-    dn, du = _rhs_values(state.grid, state.n.values, state.u.values, eps,
-                         pb or PBSolveOptions())
-    return Field(state.grid, dn), Field(state.grid, du)
+    grid, n = state.grid, state.n.values
+    phi = _solve_phi_values(grid, n, eps, pb or PBSolveOptions())[0]
+    dn, du = _rhs_values(grid, n, state.u.values, phi)
+    return Field(grid, dn), Field(grid, du)
 
 
 def rhs_limit(state: EPState) -> tuple[Field, Field]:
     """Time derivative (dn, du) of the quasineutral limit flow."""
-    dn, du = _rhs_values(state.grid, state.n.values, state.u.values, 0.0,
-                         PBSolveOptions())
+    n = state.n.values
+    dn, du = _rhs_values(state.grid, n, state.u.values, np.log(n))
     return Field(state.grid, dn), Field(state.grid, du)
 
 
@@ -233,18 +239,48 @@ def _guard_stage(n: np.ndarray, floor: float, t: float, step_index: int):
         raise BlowUpError(BlowUpEvent(t, "density_floor", low, step_index))
 
 
+def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
+               phi_init: np.ndarray | None, t: float,
+               step_index: int) -> np.ndarray:
+    """Potential of density n: the PB solve for eps > 0, else ln n.
+
+    ``phi_init`` warm-starts Newton. A failed solve ends the run like a
+    guard does, as a ``pb_divergence`` blow-up.
+    """
+    if opts.eps == 0.0:
+        return np.log(n)
+    try:
+        return _solve_phi_values(grid, n, opts.eps, opts.pb, phi_init)[0]
+    except PBConvergenceError as err:
+        raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual,
+                                      step_index))
+
+
 def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
-                 opts: RunOptions, step_index: int) -> tuple[np.ndarray, np.ndarray]:
-    eps, pb, floor = opts.eps, opts.pb, opts.density_floor
+                 opts: RunOptions, step_index: int,
+                 phi: np.ndarray | None = None):
+    """One RK4 step from (n, u) with potential ``phi`` (solved if None).
 
-    def stage(nv, uv, t_stage):
+    Each stage's potential is warm-started from the previous stage's.
+    Returns the new (n, u) and the last stage's potential, which is a
+    close guess for the potential of the new state.
+    """
+    floor = opts.density_floor
+
+    def stage(nv, uv, t_stage, phi_prev):
         _guard_stage(nv, floor, t_stage, step_index)
-        return _rhs_values(grid, nv, uv, eps, pb)
+        phi_stage = _potential(grid, nv, opts, phi_prev, t_stage, step_index)
+        return _rhs_values(grid, nv, uv, phi_stage), phi_stage
 
-    k1n, k1u = stage(n, u, t)
-    k2n, k2u = stage(n + 0.5 * dt * k1n, u + 0.5 * dt * k1u, t + 0.5 * dt)
-    k3n, k3u = stage(n + 0.5 * dt * k2n, u + 0.5 * dt * k2u, t + 0.5 * dt)
-    k4n, k4u = stage(n + dt * k3n, u + dt * k3u, t + dt)
+    _guard_stage(n, floor, t, step_index)
+    if phi is None:
+        phi = _potential(grid, n, opts, None, t, step_index)
+    k1n, k1u = _rhs_values(grid, n, u, phi)
+    (k2n, k2u), phi = stage(n + 0.5 * dt * k1n, u + 0.5 * dt * k1u,
+                            t + 0.5 * dt, phi)
+    (k3n, k3u), phi = stage(n + 0.5 * dt * k2n, u + 0.5 * dt * k2u,
+                            t + 0.5 * dt, phi)
+    (k4n, k4u), phi = stage(n + dt * k3n, u + dt * k3u, t + dt, phi)
     new_n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     new_u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
 
@@ -260,20 +296,20 @@ def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
                   _hs_norm_values(grid, new_u, GUARD_NORM_ORDER))
     if norm_hi > opts.norm_ceiling:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
-    return new_n, new_u
+    return new_n, new_u, phi
 
 
 def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
     """One RK4 step. The potential is re-solved at every stage.
 
-    Raises :class:`BlowUpError` when a guard trips. The returned state
-    keeps the type of the input state.
+    Raises :class:`BlowUpError` when a guard trips or a potential solve
+    fails. The returned state keeps the type of the input state.
     """
     if dt is None:
         dt = opts.dt if opts.dt is not None else default_dt(state)
     grid = state.grid
-    new_n, new_u = _step_values(grid, state.n.values, state.u.values,
-                                state.t, dt, opts, step_index=0)
+    new_n, new_u, _ = _step_values(grid, state.n.values, state.u.values,
+                                   state.t, dt, opts, step_index=0)
     return replace(state, t=state.t + dt, n=Field(grid, new_n),
                    u=Field(grid, new_u))
 
@@ -287,56 +323,51 @@ def _count_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def _record_phi(grid, n_values, eps, pb):
-    phi, _, _ = _solve_phi_values(grid, n_values, eps, pb)
-    return Field(grid, phi)
-
-
 def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
     """Integrate to ``t_end``, recording every ``record_every``-th step.
 
     The initial and final states are always recorded. For ``eps > 0``
-    the solved potential is recorded alongside each state. On blow-up
-    the partial trajectory is returned with the event attached instead
-    of propagating the error.
+    the potential of every state is solved once, warm-started from the
+    last stage of the step that reached it; it serves as the first
+    stage of the next step and is recorded alongside recorded states.
+    On blow-up the partial trajectory is returned with the event
+    attached instead of propagating the error.
     """
     t_start = time.perf_counter()
     grid = state.grid
     dt = opts.dt if opts.dt is not None else default_dt(state)
-    eps = opts.eps
     n_full, tail = _count_steps(opts.t_end - state.t, dt)
+    total_steps = n_full + (1 if tail > 0.0 else 0)
 
-    states = [state]
-    phis = [] if eps > 0.0 else None
-    if phis is not None:
-        phis.append(_record_phi(grid, state.n.values, eps, opts.pb))
-    if observer is not None:
-        observer(state)
-
+    states = []
+    phis = [] if opts.eps > 0.0 else None
     n_vals, u_vals = state.n.values, state.u.values
     t0 = state.t
+    phi = None
     blowup = None
-    total_steps = n_full + (1 if tail > 0.0 else 0)
-    for i in range(1, total_steps + 1):
-        step_dt = dt if i <= n_full else tail
-        t_prev = t0 + (i - 1) * dt if i <= n_full else t0 + n_full * dt
+    for i in range(total_steps + 1):
         try:
-            n_vals, u_vals = _step_values(grid, n_vals, u_vals, t_prev,
-                                          step_dt, opts, step_index=i)
+            if i > 0:
+                step_dt = dt if i <= n_full else tail
+                t_prev = t0 + (i - 1) * dt if i <= n_full else t0 + n_full * dt
+                n_vals, u_vals, phi = _step_values(grid, n_vals, u_vals, t_prev,
+                                                   step_dt, opts, i, phi)
+            t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
+            recorded = i % opts.record_every == 0 or i == total_steps
+            if recorded:
+                rec = state if i == 0 else replace(
+                    state, t=t_now, n=Field(grid, n_vals), u=Field(grid, u_vals))
+                states.append(rec)
+            phi = _potential(grid, n_vals, opts, phi, t_now, i)
+            if recorded and phis is not None:
+                phis.append(Field(grid, phi))
         except BlowUpError as err:
             blowup = err.event
             break
-        if i % opts.record_every == 0 or i == total_steps:
-            t_now = opts.t_end if i == total_steps else t0 + i * dt
-            rec = replace(state, t=t_now, n=Field(grid, n_vals),
-                          u=Field(grid, u_vals))
-            states.append(rec)
-            if phis is not None:
-                phis.append(_record_phi(grid, n_vals, eps, opts.pb))
-            if observer is not None:
-                observer(rec)
+        if recorded and observer is not None:
+            observer(rec)
 
-    return Trajectory(eps=eps, dt=dt, record_every=opts.record_every,
+    return Trajectory(eps=opts.eps, dt=dt, record_every=opts.record_every,
                       states=states, phis=phis, blowup=blowup,
                       wall_time=time.perf_counter() - t_start)
 
@@ -358,7 +389,12 @@ def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
     grid = traj.states[0].grid
     rows = []
     for idx, st in enumerate(traj.states):
-        phi = traj.phis[idx] if traj.phis is not None else None
+        if traj.phis is None:
+            gap = 0.0
+        elif idx < len(traj.phis):
+            gap = quasineutral_residual(st, traj.phis[idx])
+        else:
+            gap = float("nan")  # the potential solve failed here
         rows.append((
             st.t,
             _hs_norm_values(grid, st.n.values, s),
@@ -366,7 +402,7 @@ def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
             mass(st.n),
             float(np.min(st.n.values)),
             float(np.max(st.n.values)),
-            quasineutral_residual(st, phi),
+            gap,
         ))
     write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",
               rows)

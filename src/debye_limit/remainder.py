@@ -96,8 +96,8 @@ def form_remainder(
         )
     grid = ep_state.grid
     if phi is None:
-        phi_vals, _, _ = _solve_phi_values(grid, ep_state.n.values, eps,
-                                           pb or PBSolveOptions())
+        phi_vals = _solve_phi_values(grid, ep_state.n.values, eps,
+                                     pb or PBSolveOptions())[0]
     else:
         phi_vals = phi.values
     n1 = (ep_state.n.values - lim_state.n.values) / eps
@@ -113,7 +113,7 @@ def remainder_series(ep_traj, lim_traj) -> list[Remainder]:
         raise ValueError("first trajectory must be a full-flow run")
     if lim_traj.eps != 0.0:
         raise ValueError("second trajectory must be a limit-flow run")
-    count = min(len(ep_traj.states), len(lim_traj.states))
+    count = min(len(ep_traj.phis), len(lim_traj.states))
     out = []
     for i in range(count):
         out.append(form_remainder(ep_traj.states[i], lim_traj.states[i],

@@ -1,7 +1,13 @@
 """Command-line behaviour: exit codes, output files, precedence rules."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import debye_limit
 from debye_limit import __version__
 from debye_limit.cli import main
 
@@ -45,6 +51,48 @@ def test_simulate_blowup_exits_three(tmp_path, capsys):
     code = main(_fast_sim_args(tmp_path, extra=["--config", str(conf)]))
     assert code == 3
     assert "blow-up at" in capsys.readouterr().out
+
+
+def test_simulate_pb_failure_exits_three_without_traceback(tmp_path):
+    # a potential solve that cannot converge ends the run like a guard:
+    # exit 3, the partial trajectory is written, nothing escapes
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[pb]\nmax_newton_iters = 1\n")
+    src = os.path.dirname(os.path.dirname(debye_limit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "debye_limit.cli", "simulate", "--flow", "ep",
+         "--eps", "1e-2", "--grid", "64", "--config", str(conf),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "pb_divergence" in proc.stdout
+    lines = (tmp_path / "traj_ep_0.01.csv").read_text().strip().split("\n")
+    assert len(lines) == 2  # header and the initial state
+    assert float(lines[1].split(",")[0]) == 0.0
+
+
+def test_sweep_pb_failure_marks_members_blowup(tmp_path, capsys):
+    conf = tmp_path / "conf.ini"
+    conf.write_text("""
+[grid]
+n_points = 32
+[run]
+t_end = 0.01
+dt = 1e-3
+[pb]
+max_newton_iters = 1
+[sweep]
+eps_list = 1e-2 1e-3
+""")
+    code = main(["sweep", "--config", str(conf), "--out", str(tmp_path)])
+    assert code == 3
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert report["limit_status"] == "OK"
+    for row in report["rows"]:
+        assert row["status"] == "BLOWUP"
+        assert row["blowup"]["reason"] == "pb_divergence"
 
 
 def test_near_vacuum_guard_outcome_matches_trajectory(tmp_path, capsys):

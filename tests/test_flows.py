@@ -7,6 +7,7 @@ bookkeeping tests since they validate the actual dynamics.
 import numpy as np
 import pytest
 
+from debye_limit import flows
 from debye_limit.flows import (
     BlowUpError,
     EPState,
@@ -25,6 +26,12 @@ from debye_limit.flows import (
 )
 from debye_limit.grid import Field, Grid, hs_norm, l2_norm, max_abs
 from debye_limit.initial import InitParams, make_initial
+from debye_limit.poisson import (
+    PBConvergenceError,
+    PBSolveOptions,
+    pb_residual,
+    solve_phi,
+)
 
 
 def paired_states(grid, params=None):
@@ -33,7 +40,8 @@ def paired_states(grid, params=None):
 
 
 def mode_coefficient(values, m):
-    return 2.0 * np.real(np.fft.rfft(values))[m] / len(values)
+    # amplitude of sin(2 pi m x), the mode the dispersion tests excite
+    return -2.0 * np.imag(np.fft.rfft(values))[m] / len(values)
 
 
 def test_linear_dispersion_of_limit_flow():
@@ -215,6 +223,85 @@ def test_exponential_filter_preserves_mass():
                       record_every=10 ** 9)
     traj = evolve(ep, opts)
     assert abs(mass(traj.final.n) - mass(ep.n)) < 1e-13
+
+
+def test_recorded_potentials_match_cold_solves():
+    # the potentials ride through the RK stages as warm starts; each one
+    # recorded must still be the potential of its own state
+    grid = Grid(64)
+    ep, _ = paired_states(grid, InitParams(n_amp=0.3))
+    opts = RunOptions(dt=1e-3, t_end=0.05, eps=1e-3, record_every=5)
+    traj = evolve(ep, opts)
+    assert traj.blowup is None
+    assert len(traj.phis) == len(traj.states) == 11
+    for state, phi in zip(traj.states, traj.phis):
+        cold = solve_phi(state.n, opts.eps, opts.pb)
+        assert np.max(np.abs(phi.values - cold.phi.values)) <= 1e-12
+        residual = l2_norm(pb_residual(phi, state.n, opts.eps))
+        assert residual <= opts.pb.tol
+
+
+def test_one_potential_solve_per_stage(monkeypatch):
+    # four stages per step, and the solve for each recorded state is
+    # reused as the next step's first stage: 4 S + 1 solves in all
+    calls = []
+    solve = flows._solve_phi_values
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_solve_phi_values", counting)
+    grid = Grid(32)
+    ep, _ = paired_states(grid)
+    steps = 7
+    for record_every in (1, 3):
+        calls.clear()
+        opts = RunOptions(dt=1e-3, t_end=steps * 1e-3, eps=1e-2,
+                          record_every=record_every)
+        evolve(ep, opts)
+        assert len(calls) == 4 * steps + 1
+
+
+@pytest.mark.parametrize("failing_call, n_states, n_phis, t_event", [
+    (14, 4, 4, 3.5e-3),  # a stage of step 4: the run ends at step 3's state
+    (17, 5, 4, 4e-3),  # step 4's state: kept, without its potential
+])
+def test_pb_failure_ends_run_with_partial_trajectory(
+        monkeypatch, failing_call, n_states, n_phis, t_event):
+    # solves 1 + 4 k cover the initial state and k steps
+    calls = []
+    solve = flows._solve_phi_values
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise PBConvergenceError("forced", 1.5e-3)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_solve_phi_values", failing)
+    grid = Grid(32)
+    ep, _ = paired_states(grid)
+    traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
+                                 record_every=1))
+    assert traj.blowup.reason == "pb_divergence"
+    assert traj.blowup.value == 1.5e-3
+    assert traj.blowup.step_index == 4
+    assert traj.blowup.t == pytest.approx(t_event)
+    assert len(traj.states) == n_states and len(traj.phis) == n_phis
+    assert (traj.final_phi is None) == (n_phis < n_states)
+
+
+def test_pb_failure_at_the_initial_state():
+    grid = Grid(64)
+    ep, _ = paired_states(grid)
+    opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
+                      pb=PBSolveOptions(max_newton_iters=1))
+    traj = evolve(ep, opts)
+    assert traj.blowup.reason == "pb_divergence"
+    assert traj.blowup.step_index == 0
+    assert traj.states == [ep] and traj.phis == []
+    assert traj.final_phi is None
 
 
 def test_state_validation():

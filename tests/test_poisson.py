@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from debye_limit import poisson
 from debye_limit.grid import Field, Grid, derivative, integrate, l2_norm
 from debye_limit.poisson import (
     PBConvergenceError,
@@ -153,6 +154,15 @@ def test_nonconvergence_reports_residual():
     assert np.isfinite(info.value.last_residual)
 
 
+@pytest.mark.parametrize("eps", [1e300, np.inf])
+def test_overflowing_eps_raises_convergence_error(eps):
+    # eps k^2 overflows: the solve must fail as a PB failure, not crash
+    grid = Grid(64)
+    n = Field.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    with np.errstate(all="ignore"), pytest.raises(PBConvergenceError):
+        solve_phi(n, eps)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         PBSolveOptions(tol=0.0)
@@ -160,3 +170,90 @@ def test_options_validation():
         PBSolveOptions(max_newton_iters=0)
     with pytest.raises(ValueError):
         PBSolveOptions(damping_min=0.0)
+
+
+def dense_oracle_phi(grid, n, eps, opts):
+    """Damped Newton with dense direct solves in an explicit trig basis.
+
+    An independent check of the matrix-free kernel: the dealiased band
+    is spanned by 1, cos(2 pi j x), sin(2 pi j x) for j <= N/3, the
+    Galerkin Jacobian is assembled as a dense matrix and factorized
+    (after a symmetric diagonal scaling that keeps the LU accurate),
+    and no FFT is involved. Same stopping rule and line search as the
+    solver under test.
+    """
+    x = grid.x
+    modes = np.arange(1, grid.n_points // 3 + 1)
+    k = 2.0 * np.pi / grid.length * modes
+    basis = np.hstack([np.ones((x.size, 1)), np.cos(np.outer(x, k)),
+                       np.sin(np.outer(x, k))])
+    k2 = np.concatenate([[0.0], k**2, k**2])
+    gram = np.sum(basis * basis, axis=0)  # the basis is orthogonal
+    root = np.sqrt(gram)
+
+    def residual(coeffs):
+        exp_phi = np.exp(basis @ coeffs)
+        return -eps * k2 * coeffs + basis.T @ (n - exp_phi) / gram, exp_phi
+
+    def norm(coeffs):
+        return np.sqrt(np.sum(gram * coeffs**2) * grid.length / grid.n_points)
+
+    coeffs = basis.T @ np.log(n) / gram
+    res, exp_phi = residual(coeffs)
+    res_norm = norm(res)
+    for _ in range(opts.max_newton_iters):
+        if res_norm <= opts.tol:
+            break
+        scale = 1.0 / np.sqrt(eps * k2 + np.mean(exp_phi))
+        jac = eps * np.diag(k2) \
+            + (basis / root).T @ (exp_phi[:, None] * basis / root)
+        jac = scale[:, None] * jac * scale[None, :]
+        delta = scale * np.linalg.solve(jac, scale * root * res) / root
+        lam = 1.0
+        while True:
+            trial_res, trial_exp = residual(coeffs + lam * delta)
+            if norm(trial_res) < res_norm:
+                coeffs = coeffs + lam * delta
+                res, exp_phi, res_norm = trial_res, trial_exp, norm(trial_res)
+                break
+            lam *= 0.5
+            assert lam >= opts.damping_min, "oracle line search stalled"
+    assert res_norm <= opts.tol, "oracle Newton did not converge"
+    return basis @ coeffs
+
+
+@pytest.mark.parametrize("n_points", [64, 128, 256])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("amp", [0.1, 0.5])
+def test_matches_dense_oracle(n_points, eps, amp):
+    grid = Grid(n_points)
+    n = Field.from_function(
+        grid, lambda x: 1.0 + amp * (np.sin(2 * np.pi * x)
+                                     + 0.2 * np.cos(4 * np.pi * x)))
+    opts = PBSolveOptions()
+    sol = solve_phi(n, eps, opts)
+    want = dense_oracle_phi(grid, n.values, eps, opts)
+    assert np.max(np.abs(sol.phi.values - want)) <= 1e-13
+    assert sol.residual_l2 <= opts.tol
+    assert l2_norm(pb_residual(sol.phi, n, eps)) <= opts.tol
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+def test_linear_iterations_do_not_grow_with_grid(eps):
+    # the preconditioned CG count is set by the data, not by N
+    counts = []
+    for n_points in (64, 128, 256, 512, 1024):
+        grid = Grid(n_points)
+        n = Field.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+        sol = solve_phi(n, eps)
+        assert sol.linear_iterations >= sol.iterations
+        counts.append(sol.linear_iterations)
+    assert max(counts) <= counts[0]
+
+
+def test_cg_iteration_cap_raises(monkeypatch):
+    grid = Grid(64)
+    n = Field.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    monkeypatch.setattr(poisson, "CG_MAX_ITERS", 1)
+    with pytest.raises(PBConvergenceError, match="CG"):
+        solve_phi(n, 1e-2)
