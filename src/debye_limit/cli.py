@@ -32,7 +32,7 @@ from .flows import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from .grid import Grid
+from .grid import MAX_SOBOLEV_ORDER, Grid
 from .initial import InitParams, make_initial, random_smooth_field
 from .io_utils import write_csv
 from .poisson import PBSolveOptions
@@ -165,6 +165,9 @@ def cmd_simulate(cfg, args) -> int:
     if flow == "ep" and not (cfg["run"]["eps"] > 0.0):
         raise ConfigError("the full flow needs eps > 0; use --flow limit for eps = 0")
     eps = cfg["run"]["eps"] if flow == "ep" else 0.0
+    if not 0 <= cfg["run"]["s"] <= MAX_SOBOLEV_ORDER:
+        raise ConfigError(f"[run] s must lie in 0..{MAX_SOBOLEV_ORDER}, "
+                          f"got {cfg['run']['s']}")
     try:
         grid = Grid(cfg["grid"]["n_points"])
         init = InitParams(**cfg["init"])
@@ -250,6 +253,8 @@ def _kp_battery(n_points: int, seed: int, pairs: int, max_mode: int):
 def cmd_check(cfg, args) -> int:
     out = _out_dir(args, cfg)
     c = cfg["check"]
+    if not (c["eps"] > 0.0):
+        raise ConfigError(f"check needs eps > 0, got {c['eps']}")
     try:
         grid = Grid(c["n_points"])
         init = InitParams(**cfg["init"])
@@ -267,6 +272,10 @@ def cmd_check(cfg, args) -> int:
         print("check: run blew up before t_end; no verdicts")
         return 3
     rems = remainder_series(ep_traj, lim_traj)
+    if len(rems) < 5:
+        # the identity check at stride 2 needs three snapshots
+        raise ConfigError(f"check needs at least 5 recorded states, got "
+                          f"{len(rems)}; raise t_end or lower record_every")
     lims = lim_traj.states
     gamma = c["gamma"]
 

@@ -22,7 +22,14 @@ import numpy as np
 
 from .energy import SweepMember, gronwall_monitor
 from .flows import EPState, LimitState, RunOptions, default_dt, evolve
-from .grid import Field, Grid, _derivative_values, hs_norm, l2_norm
+from .grid import (
+    MAX_SOBOLEV_ORDER,
+    Field,
+    Grid,
+    _derivative_values,
+    hs_norm,
+    l2_norm,
+)
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
 from .remainder import elliptic_ratio_pair, remainder_series, triple_norm
@@ -105,12 +112,13 @@ class SweepSpec:
         eps_list = tuple(float(e) for e in self.eps_list)
         if not eps_list:
             raise ValueError("eps_list must not be empty")
-        if any(e <= 0.0 for e in eps_list):
+        if any(not e > 0.0 for e in eps_list):
             raise ValueError("eps_list entries must be positive")
         object.__setattr__(self, "eps_list", eps_list)
         s_list = tuple(int(s) for s in self.s_list)
-        if not s_list or any(s < 0 for s in s_list):
-            raise ValueError("s_list must hold nonnegative integers")
+        if not s_list or any(not 0 <= s <= MAX_SOBOLEV_ORDER for s in s_list):
+            raise ValueError(
+                f"s_list must hold integers in 0..{MAX_SOBOLEV_ORDER}")
         object.__setattr__(self, "s_list", s_list)
         if not (self.bound_factor > 0.0):
             raise ValueError("bound_factor must be positive")
@@ -233,9 +241,9 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
         )
         errors[f"n_H{s}"] = err_n
         errors[f"u_H{s}"] = err_u
-        dens = _sup(elliptic_ratio_pair(r, s)[0] for r in rems)
-        pot = _sup(elliptic_ratio_pair(r, s)[1] for r in rems)
-        elliptic[f"k{s}"] = {"density": dens, "potential": pot}
+        ratios = [elliptic_ratio_pair(r, s) for r in rems]
+        elliptic[f"k{s}"] = {"density": _sup(d for d, _ in ratios),
+                             "potential": _sup(p for _, p in ratios)}
     errors["phi_l2"] = _sup(
         l2_norm(Field(ep_traj.states[i].grid,
                       ep_traj.phis[i].values - np.log(ep_traj.states[i].n.values)))
@@ -264,7 +272,14 @@ def _member_worker(args):
     return _run_member(*args)
 
 
-def _fit_with_exclusion(pairs) -> dict:
+def _fit_with_exclusion(pairs) -> dict | None:
+    """Order fit, dropping the largest eps once on a poor r^2.
+
+    None when an error is not positive (all are zero at t_end = 0):
+    no rate can be read from such a sweep.
+    """
+    if not all(err > 0.0 for _, err in pairs):
+        return None
     fit = fit_order(pairs)
     excluded = False
     if fit.r_squared < R_SQUARED_MIN and len(pairs) >= 4:
@@ -287,7 +302,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     grid = Grid(spec.n_points)
     n0, u0 = make_initial(spec.init, grid)
     initial = LimitState(0.0, n0, u0)
-    dt = spec.run.dt if spec.run.dt is not None else default_dt(initial)
+    dt = spec.run.dt
+    if dt is None:
+        # like simulate, a run shorter than one auto step takes one short step
+        dt = default_dt(initial)
+        if spec.run.t_end > 0.0:
+            dt = min(dt, spec.run.t_end)
 
     lim_traj = evolve(initial, replace(spec.run, eps=0.0, dt=dt))
     limit_status = "OK" if lim_traj.blowup is None else "BLOWUP"
@@ -319,18 +339,19 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     any_blowup = (len(ok_members) < len(members)) or limit_status != "OK"
 
     if spec.fit_ready() and len(ok_members) >= 3:
-        for s in spec.s_list:
-            fits[f"n_H{s}"] = _fit_with_exclusion(
-                [(m.eps, m.errors[f"n_H{s}"]) for m in ok_members])
-            fits[f"u_H{s}"] = _fit_with_exclusion(
-                [(m.eps, m.errors[f"u_H{s}"]) for m in ok_members])
-        fits["qn_gap"] = _fit_with_exclusion(
-            [(m.eps, m.errors["qn_gap"]) for m in ok_members])
+        keys = [f"{v}_H{s}" for s in spec.s_list for v in ("n", "u")] + ["qn_gap"]
+        for key in keys:
+            fit = _fit_with_exclusion([(m.eps, m.errors[key]) for m in ok_members])
+            if fit is not None:
+                fits[key] = fit
 
         s_ref = max(spec.s_list)
         for name, key in (("order_n", f"n_H{s_ref}"), ("order_u", f"u_H{s_ref}"),
                           ("order_qn_gap", "qn_gap")):
-            f = fits[key]
+            f = fits.get(key)
+            if f is None:
+                verdicts[name] = "INCONCLUSIVE"
+                continue
             ok = (ORDER_BAND[0] <= f["slope"] <= ORDER_BAND[1]
                   and f["r_squared"] >= R_SQUARED_MIN)
             verdicts[name] = "PASS" if ok else "FAIL"

@@ -1,7 +1,7 @@
 """Periodic spectral grid, field container and Fourier calculus.
 
 Everything downstream (Poisson solves, flow integration, norms and
-diagnostics) is built on the operations here: FFT differentiation,
+diagnostics) is built on the operations here: real-FFT differentiation,
 trapezoid quadrature (exact for the periodic grid), Parseval-based
 Sobolev norms and 2/3-rule dealiasing.
 
@@ -9,10 +9,15 @@ Conventions
 -----------
 * The domain is the periodic interval ``[0, length)`` sampled at
   ``x_i = i * length / n_points``.
-* Forward FFTs are unnormalized; the inverse carries the ``1/n`` factor
-  (the numpy default).
-* Wavenumbers are ``k_j = 2*pi*j/length`` for ``j in {-n/2, ..., n/2-1}``
-  stored in FFT order.
+* Fields are real, so every kernel works on the half spectrum of the
+  real FFT: ``rfft`` is unnormalized and ``irfft`` carries the ``1/n``
+  factor (the numpy default). Mode ``j`` in ``0..n/2`` has wavenumber
+  ``k_j = 2*pi*j/length``; mode ``n/2`` is the Nyquist mode.
+* Each interior mode stands for itself and its conjugate partner, so
+  Parseval sums count it twice and the mean and Nyquist modes once.
+  The Nyquist mode has no signed partner: odd derivatives drop it.
+* The 2/3 rule keeps modes ``j <= n/3``.
+* Symbols and weights are built once per grid and order, on first use.
 * ``integrate`` is the trapezoid rule, which on a uniform periodic grid
   is just ``mean(values) * length`` and integrates every resolved
   Fourier mode exactly.
@@ -60,13 +65,20 @@ class Grid:
     length : float
         Domain length. The solvers are written for the unit torus, so
         this defaults to 1.0.
+
+    Attributes
+    ----------
+    x : sample points ``i * length / n_points``.
+    k : half-spectrum wavenumbers ``2*pi*j/length``, ``j = 0..n_points/2``.
+    keep : 2/3-rule mask ``j <= n_points/3`` over the half spectrum.
     """
 
     n_points: int
     length: float = 1.0
     x: np.ndarray = field(init=False, repr=False, compare=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_keep: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+    keep: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_points
@@ -81,20 +93,58 @@ class Grid:
             raise ValueError(f"length must be positive, got {self.length}")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "length", float(self.length))
-        dx = self.length / n
-        object.__setattr__(self, "x", np.arange(n) * dx)
-        # fftfreq(n, d=dx) yields j/length in FFT order, j = -n/2..n/2-1
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        object.__setattr__(self, "wavenumbers", k)
-        modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        object.__setattr__(self, "dealias_keep", np.abs(modes) <= n / 3.0)
-        self.x.flags.writeable = False
-        self.wavenumbers.flags.writeable = False
-        self.dealias_keep.flags.writeable = False
+        modes = np.arange(n // 2 + 1)
+        object.__setattr__(self, "x", np.arange(n) * self.dx)
+        object.__setattr__(self, "k", 2.0 * np.pi / self.length * modes)
+        object.__setattr__(self, "keep", modes <= n / 3.0)
+        object.__setattr__(self, "_cache", {})
+        for arr in (self.x, self.k, self.keep):
+            arr.flags.writeable = False
 
     @property
     def dx(self) -> float:
         return self.length / self.n_points
+
+    def _cached(self, key, build) -> np.ndarray:
+        # orders are capped where outside input enters (MAX_*_ORDER), so
+        # each grid caches at most a few dozen arrays
+        arr = self._cache.get(key)
+        if arr is None:
+            arr = build()
+            arr.flags.writeable = False
+            self._cache[key] = arr
+        return arr
+
+    def derivative_symbol(self, order: int) -> np.ndarray:
+        """Half-spectrum symbol ``(i k)^order``, Nyquist dropped if odd."""
+        def build():
+            if order % 2 == 0:
+                return (-1.0) ** (order // 2) * self.k**order
+            sym = (-1.0) ** (order // 2) * 1j * self.k**order
+            sym[-1] = 0.0
+            return sym
+        return self._cached(("d", order), build)
+
+    def hs_weight(self, s: int) -> np.ndarray:
+        """Parseval weight: ``hs_norm**2 = sum(weight * |rfft(f)|**2)``.
+
+        Sums ``k^(2a)`` over ``a = 0..s`` (Nyquist left out of the odd
+        ``a``, like the odd derivatives), counts interior modes twice
+        and folds in ``length / n_points**2``.
+        """
+        def build():
+            k2 = self.k**2
+            weight = np.zeros_like(k2)
+            k2a = np.ones_like(k2)
+            for a in range(s + 1):
+                if a % 2 == 1:
+                    weight[:-1] += k2a[:-1]
+                else:
+                    weight += k2a
+                k2a = k2a * k2
+            weight[1:-1] *= 2.0
+            return weight * (self.length / self.n_points**2)
+        return self._cached(("hs", s), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +178,12 @@ class Field:
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
         return np.asarray(values, dtype=np.float64).copy()
-    fhat = np.fft.fft(values)
-    sym = (1j * grid.wavenumbers) ** order
-    if order % 2 == 1:
-        # the Nyquist mode has no signed partner; odd derivatives drop it
-        sym = sym.copy()
-        sym[grid.n_points // 2] = 0.0
-    return np.fft.ifft(sym * fhat).real
+    return np.fft.irfft(grid.derivative_symbol(order) * np.fft.rfft(values),
+                        grid.n_points)
 
 
 def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    fhat = np.fft.fft(values)
-    fhat[~grid.dealias_keep] = 0.0
-    return np.fft.ifft(fhat).real
+    return np.fft.irfft(grid.keep * np.fft.rfft(values), grid.n_points)
 
 
 def _check_order(order: int, cap: int, what: str):
@@ -175,28 +218,16 @@ def max_abs(f: Field) -> float:
 
 
 def _hs_norm_values(grid: Grid, values: np.ndarray, s: int) -> float:
-    fhat = np.fft.fft(values)
-    power = (fhat.real**2 + fhat.imag**2) / grid.n_points**2
-    k2 = grid.wavenumbers**2
-    nyq = grid.n_points // 2
-    weight = np.zeros_like(k2)
-    k2a = np.ones_like(k2)
-    for a in range(s + 1):
-        if a % 2 == 1:
-            contrib = k2a.copy()
-            contrib[nyq] = 0.0  # mirrors the odd-derivative Nyquist drop
-            weight += contrib
-        else:
-            weight += k2a
-        k2a = k2a * k2
-    return float(np.sqrt(np.sum(weight * power) * grid.length))
+    fhat = np.fft.rfft(values)
+    power = fhat.real**2 + fhat.imag**2
+    return float(np.sqrt(np.dot(grid.hs_weight(s), power)))
 
 
 def hs_norm(f: Field, s: int) -> float:
     """Sobolev H^s norm via Parseval.
 
     Equals ``sqrt(sum_{a=0}^{s} l2_norm(derivative(f, a))^2)``; computed
-    directly from one FFT so it is cheap enough for per-step monitors.
+    directly from one real FFT so it is cheap enough for per-step monitors.
     """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
     return _hs_norm_values(f.grid, f.values, s)

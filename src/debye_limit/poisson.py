@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _dealias_values
+from .grid import Field, Grid, _dealias_values, _derivative_values
 
 __all__ = [
     "PBSolveOptions",
@@ -83,7 +83,7 @@ def pb_residual(phi: Field, n: Field, eps: float) -> Field:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     grid = phi.grid
-    d2_phi = np.fft.ifft(-(grid.wavenumbers**2) * np.fft.fft(phi.values)).real
+    d2_phi = _derivative_values(grid, phi.values, 2)
     return Field(grid, _dealias_values(
         grid, eps * d2_phi - np.exp(phi.values) + n.values))
 
@@ -99,8 +99,8 @@ class _Band:
 
     def __init__(self, grid: Grid, eps: float):
         self.n_points = grid.n_points
-        size = grid.n_points // 3 + 1
-        self.eps_k2 = eps * (2.0 * np.pi / grid.length * np.arange(size)) ** 2
+        self.eps_k2 = eps * grid.k[grid.keep] ** 2
+        size = self.eps_k2.size
         # every mode but the mean stands for itself and its conjugate
         self.weight = np.full(size, 2.0)
         self.weight[0] = 1.0

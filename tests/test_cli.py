@@ -17,6 +17,14 @@ def _fast_sim_args(out_dir, extra=()):
             "--eps", "1e-2", "--out", str(out_dir), *extra]
 
 
+def _run_cli(argv):
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
+    src = os.path.dirname(os.path.dirname(debye_limit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "debye_limit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_version_prints_and_exits_zero(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == __version__
@@ -58,13 +66,8 @@ def test_simulate_pb_failure_exits_three_without_traceback(tmp_path):
     # exit 3, the partial trajectory is written, nothing escapes
     conf = tmp_path / "conf.ini"
     conf.write_text("[pb]\nmax_newton_iters = 1\n")
-    src = os.path.dirname(os.path.dirname(debye_limit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "debye_limit.cli", "simulate", "--flow", "ep",
-         "--eps", "1e-2", "--grid", "64", "--config", str(conf),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(["simulate", "--flow", "ep", "--eps", "1e-2", "--grid",
+                     "64", "--config", str(conf), "--out", str(tmp_path)])
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "pb_divergence" in proc.stdout
@@ -140,6 +143,39 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
     code = main(_fast_sim_args(tmp_path, extra=["--eps", "0.0"]))
     assert code == 2
     assert "needs eps > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, codes", [
+    pytest.param(["simulate", "--t-end", "nan"], None, (2,), id="simulate-t-nan"),
+    pytest.param(["simulate", "--t-end", "inf"], None, (2,), id="simulate-t-inf"),
+    pytest.param(["check", "--t-end", "nan"], None, (2,), id="check-t-nan"),
+    pytest.param(["check", "--t-end", "inf"], None, (2,), id="check-t-inf"),
+    pytest.param(["check", "--eps", "0"], None, (2,), id="check-eps-0"),
+    pytest.param(["sweep", "--grid", "32", "--t-end", "1e-3"],
+                 "[sweep]\neps_list = nan 1e-2\n", (2,), id="sweep-eps-nan"),
+    # too few recorded states for the identity check
+    pytest.param(["check", "--t-end", "0"], None, (2,), id="check-t-0"),
+    pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3", "--s", "9"],
+                 None, (2,), id="simulate-s-flag"),
+    pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3"],
+                 "[run]\ns = 99\n", (2,), id="simulate-s-config"),
+    pytest.param(["sweep", "--grid", "32", "--t-end", "1e-3"],
+                 "[sweep]\ns_list = 0 9\n", (2,), id="sweep-s_list"),
+    # t_end below the auto dt: one short step, as simulate takes
+    pytest.param(["sweep", "--grid", "32", "--t-end", "1e-4"], None, (0, 4),
+                 id="sweep-t-below-dt"),
+    # the n and u errors are all zero, so their orders are inconclusive
+    pytest.param(["sweep", "--grid", "32", "--t-end", "0"], None, (0, 4),
+                 id="sweep-t-0"),
+])
+def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
+    if config is not None:
+        conf = tmp_path / "conf.ini"
+        conf.write_text(config)
+        argv = [*argv, "--config", str(conf)]
+    proc = _run_cli([*argv, "--out", str(tmp_path)])
+    assert proc.returncode in codes
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_duplicate_eps_passes_and_writes(tmp_path, capsys):

@@ -15,7 +15,7 @@ from debye_limit.experiments import (
     write_report_json,
 )
 from debye_limit.flows import LimitState, RunOptions, evolve
-from debye_limit.grid import Grid
+from debye_limit.grid import MAX_SOBOLEV_ORDER, Grid
 from debye_limit.initial import InitParams, make_initial
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
@@ -69,10 +69,14 @@ def test_sweep_spec_validation():
         SweepSpec(eps_list=())
     with pytest.raises(ValueError, match="positive"):
         SweepSpec(eps_list=(1e-1, -1e-2))
+    with pytest.raises(ValueError, match="eps_list"):
+        SweepSpec(eps_list=(1e-1, float("nan")))
     with pytest.raises(ValueError, match="s_list"):
         SweepSpec(eps_list=(1e-2,), s_list=())
     with pytest.raises(ValueError, match="s_list"):
         SweepSpec(eps_list=(1e-2,), s_list=(0, -1))
+    with pytest.raises(ValueError, match="s_list"):
+        SweepSpec(eps_list=(1e-2,), s_list=(0, MAX_SOBOLEV_ORDER + 1))
     with pytest.raises(ValueError, match="bound_factor"):
         SweepSpec(eps_list=(1e-2,), bound_factor=0.0)
 
@@ -153,6 +157,21 @@ def test_sweep_blowup_member_gates_verdicts():
         assert rep.verdicts[f"gronwall_s{s}"] == "INCONCLUSIVE"
         assert rep.verdicts[f"elliptic_k{s}"] == "INCONCLUSIVE"
     assert rep.fits == {}
+
+
+def test_sweep_shorter_than_one_auto_step():
+    # t_end = 0: the n and u errors are zero, so no order can be read
+    # from them; the quasineutrality gap of the initial state remains
+    run = RunOptions(t_end=0.0, record_every=5)
+    rep = run_sweep(_mini_spec(n_points=32, run=run))
+    assert list(rep.fits) == ["qn_gap"]
+    assert rep.verdicts["order_n"] == rep.verdicts["order_u"] == "INCONCLUSIVE"
+    # t_end below the auto dt: the sweep takes one step of length t_end
+    run = RunOptions(t_end=1e-4, record_every=5)
+    rep = run_sweep(_mini_spec(n_points=32, run=run))
+    assert rep.dt == 1e-4
+    assert rep.limit_traj.final.t == 1e-4
+    assert all(row["status"] == "OK" for row in rep.rows)
 
 
 def test_as_dict_strips_timings(mini_report):

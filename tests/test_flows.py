@@ -24,7 +24,15 @@ from debye_limit.flows import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from debye_limit.grid import Field, Grid, hs_norm, l2_norm, max_abs
+from debye_limit.grid import (
+    Field,
+    Grid,
+    dealias,
+    derivative,
+    hs_norm,
+    l2_norm,
+    max_abs,
+)
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import (
     PBConvergenceError,
@@ -148,6 +156,34 @@ def test_rhs_limit_matches_ep_composition():
     dn_ep, du_ep = rhs_ep(ep, 1e-8)
     assert max_abs(Field(grid, dn_ep.values - dn_lim.values)) < 1e-6
     assert max_abs(Field(grid, du_ep.values - du_lim.values)) < 1e-6
+
+
+def test_rhs_equals_composed_public_kernels():
+    # the fused spectral right-hand side against the public derivative
+    # and dealias, on data with modes above the n/3 cutoff (25, 27 of 64)
+    # and at Nyquist, where a wrong mask or symbol would show
+    grid = Grid(64)
+    x, nyq = grid.x, (-1.0) ** np.arange(64)
+    n = Field(grid, 1.0 + 0.1 * np.sin(2 * np.pi * x)
+              + 0.01 * np.cos(2 * np.pi * 25 * x) + 0.01 * nyq)
+    u = Field(grid, 0.1 * np.cos(2 * np.pi * x)
+              + 0.01 * np.sin(2 * np.pi * 27 * x) + 0.01 * nyq)
+
+    def composed(phi):
+        ux = derivative(u).values
+        dn = -derivative(dealias(Field(grid, n.values * u.values))).values
+        du = (-dealias(Field(grid, u.values * ux)).values
+              - dealias(derivative(phi)).values)
+        return dn, du
+
+    eps = 1e-2
+    cases = [(rhs_limit(LimitState(0.0, n, u)), Field(grid, np.log(n.values))),
+             (rhs_ep(EPState(0.0, n, u), eps), solve_phi(n, eps).phi)]
+    for (dn, du), phi in cases:
+        want_dn, want_du = composed(phi)
+        for got, want in ((dn.values, want_dn), (du.values, want_du)):
+            assert np.max(np.abs(want)) > 0.1
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_density_floor_guard():
@@ -320,10 +356,12 @@ def test_run_options_validation():
         RunOptions(dt=-1e-3)
     with pytest.raises(ValueError):
         RunOptions(dt=0.2, t_end=0.1)
-    with pytest.raises(ValueError):
-        RunOptions(t_end=-1.0)
-    with pytest.raises(ValueError):
-        RunOptions(eps=-1e-3)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunOptions(t_end=bad)
+    for bad in (-1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            RunOptions(eps=bad)
     with pytest.raises(ValueError):
         RunOptions(record_every=0)
 

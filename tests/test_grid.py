@@ -39,11 +39,26 @@ def test_derivative_matches_fd6_oracle():
     assert np.max(np.abs(spectral - fd)) < 1e-7
 
 
+def nyquist_mode(grid):
+    """(-1)^i: the Nyquist mode, the one rfft coefficient without a partner."""
+    return Field(grid, (-1.0) ** np.arange(grid.n_points))
+
+
 def test_derivative_exact_on_sine():
     grid = Grid(64)
     f = Field.from_function(grid, lambda x: np.sin(2 * np.pi * x))
     want = 2 * np.pi * np.cos(2 * np.pi * grid.x)
     assert np.max(np.abs(derivative(f).values - want)) < 1e-11
+    # odd derivatives drop the Nyquist mode exactly; even ones scale it
+    # by (i k)^order with k = pi * n_points on the unit torus
+    nyq = nyquist_mode(grid)
+    for order in (1, 3, 5):
+        assert np.array_equal(derivative(nyq, order).values, np.zeros(64))
+    k_nyq = np.pi * grid.n_points
+    for order in (2, 4):
+        want = (-1.0) ** (order // 2) * k_nyq**order * nyq.values
+        got = derivative(nyq, order).values
+        assert np.max(np.abs(got - want)) < 1e-12 * k_nyq**order
 
 
 def test_derivative_annihilates_constants():
@@ -102,8 +117,11 @@ def test_hs_norm_parseval_consistency():
     # with a derivative-by-derivative build-up.
     rng = np.random.default_rng(5)
     grid = Grid(128)
-    for _ in range(10):
-        f = random_smooth_field(grid, rng)
+    fields = [random_smooth_field(grid, rng) for _ in range(10)]
+    # the Nyquist mode alone, and riding on smooth data
+    nyq = nyquist_mode(grid)
+    fields += [nyq, Field(grid, fields[0].values + 0.3 * nyq.values)]
+    for f in fields:
         assert abs(hs_norm(f, 0) - l2_norm(f)) < 1e-12 * max(l2_norm(f), 1.0)
         total = 0.0
         for a in range(4):
@@ -127,6 +145,12 @@ def test_dealias_idempotent_and_cuts_high_modes():
     kept = dealias(low)
     assert np.max(np.abs(kept.values - low.values)) < 1e-13
     assert max_abs(dealias(high)) < 1e-13
+    assert max_abs(dealias(nyquist_mode(grid))) < 1e-13
+    # the cutoff sits at n/3: mode 21 of 64 is kept, mode 22 removed
+    edge = Field.from_function(grid, lambda x: np.sin(2 * np.pi * 21 * x))
+    assert np.max(np.abs(dealias(edge).values - edge.values)) < 1e-13
+    assert max_abs(dealias(Field.from_function(
+        grid, lambda x: np.sin(2 * np.pi * 22 * x)))) < 1e-13
     once = dealias(Field(grid, low.values + high.values))
     twice = dealias(once)
     # idempotent up to one FFT round trip
