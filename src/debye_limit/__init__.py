@@ -15,7 +15,6 @@ from .energy import (
     GronwallReport,
     IdentityReport,
     KPSample,
-    SweepMember,
     energy_snapshot,
     gronwall_monitor,
     identity_2_12_check,
@@ -52,7 +51,7 @@ from .grid import (
     l2_norm,
     max_abs,
 )
-from .initial import InitParams, make_initial, make_initial_multimode, random_smooth_field
+from .initial import InitParams, make_initial, random_smooth_field
 from .poisson import (
     PBConvergenceError,
     PBSolution,
@@ -79,13 +78,13 @@ __all__ = [
     "max_abs", "dealias",
     "PBSolveOptions", "PBSolution", "PBConvergenceError", "pb_residual",
     "solve_phi", "solve_phi_limit",
-    "InitParams", "make_initial", "make_initial_multimode", "random_smooth_field",
+    "InitParams", "make_initial", "random_smooth_field",
     "EPState", "LimitState", "RunOptions", "BlowUpError", "BlowUpEvent",
     "Trajectory", "default_dt", "rhs_ep", "rhs_limit", "step", "evolve",
     "Remainder", "TripleNorm", "form_remainder", "remainder_series",
     "r1_field", "r1_majorant", "triple_norm", "remainder_residual",
     "elliptic_ratio_pair",
-    "EnergySnapshot", "IdentityReport", "SweepMember", "GronwallReport",
+    "EnergySnapshot", "IdentityReport", "GronwallReport",
     "KPSample", "energy_snapshot", "identity_2_12_check", "gronwall_monitor",
     "kato_ponce_sample",
     "SweepSpec", "SweepReport", "OrderFit", "fit_order", "run_sweep",

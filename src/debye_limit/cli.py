@@ -22,12 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, default_config, load_config_file, merge_config
-from .energy import identity_2_12_check, kato_ponce_sample, write_ledger_csv, energy_snapshot
+from .energy import energy_snapshot, identity_2_12_check, kato_ponce_sample, write_ledger_csv
 from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_json
 from .flows import (
     EPState,
     LimitState,
     RunOptions,
+    _count_steps,
     evolve,
     write_snapshot_csv,
     write_trajectory_csv,
@@ -36,7 +37,12 @@ from .grid import MAX_SOBOLEV_ORDER, Grid
 from .initial import InitParams, make_initial, random_smooth_field
 from .io_utils import write_csv
 from .poisson import PBSolveOptions
-from .remainder import remainder_residual, remainder_series, write_remainder_csv
+from .remainder import (
+    MIN_REMAINDER_EPS,
+    remainder_residual,
+    remainder_series,
+    write_remainder_csv,
+)
 
 _D = default_config()
 
@@ -153,7 +159,6 @@ def _run_options(cfg, eps: float, record_every=None) -> RunOptions:
         pb=PBSolveOptions(**cfg["pb"]),
         record_every=record_every if record_every is not None
         else run["record_every"],
-        exp_filter=run["exp_filter"],
     )
 
 
@@ -219,7 +224,8 @@ def cmd_sweep(cfg, args) -> int:
     for member in report.members:
         rem_path = os.path.join(out, f"remainder_{member.eps:g}.csv")
         lim_states = report.limit_traj.states[: len(member.remainders)]
-        write_remainder_csv(member.remainders, lim_states, spec.s_list, rem_path)
+        write_remainder_csv(member.remainders, lim_states, member.triple_norms,
+                            rem_path)
 
     for name, fit in report.fits.items():
         print(f"sweep: fit {name}: slope={fit['slope']:.4f} "
@@ -253,16 +259,26 @@ def _kp_battery(n_points: int, seed: int, pairs: int, max_mode: int):
 def cmd_check(cfg, args) -> int:
     out = _out_dir(args, cfg)
     c = cfg["check"]
-    if not (c["eps"] > 0.0):
-        raise ConfigError(f"check needs eps > 0, got {c['eps']}")
+    if not (c["eps"] >= MIN_REMAINDER_EPS):
+        raise ConfigError(f"check needs eps >= {MIN_REMAINDER_EPS:.3g}, "
+                          f"got {c['eps']}")
+    if c["seed"] < 0 or c["kp_pairs"] < 1 or c["kp_max_mode"] < 1:
+        raise ConfigError("check needs seed >= 0, kp_pairs >= 1 and "
+                          "kp_max_mode >= 1")
     try:
         grid = Grid(c["n_points"])
+        Grid(c["kp_grid"])  # the Kato-Ponce battery's grid
         init = InitParams(**cfg["init"])
         pb = PBSolveOptions(**cfg["pb"])
         opts = RunOptions(dt=c["dt"], t_end=c["t_end"], eps=c["eps"], pb=pb,
                           record_every=c["record_every"])
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # the identity check takes centered differences of uniformly spaced records
+    n_full, tail = _count_steps(c["t_end"], c["dt"])
+    if tail > 0.0 or n_full % c["record_every"]:
+        raise ConfigError("check needs t_end to be a whole number of record "
+                          "intervals dt * record_every")
     n0, u0 = make_initial(init, grid)
     ep_traj = evolve(EPState(0.0, n0, u0), opts)
     lim_traj = evolve(LimitState(0.0, n0, u0),
@@ -277,14 +293,12 @@ def cmd_check(cfg, args) -> int:
         raise ConfigError(f"check needs at least 5 recorded states, got "
                           f"{len(rems)}; raise t_end or lower record_every")
     lims = lim_traj.states
-    gamma = c["gamma"]
-
-    fine = identity_2_12_check(rems, lims, gamma, stride=1)
-    coarse = identity_2_12_check(rems, lims, gamma, stride=2)
+    snaps = [energy_snapshot(r, l, c["gamma"]) for r, l in zip(rems, lims)]
+    fine = identity_2_12_check(snaps, stride=1)
+    coarse = identity_2_12_check(snaps, stride=2)
     ratio = coarse.defect / fine.defect if fine.defect > 0 else float("inf")
 
     os.makedirs(out, exist_ok=True)
-    snaps = [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
     defects = {i + 1: d for i, d in enumerate(fine.defects)}
     write_ledger_csv(snaps, defects, os.path.join(out, "check_ledger.csv"))
 

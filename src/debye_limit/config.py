@@ -17,7 +17,7 @@ class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
 
-# value kinds: float | int | bool | str | float_or_auto | float_list | int_list
+# value kinds: float | int | str | float_or_auto | float_list | int_list
 SCHEMA = {
     "grid": {"n_points": "int"},
     "init": {
@@ -36,7 +36,6 @@ SCHEMA = {
         "norm_ceiling": "float",
         "record_every": "int",
         "s": "int",
-        "exp_filter": "bool",
     },
     "pb": {
         "tol": "float",
@@ -91,7 +90,6 @@ def default_config() -> dict:
             "norm_ceiling": 1e6,
             "record_every": 1,
             "s": 2,
-            "exp_filter": False,
         },
         "pb": {
             "tol": 1e-12,
@@ -152,13 +150,6 @@ def _parse_value(raw: str, kind: str, where: str):
         if kind == "int":
             value = int(raw)
             return value
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "str":
             return raw
         if kind == "float_or_auto":

@@ -21,16 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _dealias_values, _derivative_values
+from .grid import (
+    Field,
+    Grid,
+    _dealias_values,
+    _derivative_values,
+    _integral_values,
+    _l2_values,
+)
 from .io_utils import write_csv
-from .remainder import Remainder, triple_norm
+from .remainder import Remainder
 
 __all__ = [
     "EnergySnapshot",
     "energy_snapshot",
     "IdentityReport",
     "identity_2_12_check",
-    "SweepMember",
     "GronwallReport",
     "gronwall_monitor",
     "KPSample",
@@ -60,10 +66,6 @@ class EnergySnapshot:
     term_ii: float
     term_iii: float
     term_iv: float
-
-
-def _integral(grid: Grid, values: np.ndarray) -> float:
-    return float(np.mean(values) * grid.length)
 
 
 def energy_snapshot(rem: Remainder, lim_state, gamma: int) -> EnergySnapshot:
@@ -96,16 +98,16 @@ def energy_snapshot(rem: Remainder, lim_state, gamma: int) -> EnergySnapshot:
     dg_dx_u1 = dg(dx(u1))
     dg_lap_phi1 = dg(_derivative_values(grid, phi1, 2))
 
-    e_kin = 0.5 * _integral(grid, dg_u1**2)
-    e_phi = 0.5 * _integral(grid, (n0 / n_eps) * dg_phi1**2)
-    e_grad = 0.5 * eps * _integral(grid, dg_dx_phi1**2 / n_eps)
-    e_visc = 0.5 * eps * _integral(grid, dg_dx_u1**2)
-    e_lap = 0.5 * eps**2 * _integral(grid, dg_lap_phi1**2 / n_eps)
+    e_kin = 0.5 * _integral_values(grid, dg_u1**2)
+    e_phi = 0.5 * _integral_values(grid, (n0 / n_eps) * dg_phi1**2)
+    e_grad = 0.5 * eps * _integral_values(grid, dg_dx_phi1**2 / n_eps)
+    e_visc = 0.5 * eps * _integral_values(grid, dg_dx_u1**2)
+    e_lap = 0.5 * eps**2 * _integral_values(grid, dg_lap_phi1**2 / n_eps)
 
-    term_i = -_integral(grid, dg_dx_phi1 * dg_u1)
-    term_ii = -eps * _integral(grid, dg(dA(u1 * dx(u1))) * dg_u1)
-    term_iii = -_integral(grid, dg(dA(u0 * dx(u1))) * dg_u1)
-    term_iv = -_integral(grid, dg(dA(u1 * dx(u0))) * dg_u1)
+    term_i = -_integral_values(grid, dg_dx_phi1 * dg_u1)
+    term_ii = -eps * _integral_values(grid, dg(dA(u1 * dx(u1))) * dg_u1)
+    term_iii = -_integral_values(grid, dg(dA(u0 * dx(u1))) * dg_u1)
+    term_iv = -_integral_values(grid, dg(dA(u1 * dx(u0))) * dg_u1)
 
     return EnergySnapshot(rem.t, gamma, e_kin, e_phi, e_grad, e_visc, e_lap,
                           term_i, term_ii, term_iii, term_iv)
@@ -124,31 +126,29 @@ class IdentityReport:
     defects: tuple
 
 
-def identity_2_12_check(remainders, lim_states, gamma: int,
-                        stride: int = 1) -> IdentityReport:
+def identity_2_12_check(snapshots, stride: int = 1) -> IdentityReport:
     """Compare centered-difference d/dt of the kinetic energy with I+II+III+IV.
 
-    ``stride`` subsamples the recorded snapshots, so one densely
-    recorded run can be checked at several effective spacings. The
-    relative defect is normalized by the largest magnitude either side
-    attains over the window, which keeps equilibrium trajectories at
-    exactly zero defect.
+    ``snapshots`` are the :class:`EnergySnapshot` of one run at its
+    recorded times, all at one ``gamma``. ``stride`` subsamples them, so
+    one densely recorded run can be checked at several effective
+    spacings. The relative defect is normalized by the largest magnitude
+    either side attains over the window, which keeps equilibrium
+    trajectories at exactly zero defect.
     """
     if stride < 1:
         raise ValueError("stride must be a positive integer")
-    rems = remainders[::stride]
-    lims = lim_states[::stride]
-    if len(rems) < 3:
+    snaps = snapshots[::stride]
+    if len(snaps) < 3:
         raise ValueError(
             "need at least three recorded snapshots for a centered difference"
         )
-    times = np.array([r.t for r in rems])
+    times = np.array([s.t for s in snaps])
     gaps = np.diff(times)
     spacing = float(gaps[0])
     if np.max(np.abs(gaps - spacing)) > 1e-9 * max(spacing, 1.0):
         raise ValueError("recorded times are not uniformly spaced")
 
-    snaps = [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
     e_kin = np.array([s.e_kin for s in snaps])
     rhs_all = np.array([s.term_i + s.term_ii + s.term_iii + s.term_iv
                         for s in snaps])
@@ -157,7 +157,7 @@ def identity_2_12_check(remainders, lim_states, gamma: int,
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     defects = np.abs(lhs - rhs) / scale
     return IdentityReport(
-        gamma=gamma,
+        gamma=snaps[0].gamma,
         spacing=spacing,
         defect=float(np.max(defects)),
         times=tuple(times[1:-1]),
@@ -165,15 +165,6 @@ def identity_2_12_check(remainders, lim_states, gamma: int,
         rhs=tuple(rhs),
         defects=tuple(defects),
     )
-
-
-@dataclass(frozen=True)
-class SweepMember:
-    """One eps of a sweep, reduced to what the monitors need."""
-
-    eps: float
-    remainders: tuple
-    blew_up: bool = False
 
 
 @dataclass(frozen=True)
@@ -186,31 +177,28 @@ class GronwallReport:
     verdict: str  # "PASS" | "FAIL" | "INCONCLUSIVE"
 
 
-def gronwall_monitor(members, s: int, bound_factor: float = 2.0) -> GronwallReport:
+def gronwall_monitor(sups, s: int, bound_factor: float = 2.0,
+                     blew_up: bool = False) -> GronwallReport:
     """Uniform-boundedness verdict for the combined triple norm.
 
-    PASS when every member's sup-in-time combined norm stays within
-    ``bound_factor`` times the value at the largest eps; INCONCLUSIVE
-    when any member blew up before t_end.
+    ``sups`` holds one ``(eps, sup-in-time combined H^s norm)`` pair per
+    sweep member. PASS when every sup stays within ``bound_factor``
+    times the value at the largest eps; INCONCLUSIVE when a member blew
+    up before t_end.
     """
-    if not members:
+    sups = tuple(sups)
+    if not sups:
         raise ValueError("gronwall_monitor needs at least one sweep member")
     if not (bound_factor > 0.0):
         raise ValueError("bound_factor must be positive")
-    sups = []
-    for m in members:
-        sup = max((triple_norm(r, s).combined for r in m.remainders),
-                  default=float("nan"))
-        sups.append((m.eps, sup))
     ref_eps, ref_value = max(sups, key=lambda pair: pair[0])
-    if any(m.blew_up for m in members):
+    if blew_up:
         verdict = "INCONCLUSIVE"
     elif all(sup <= bound_factor * ref_value for _, sup in sups):
         verdict = "PASS"
     else:
         verdict = "FAIL"
-    return GronwallReport(s, bound_factor, ref_eps, ref_value,
-                          tuple(sups), verdict)
+    return GronwallReport(s, bound_factor, ref_eps, ref_value, sups, verdict)
 
 
 def _upsample(grid: Grid, values: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -255,14 +243,12 @@ def kato_ponce_sample(f: Field, g: Field, k: int) -> KPSample:
         _derivative_values(fine_grid, fv * gv, k)
         - fv * _derivative_values(fine_grid, gv, k)
     )
-    lhs = float(np.sqrt(np.mean(commutator**2) * fine_grid.length))
+    lhs = _l2_values(fine_grid, commutator)
     df = _derivative_values(fine_grid, fv, 1)
     dk_f = _derivative_values(fine_grid, fv, k)
     dkm1_g = _derivative_values(fine_grid, gv, k - 1)
-    rhs = float(
-        np.max(np.abs(df)) * np.sqrt(np.mean(dkm1_g**2) * fine_grid.length)
-        + np.sqrt(np.mean(dk_f**2) * fine_grid.length) * np.max(np.abs(gv))
-    )
+    rhs = float(np.max(np.abs(df)) * _l2_values(fine_grid, dkm1_g)
+                + _l2_values(fine_grid, dk_f) * np.max(np.abs(gv)))
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return KPSample(k, lhs, rhs, ratio)
 

@@ -20,19 +20,30 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .energy import SweepMember, gronwall_monitor
-from .flows import EPState, LimitState, RunOptions, default_dt, evolve
+from .energy import gronwall_monitor
+from .flows import (
+    EPState,
+    LimitState,
+    RunOptions,
+    default_dt,
+    evolve,
+    quasineutral_residual,
+)
 from .grid import (
     MAX_SOBOLEV_ORDER,
-    Field,
     Grid,
     _derivative_values,
-    hs_norm,
-    l2_norm,
+    _hs_norm_values,
+    _l2_values,
 )
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
-from .remainder import elliptic_ratio_pair, remainder_series, triple_norm
+from .remainder import (
+    MIN_REMAINDER_EPS,
+    elliptic_ratio_pair,
+    remainder_series,
+    triple_norm,
+)
 
 __all__ = [
     "OrderFit",
@@ -112,8 +123,9 @@ class SweepSpec:
         eps_list = tuple(float(e) for e in self.eps_list)
         if not eps_list:
             raise ValueError("eps_list must not be empty")
-        if any(not e > 0.0 for e in eps_list):
-            raise ValueError("eps_list entries must be positive")
+        if any(not e >= MIN_REMAINDER_EPS for e in eps_list):
+            raise ValueError("eps_list entries must be positive and at least "
+                             f"{MIN_REMAINDER_EPS:.3g}")
         object.__setattr__(self, "eps_list", eps_list)
         s_list = tuple(int(s) for s in self.s_list)
         if not s_list or any(not 0 <= s <= MAX_SOBOLEV_ORDER for s in s_list):
@@ -122,6 +134,7 @@ class SweepSpec:
         object.__setattr__(self, "s_list", s_list)
         if not (self.bound_factor > 0.0):
             raise ValueError("bound_factor must be positive")
+        Grid(self.n_points)  # raises on a size the grid rejects
 
     def fit_ready(self) -> bool:
         e = self.eps_list
@@ -134,13 +147,18 @@ class SweepSpec:
 
 @dataclass
 class MemberResult:
-    """Everything retained for one eps of the sweep."""
+    """Everything retained for one eps of the sweep.
+
+    ``triple_norms`` maps each Sobolev order to the triple norms of
+    ``remainders``, in order.
+    """
 
     eps: float
     status: str  # "OK" | "BLOWUP"
     wall_time: float
     ep_traj: object
     remainders: list
+    triple_norms: dict
     sup_norms: dict
     errors: dict
     elliptic: dict
@@ -185,8 +203,7 @@ def quasineutrality_gap(traj) -> float:
         raise ValueError("trajectory has no recorded potentials")
     gap = 0.0
     for state, phi in zip(traj.states, traj.phis):
-        diff = np.exp(phi.values) - state.n.values
-        gap = max(gap, float(np.sqrt(np.mean(diff * diff) * state.grid.length)))
+        gap = max(gap, quasineutral_residual(state, phi))
     return gap
 
 
@@ -201,11 +218,9 @@ def quasineutral_identity_defect(traj) -> float:
         raise ValueError("trajectory has no recorded potentials")
     worst = 0.0
     for state, phi in zip(traj.states, traj.phis):
-        grid = state.grid
-        diff = np.exp(phi.values) - state.n.values
-        gap = float(np.sqrt(np.mean(diff * diff) * grid.length))
-        lap = _derivative_values(grid, phi.values, 2)
-        lap_norm = float(np.sqrt(np.mean(lap * lap) * grid.length))
+        gap = quasineutral_residual(state, phi)
+        lap_norm = _l2_values(state.grid,
+                              _derivative_values(state.grid, phi.values, 2))
         worst = max(worst, abs(gap - traj.eps * lap_norm))
     return worst
 
@@ -217,38 +232,30 @@ def _sup(values) -> float:
 
 def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
     rems = remainder_series(ep_traj, lim_traj)
-    count = len(rems)
+    grid = ep_traj.states[0].grid
+    # one entry per remainder, like remainder_series
+    paired = list(zip(ep_traj.states, lim_traj.states, ep_traj.phis))
+    triple_norms: dict = {}
     sup_norms: dict = {}
     errors: dict = {}
     elliptic: dict = {}
     for s in spec.s_list:
-        tns = [triple_norm(r, s) for r in rems]
+        tns = triple_norms[s] = [triple_norm(r, s) for r in rems]
         sup_norms[f"s{s}"] = {
             "n1_Hs": _sup(t.n1_hs for t in tns),
             "u1_triple": _sup(t.u1_triple for t in tns),
             "phi1_triple": _sup(t.phi1_triple for t in tns),
             "combined": _sup(t.combined for t in tns),
         }
-        err_n = _sup(
-            hs_norm(Field(ep_traj.states[i].grid,
-                          ep_traj.states[i].n.values - lim_traj.states[i].n.values), s)
-            for i in range(count)
-        )
-        err_u = _sup(
-            hs_norm(Field(ep_traj.states[i].grid,
-                          ep_traj.states[i].u.values - lim_traj.states[i].u.values), s)
-            for i in range(count)
-        )
-        errors[f"n_H{s}"] = err_n
-        errors[f"u_H{s}"] = err_u
-        ratios = [elliptic_ratio_pair(r, s) for r in rems]
+        errors[f"n_H{s}"] = _sup(_hs_norm_values(grid, ep.n.values - lim.n.values, s)
+                                 for ep, lim, _ in paired)
+        errors[f"u_H{s}"] = _sup(_hs_norm_values(grid, ep.u.values - lim.u.values, s)
+                                 for ep, lim, _ in paired)
+        ratios = [elliptic_ratio_pair(t) for t in tns]
         elliptic[f"k{s}"] = {"density": _sup(d for d, _ in ratios),
                              "potential": _sup(p for _, p in ratios)}
-    errors["phi_l2"] = _sup(
-        l2_norm(Field(ep_traj.states[i].grid,
-                      ep_traj.phis[i].values - np.log(ep_traj.states[i].n.values)))
-        for i in range(count)
-    )
+    errors["phi_l2"] = _sup(_l2_values(grid, phi.values - np.log(ep.n.values))
+                            for ep, _, phi in paired)
     errors["qn_gap"] = quasineutrality_gap(ep_traj)
     status = "OK" if ep_traj.blowup is None else "BLOWUP"
     blowup = None
@@ -256,7 +263,8 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
         ev = ep_traj.blowup
         blowup = {"t": ev.t, "reason": ev.reason, "value": ev.value}
     return MemberResult(eps=eps, status=status, wall_time=ep_traj.wall_time,
-                        ep_traj=ep_traj, remainders=rems, sup_norms=sup_norms,
+                        ep_traj=ep_traj, remainders=rems,
+                        triple_norms=triple_norms, sup_norms=sup_norms,
                         errors=errors, elliptic=elliptic, blowup=blowup)
 
 
@@ -336,7 +344,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     fits: dict = {}
     verdicts: dict = {}
     ok_members = [m for m in members if m.status == "OK"]
-    any_blowup = (len(ok_members) < len(members)) or limit_status != "OK"
+    member_blowup = len(ok_members) < len(members)
+    any_blowup = member_blowup or limit_status != "OK"
 
     if spec.fit_ready() and len(ok_members) >= 3:
         keys = [f"{v}_H{s}" for s in spec.s_list for v in ("n", "u")] + ["qn_gap"]
@@ -357,10 +366,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
             verdicts[name] = "PASS" if ok else "FAIL"
 
     for s in spec.s_list:
-        report = gronwall_monitor(
-            [SweepMember(m.eps, tuple(m.remainders), m.status != "OK")
-             for m in members],
-            s, spec.bound_factor)
+        sups = [(row["eps"], row["sup_norms"][f"s{s}"]["combined"]) for row in rows]
+        report = gronwall_monitor(sups, s, spec.bound_factor, member_blowup)
         verdicts[f"gronwall_s{s}"] = report.verdict
 
     for k in spec.s_list:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, _hs_norm_values, hs_norm
+from .grid import Field, Grid, _hs_norm_values, _l2_values, hs_norm, integrate
 from .io_utils import write_csv
 from .poisson import PBConvergenceError, PBSolveOptions, _solve_phi_values
 
@@ -41,7 +41,6 @@ __all__ = [
     "rhs_limit",
     "step",
     "evolve",
-    "mass",
     "quasineutral_residual",
     "write_trajectory_csv",
     "write_snapshot_csv",
@@ -49,11 +48,6 @@ __all__ = [
 
 # Sobolev order of the blow-up norm monitor.
 GUARD_NORM_ORDER = 2
-
-# Exponential low-pass filter (optional, off by default everywhere):
-# sigma(j) = exp(-FILTER_STRENGTH * (|j| / (n/2))**FILTER_ORDER)
-FILTER_STRENGTH = 36.0
-FILTER_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,6 @@ class RunOptions:
     norm_ceiling: float = 1e6
     pb: PBSolveOptions = field(default_factory=PBSolveOptions)
     record_every: int = 1
-    exp_filter: bool = False
 
     def __post_init__(self):
         if self.dt is not None:
@@ -222,11 +215,6 @@ def rhs_limit(state: EPState) -> tuple[Field, Field]:
     return Field(state.grid, dn), Field(state.grid, du)
 
 
-def _apply_filter(grid: Grid, values: np.ndarray) -> np.ndarray:
-    sigma = np.exp(-FILTER_STRENGTH * (grid.k / grid.k[-1]) ** FILTER_ORDER)
-    return np.fft.irfft(sigma * np.fft.rfft(values), grid.n_points)
-
-
 def _guard_stage(n: np.ndarray, floor: float, t: float, step_index: int):
     if not np.all(np.isfinite(n)):
         raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan"), step_index))
@@ -279,10 +267,6 @@ def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
     (k4n, k4u), phi = stage(n + dt * k3n, u + dt * k3u, t + dt, phi)
     new_n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     new_u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-
-    if opts.exp_filter:
-        new_n = _apply_filter(grid, new_n)
-        new_u = _apply_filter(grid, new_u)
 
     t_new = t + dt
     if not (np.all(np.isfinite(new_n)) and np.all(np.isfinite(new_u))):
@@ -368,16 +352,11 @@ def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
                       wall_time=time.perf_counter() - t_start)
 
 
-def mass(f: Field) -> float:
-    return float(np.mean(f.values) * f.grid.length)
-
-
 def quasineutral_residual(state: EPState, phi: Field | None) -> float:
     """L2 gap ||exp(phi) - n||; zero by construction for the limit flow."""
     if phi is None:
         return 0.0
-    diff = np.exp(phi.values) - state.n.values
-    return float(np.sqrt(np.mean(diff * diff) * state.grid.length))
+    return _l2_values(state.grid, np.exp(phi.values) - state.n.values)
 
 
 def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
@@ -394,7 +373,7 @@ def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
             st.t,
             hs_norm(st.n, s),
             hs_norm(st.u, s),
-            mass(st.n),
+            integrate(st.n),
             float(np.min(st.n.values)),
             float(np.max(st.n.values)),
             gap,

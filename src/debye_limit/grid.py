@@ -25,12 +25,9 @@ Conventions
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .io_utils import atomic_write_text, fmt
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
@@ -43,8 +40,6 @@ __all__ = [
     "hs_norm",
     "max_abs",
     "dealias",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 # Sobolev orders above this are meaningless at the resolutions we run;
@@ -203,14 +198,22 @@ def derivative(f: Field, order: int = 1) -> Field:
     return Field(f.grid, _derivative_values(f.grid, f.values, order))
 
 
+def _integral_values(grid: Grid, values: np.ndarray) -> float:
+    return float(np.mean(values) * grid.length)
+
+
 def integrate(f: Field) -> float:
     """Trapezoid quadrature over the periodic domain (= mean * length)."""
-    return float(np.mean(f.values) * f.grid.length)
+    return _integral_values(f.grid, f.values)
+
+
+def _l2_values(grid: Grid, values: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(values * values) * grid.length))
 
 
 def l2_norm(f: Field) -> float:
     """sqrt of the integral of f^2."""
-    return float(np.sqrt(np.mean(f.values * f.values) * f.grid.length))
+    return _l2_values(f.grid, f.values)
 
 
 def max_abs(f: Field) -> float:
@@ -236,41 +239,3 @@ def hs_norm(f: Field, s: int) -> float:
 def dealias(f: Field) -> Field:
     """Zero all modes with ``|j| > n_points/3`` (2/3-rule). Idempotent."""
     return Field(f.grid, _dealias_values(f.grid, f.values))
-
-
-def write_field_csv(f: Field, path) -> None:
-    """Serialize a field as ``x,value`` rows with 17 significant digits."""
-    buf = io.StringIO()
-    buf.write("x,value\n")
-    for xi, vi in zip(f.grid.x, f.values):
-        buf.write(f"{fmt(float(xi))},{fmt(float(vi))}\n")
-    atomic_write_text(path, buf.getvalue())
-
-
-def read_field_csv(path, grid: Grid | None = None) -> Field:
-    """Read a field written by :func:`write_field_csv`.
-
-    If ``grid`` is omitted one is reconstructed from the row count; the
-    stored abscissae are checked against it either way.
-    """
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != "x,value":
-            raise ValueError(f"unexpected field CSV header {header!r}")
-        xs, vs = [], []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            sx, sv = line.split(",")
-            xs.append(float(sx))
-            vs.append(float(sv))
-    if grid is None:
-        grid = Grid(len(vs))
-    if len(vs) != grid.n_points:
-        raise ValueError(
-            f"CSV has {len(vs)} rows, grid expects {grid.n_points}"
-        )
-    if not np.allclose(xs, grid.x, rtol=0.0, atol=1e-15):
-        raise ValueError("CSV abscissae do not match the grid")
-    return Field(grid, np.asarray(vs))

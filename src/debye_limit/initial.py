@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["InitParams", "make_initial", "make_initial_multimode", "random_smooth_field"]
+__all__ = ["InitParams", "make_initial", "random_smooth_field"]
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,6 @@ def make_initial(params: InitParams, grid: Grid) -> tuple[Field, Field]:
     theta = 2.0 * np.pi * params.mode * grid.x / grid.length
     n0 = params.n_base + params.n_amp * np.sin(theta)
     u0 = params.u_amp * np.sin(theta + params.phase_u)
-    return Field(grid, n0), Field(grid, u0)
-
-
-def make_initial_multimode(params: InitParams, grid: Grid) -> tuple[Field, Field]:
-    """Robustness variant: first three harmonics with 1/m^2 amplitude decay.
-
-    The total density amplitude is still bounded by |n_amp| * sum(1/m^2)
-    < 1.5 |n_amp|, so positivity needs the same margin as the base case;
-    construction fails if it is violated.
-    """
-    n0 = np.full(grid.n_points, params.n_base)
-    u0 = np.zeros(grid.n_points)
-    for m in range(params.mode, params.mode + 3):
-        decay = (params.mode / m) ** 2
-        theta = 2.0 * np.pi * m * grid.x / grid.length
-        n0 = n0 + params.n_amp * decay * np.sin(theta)
-        u0 = u0 + params.u_amp * decay * np.sin(theta + params.phase_u)
-    if np.min(n0) <= 0.0:
-        raise ValueError("multi-mode data lost density positivity")
     return Field(grid, n0), Field(grid, u0)
 
 

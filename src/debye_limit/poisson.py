@@ -20,6 +20,7 @@ exposed as :func:`solve_phi_limit`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,12 @@ def _solve_phi_values(
         raise ValueError(
             f"density must be strictly positive, min(n) = {np.min(n):.3e}"
         )
+    # Python floats overflow to inf without a numpy warning; stop before
+    # the band symbol eps*k^2 turns into inf or nan
+    k_max = float(grid.k[grid.keep][-1])
+    if not math.isfinite(float(eps) * k_max * k_max):
+        raise PBConvergenceError(
+            f"eps = {eps:g} overflows the symbol eps*k^2", float("nan"))
     band = _Band(grid, eps)
     # the residual is dealiased, so modes above the cutoff are invisible
     # to Newton; keep every iterate inside the band or initializer tail

@@ -15,6 +15,7 @@ empirical constants of the elliptic density/potential estimates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .grid import (
     _dealias_values,
     _derivative_values,
     _hs_norm_values,
+    _l2_values,
     hs_norm,
-    l2_norm,
 )
 from .io_utils import write_csv
 from .poisson import PBSolveOptions, _solve_phi_values
@@ -42,6 +43,11 @@ __all__ = [
     "elliptic_ratio_pair",
     "write_remainder_csv",
 ]
+
+# The remainders divide O(eps) differences of the flows by eps. Below the
+# unit round-off those differences are under one ulp of the fields, so
+# the remainders keep no correct digit (and far below it they overflow).
+MIN_REMAINDER_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ class TripleNorm:
     ``phi1_triple**2 = ||phi1||_{H^s}^2 + eps*||phi1_x||_{H^s}^2
     + eps^2*||phi1_xx||_{H^s}^2``; ``combined`` joins the velocity and
     potential parts in quadrature. At eps = 0 every part reduces to the
-    plain H^s norm.
+    plain H^s norm. The three potential H^s norms are kept for the
+    elliptic ratios.
     """
 
     t: float
@@ -73,6 +80,9 @@ class TripleNorm:
     u1_triple: float
     phi1_triple: float
     combined: float
+    phi1_hs: float
+    phi1_x_hs: float
+    phi1_xx_hs: float
 
 
 def form_remainder(
@@ -196,7 +206,8 @@ def triple_norm(rem: Remainder, s: int) -> TripleNorm:
         phi1_hs**2 + eps * dphi1_hs**2 + eps**2 * d2phi1_hs**2
     ))
     combined = float(np.sqrt(u1_triple**2 + phi1_triple**2))
-    return TripleNorm(rem.t, eps, s, n1_hs, u1_triple, phi1_triple, combined)
+    return TripleNorm(rem.t, eps, s, n1_hs, u1_triple, phi1_triple, combined,
+                      phi1_hs, dphi1_hs, d2phi1_hs)
 
 
 def _res_phi_at(rem: Remainder, lim_state) -> float:
@@ -212,7 +223,7 @@ def _res_phi_at(rem: Remainder, lim_state) -> float:
         + n0.values * rem.phi1.values
         - np.sqrt(eps) * r1.values
     )
-    return float(np.sqrt(np.mean(_dealias_values(grid, field) ** 2) * grid.length))
+    return _l2_values(grid, _dealias_values(grid, field))
 
 
 def remainder_residual(rem_a: Remainder, rem_b: Remainder,
@@ -260,50 +271,47 @@ def remainder_residual(rem_a: Remainder, rem_b: Remainder,
         + dx(phi1m)
     )
 
-    res_n = float(np.sqrt(np.mean(dA(res_n_field) ** 2) * grid.length))
-    res_u = float(np.sqrt(np.mean(dA(res_u_field) ** 2) * grid.length))
+    res_n = _l2_values(grid, dA(res_n_field))
+    res_u = _l2_values(grid, dA(res_u_field))
     res_phi = max(_res_phi_at(rem_a, lim_a), _res_phi_at(rem_b, lim_b))
     return res_n, res_u, res_phi
 
 
-def elliptic_ratio_pair(rem: Remainder, k: int) -> tuple[float, float]:
-    """Empirical constants of the two-sided elliptic estimates.
+def elliptic_ratio_pair(tn: TripleNorm) -> tuple[float, float]:
+    """Empirical constants of the two-sided elliptic estimates at k = tn.s.
 
     First: ||n1||_{H^k}^2 against 1 + ||phi1||_{H^k}^2 +
     eps^2*||phi1_xx||_{H^k}^2. Second: the weighted potential norm
     against 1 + ||n1||_{H^k}^2. Uniform boundedness of both families in
-    eps is what the elliptic theory predicts.
+    eps is what the elliptic theory predicts. Read from the norms the
+    triple norm already formed.
     """
-    grid = rem.n1.grid
-    eps = rem.eps
-    n1_sq = hs_norm(rem.n1, k) ** 2
-    phi1_sq = hs_norm(rem.phi1, k) ** 2
-    dphi1_sq = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 1), k) ** 2
-    d2phi1_sq = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 2), k) ** 2
+    eps = tn.eps
+    n1_sq = tn.n1_hs**2
+    phi1_sq = tn.phi1_hs**2
+    dphi1_sq = tn.phi1_x_hs**2
+    d2phi1_sq = tn.phi1_xx_hs**2
     density_ratio = n1_sq / (1.0 + phi1_sq + eps**2 * d2phi1_sq)
     potential_ratio = (phi1_sq + eps * dphi1_sq + eps**2 * d2phi1_sq) / (1.0 + n1_sq)
     return density_ratio, potential_ratio
 
 
-def write_remainder_csv(remainders, lim_states, s_list, path) -> None:
+def write_remainder_csv(remainders, lim_states, norms, path) -> None:
     """Time series of triple norms and equation residuals.
 
-    One row per recorded time per Sobolev order. Residual columns hold
-    the values of the snapshot pair *ending* at the row's time; the
-    first row carries NaNs there.
+    ``norms`` maps each Sobolev order to the triple norms of
+    ``remainders``, in order. One row per recorded time per order.
+    Residual columns hold the values of the snapshot pair *ending* at
+    the row's time; the first row carries NaNs there.
     """
-    res_by_index = {0: (float("nan"), float("nan"), float("nan"))}
-    for i in range(1, len(remainders)):
-        res_by_index[i] = remainder_residual(
-            remainders[i - 1], remainders[i], lim_states[i - 1], lim_states[i]
-        )
     rows = []
-    for i, rem in enumerate(remainders):
-        res_n, res_u, res_phi = res_by_index[i]
-        for s in s_list:
-            tn = triple_norm(rem, s)
-            rows.append((rem.t, rem.eps, s, tn.n1_hs, tn.u1_triple,
-                         tn.phi1_triple, tn.combined, res_n, res_u, res_phi))
+    for i in range(len(remainders)):
+        res = (float("nan"),) * 3 if i == 0 else remainder_residual(
+            remainders[i - 1], remainders[i], lim_states[i - 1], lim_states[i])
+        for tns in norms.values():
+            tn = tns[i]
+            rows.append((tn.t, tn.eps, tn.s, tn.n1_hs, tn.u1_triple,
+                         tn.phi1_triple, tn.combined, *res))
     write_csv(path,
               "t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,res_n,res_u,res_phi",
               rows)

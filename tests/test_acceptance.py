@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from debye_limit.energy import identity_2_12_check, kato_ponce_sample
+from debye_limit.energy import energy_snapshot, identity_2_12_check, kato_ponce_sample
 from debye_limit.experiments import (
     SweepSpec,
     quasineutral_identity_defect,
@@ -168,8 +168,9 @@ def test_criterion_5_energy_identity(identity_run):
     for gamma in (0, 1, 2):
         # record dt = 2.5e-4, so stride 4 is spacing 1e-3 and stride 2
         # is the halved spacing
-        at_1e3 = identity_2_12_check(rems, lims, gamma, stride=4)
-        at_5e4 = identity_2_12_check(rems, lims, gamma, stride=2)
+        snaps = [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
+        at_1e3 = identity_2_12_check(snaps, stride=4)
+        at_5e4 = identity_2_12_check(snaps, stride=2)
         assert at_1e3.spacing == pytest.approx(1e-3, rel=1e-12)
         worst_defect = max(worst_defect, at_1e3.defect)
         worst_ratio = min(worst_ratio, at_1e3.defect / at_5e4.defect)

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import debye_limit
 from debye_limit import __version__
@@ -167,6 +170,18 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
     # the n and u errors are all zero, so their orders are inconclusive
     pytest.param(["sweep", "--grid", "32", "--t-end", "0"], None, (0, 4),
                  id="sweep-t-0"),
+    # exit-1 holes that test_exit_code_contract_property found
+    pytest.param(["sweep", "--grid", "0"], None, (2,), id="sweep-grid-0"),
+    pytest.param(["check", "--seed", "-1"], None, (2,), id="check-seed-negative"),
+    pytest.param(["check", "--t-end", "0.0301"], None, (2,),
+                 id="check-t-not-whole-records"),
+    pytest.param(["check", "--eps", "1e-300"], None, (2,), id="check-eps-tiny"),
+    # eps*k^2 overflows: the potential solve stops before any numpy
+    # arithmetic could warn, and the run ends as a pb_divergence
+    pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3", "--eps", "inf"],
+                 None, (3,), id="simulate-eps-inf"),
+    pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3", "--eps", "1e308"],
+                 None, (3,), id="simulate-eps-1e308"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:
@@ -176,6 +191,7 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     proc = _run_cli([*argv, "--out", str(tmp_path)])
     assert proc.returncode in codes
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_sweep_duplicate_eps_passes_and_writes(tmp_path, capsys):
@@ -270,3 +286,159 @@ def test_out_dir_precedence(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert (flag_dir / "traj_ep_0.01.csv").exists()
     capsys.readouterr()
+
+
+# -------------------------------------------------- one computation each
+
+
+def _ini(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+SMALL_SWEEP = _ini({"grid": {"n_points": 32},
+                    "run": {"t_end": 0.01, "dt": 1e-3},
+                    "sweep": {"eps_list": "1e-1 1e-2 1e-3"}})
+# a short, densely recorded run and a small Kato-Ponce battery
+SMALL_CHECK_KEYS = {"n_points": 32, "dt": 1e-3, "record_every": 1,
+                    "t_end": 0.01, "kp_pairs": 2, "kp_grid": 32,
+                    "kp_max_mode": 4}
+
+
+def _recording(monkeypatch, module, name, sink):
+    """Replace ``module.name`` by a wrapper that appends each result to sink."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        sink.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
+    # one triple norm per (recorded snapshot, s) per member, and the
+    # elliptic ratios read those norms instead of forming their own
+    from debye_limit import energy, experiments, remainder
+
+    series, norms, ratios, ffts_in_ratios, inside = [], [], [], [], []
+    _recording(monkeypatch, experiments, "remainder_series", series)
+    for module in (remainder, experiments, energy):
+        if hasattr(module, "triple_norm"):
+            _recording(monkeypatch, module, "triple_norm", norms)
+    # every H^s norm starts with a real FFT: count those inside the ratios
+    real_rfft, real_ratio = np.fft.rfft, experiments.elliptic_ratio_pair
+
+    def counting_rfft(*args, **kwargs):
+        ffts_in_ratios.extend(inside)
+        return real_rfft(*args, **kwargs)
+
+    def flagged_ratio(*args):
+        inside.append(1)
+        try:
+            return real_ratio(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(experiments, "elliptic_ratio_pair", flagged_ratio)
+    _recording(monkeypatch, experiments, "elliptic_ratio_pair", ratios)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(SMALL_SWEEP)
+    code = main(["sweep", "--config", str(conf), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 4)
+    s_count = 3  # the default s_list 0 1 2
+    snapshots = sum(len(rems) for rems in series)
+    assert len(series) == 3 and snapshots > 3
+    assert len(norms) == snapshots * s_count
+    assert len(ratios) == snapshots * s_count
+    assert not ffts_in_ratios
+
+
+def test_check_computes_each_energy_snapshot_once(tmp_path, monkeypatch, capsys):
+    from debye_limit import cli, energy
+
+    series, snaps = [], []
+    _recording(monkeypatch, cli, "remainder_series", series)
+    _recording(monkeypatch, cli, "energy_snapshot", snaps)
+    _recording(monkeypatch, energy, "energy_snapshot", snaps)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
+    code = main(["check", "--config", str(conf), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 4)
+    assert len(series) == 1
+    assert len(snaps) == len(series[0]) == 11
+
+
+# --------------------------------------------------- exit-code contract
+
+
+# Each flag draws a value that should run. Up to two flags or config
+# keys then take an edge value: one to be rejected (2), one that ends
+# the run (3), or one that only some commands accept.
+_VALID_FLAGS = {
+    "--grid": ("32", "64"),
+    "--eps": ("1e-1", "1e-2", "1e-12"),
+    "--s": tuple(str(s) for s in range(9)),
+    "--n-amp": ("0.1", "-0.5", "0.9", "0.99"),
+    "--flow": ("ep", "limit"),
+    "--seed": ("0", "7"),
+}
+_EDGES = (
+    ("--t-end", "-1e-3"), ("--t-end", "nan"), ("--t-end", "inf"),
+    ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"),
+    ("--grid", "0"), ("--grid", "-1"), ("--grid", "33"),
+    ("--eps", "0"), ("--eps", "-1e-2"), ("--eps", "nan"), ("--eps", "inf"),
+    ("--eps", "1e308"), ("--eps", "1e-300"), ("--s", "-2"), ("--s", "-1"),
+    ("--s", "9"), ("--s", "12"), ("--n-amp", "1"), ("--n-amp", "1.5"),
+    ("--seed", "-1"),
+    ("run", "record_every", "0"), ("run", "norm_ceiling", "1e-3"),
+    ("pb", "max_newton_iters", "0"), ("pb", "max_newton_iters", "1"),
+    ("sweep", "eps_list", "1e-2 nan"), ("sweep", "eps_list", "inf 1e-2"),
+    ("sweep", "eps_list", "1e-2 -1"), ("sweep", "eps_list", "1e-2 1e-300"),
+    ("sweep", "s_list", "0 9"),
+    ("check", "kp_pairs", "0"), ("check", "kp_grid", "33"),
+    ("check", "kp_max_mode", "-1"),
+)
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(("simulate", "sweep", "check")))
+    t_end = draw(st.sampled_from(("2e-3", "1e-3", "1e-4", "0")))
+    flags = {"--t-end": t_end, "--jobs": "1"}
+    # a tiny dt is a long run, not a breach of the contract
+    flags["--dt"] = draw(st.one_of(
+        st.just("auto"),
+        st.integers(1, 20).map(lambda k: repr(float(t_end) / k)),
+        st.floats(1.0 / 20.0, 1.0).map(lambda f: repr(f * float(t_end)))))
+    for flag, values in _VALID_FLAGS.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(st.sampled_from(values))
+    config = {"check": dict(SMALL_CHECK_KEYS)}
+    for edge in draw(st.lists(st.sampled_from(_EDGES), max_size=2)):
+        if len(edge) == 2:
+            flags[edge[0]] = edge[1]
+        else:
+            config.setdefault(edge[0], {})[edge[1]] = edge[2]
+    # "--flag=value", so that argparse reads "-1e-3" as a value
+    return [command, *(f"{k}={v}" for k, v in flags.items())], config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cli_case())
+def test_exit_code_contract_property(tmp_path_factory, case):
+    # every flag and config value ends in 0, 2, 3 or 4: nothing escapes
+    argv, config = case
+    out = tmp_path_factory.mktemp("contract")
+    conf = out / "conf.ini"
+    conf.write_text(_ini(config))
+    try:
+        code = main([*argv, "--config", str(conf), "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a malformed flag
+        code = exc.code
+    assert code in (0, 2, 3, 4), (argv, config)

@@ -35,7 +35,6 @@ n_points = 128
 [run]
 eps = 0.05
 dt = auto
-exp_filter = true
 
 [sweep]
 eps_list = 1e-1, 1e-2 1e-3
@@ -43,16 +42,9 @@ eps_list = 1e-1, 1e-2 1e-3
     cfg = load_config_file(path)
     assert cfg == {
         "grid": {"n_points": 128},
-        "run": {"eps": 0.05, "dt": None, "exp_filter": True},
+        "run": {"eps": 0.05, "dt": None},
         "sweep": {"eps_list": [0.1, 0.01, 0.001]},
     }
-
-
-def test_bool_spellings(tmp_path):
-    for raw, expected in (("on", True), ("Off", False), ("1", True),
-                          ("no", False), ("TRUE", True)):
-        path = _write(tmp_path, f"[run]\nexp_filter = {raw}\n")
-        assert load_config_file(path)["run"]["exp_filter"] is expected
 
 
 def test_unknown_section_reports_position(tmp_path):
@@ -70,9 +62,6 @@ def test_unknown_key_reports_position(tmp_path):
 def test_bad_value_types(tmp_path):
     path = _write(tmp_path, "[grid]\nn_points = many\n")
     with pytest.raises(ConfigError, match="bad value for.*n_points"):
-        load_config_file(path)
-    path = _write(tmp_path, "[run]\nexp_filter = maybe\n")
-    with pytest.raises(ConfigError, match="not a boolean"):
         load_config_file(path)
     path = _write(tmp_path, "[sweep]\neps_list = 1e-1, soup\n")
     with pytest.raises(ConfigError, match="bad value"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from debye_limit.energy import (
-    SweepMember,
     energy_snapshot,
     gronwall_monitor,
     identity_2_12_check,
@@ -14,7 +13,7 @@ from debye_limit.energy import (
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import Field, Grid
 from debye_limit.initial import InitParams, make_initial, random_smooth_field
-from debye_limit.remainder import Remainder, remainder_series
+from debye_limit.remainder import Remainder, remainder_series, triple_norm
 
 
 def _field(grid, values):
@@ -125,11 +124,15 @@ def _paired_run(n_points=64, eps=1e-2, dt=1e-4, t_end=0.01):
     return remainder_series(ep, lim), lim.states
 
 
+def _snapshots(rems, lims, gamma):
+    return [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
+
+
 def test_identity_defect_second_order_in_spacing():
-    rems, lims = _paired_run()
+    snaps = _snapshots(*_paired_run(), gamma=0)
     defects = {}
     for stride in (8, 4, 2):
-        report = identity_2_12_check(rems, lims, gamma=0, stride=stride)
+        report = identity_2_12_check(snaps, stride=stride)
         assert report.spacing == pytest.approx(stride * 1e-4, rel=1e-12)
         defects[stride] = report.defect
     # centered differences: halving the spacing divides the defect by ~4
@@ -142,7 +145,7 @@ def test_identity_defect_zero_on_equilibrium():
     times = [0.0, 0.1, 0.2, 0.3]
     rems = [_rem(grid, 1e-2, t=t) for t in times]
     lims = [_lim(grid, t=t) for t in times]
-    report = identity_2_12_check(rems, lims, gamma=1)
+    report = identity_2_12_check(_snapshots(rems, lims, gamma=1))
     assert report.defect == 0.0
     assert all(d == 0.0 for d in report.defects)
 
@@ -151,21 +154,23 @@ def test_identity_check_validation():
     grid = Grid(64)
     rems = [_rem(grid, 1e-2, t=t) for t in (0.0, 0.1, 0.2)]
     lims = [_lim(grid, t=t) for t in (0.0, 0.1, 0.2)]
+    snaps = _snapshots(rems, lims, gamma=0)
     with pytest.raises(ValueError, match="stride"):
-        identity_2_12_check(rems, lims, gamma=0, stride=0)
+        identity_2_12_check(snaps, stride=0)
     with pytest.raises(ValueError, match="at least three"):
-        identity_2_12_check(rems[:2], lims[:2], gamma=0)
+        identity_2_12_check(snaps[:2])
     crooked = [_rem(grid, 1e-2, t=t) for t in (0.0, 0.1, 0.35)]
     with pytest.raises(ValueError, match="uniformly spaced"):
-        identity_2_12_check(crooked, lims, gamma=0)
+        identity_2_12_check(_snapshots(crooked, lims, gamma=0))
 
 
 # ---------------------------------------------------------------- monitors
 
 
-def _member(grid, eps, amp, blew_up=False):
+def _member(grid, eps, amp, s=0):
+    """(eps, sup combined norm) of a member with one remainder snapshot."""
     u1 = amp * np.sin(2 * np.pi * grid.x)
-    return SweepMember(eps, (_rem(grid, eps, u1=u1),), blew_up)
+    return eps, triple_norm(_rem(grid, eps, u1=u1), s).combined
 
 
 def test_gronwall_pass_and_fail():
@@ -185,8 +190,8 @@ def test_gronwall_pass_and_fail():
 
 def test_gronwall_reference_is_largest_eps_any_order():
     grid = Grid(64)
-    members = [_member(grid, 1e-3, 1.0), _member(grid, 1e-1, 1.0),
-               _member(grid, 1e-2, 1.0)]
+    members = [_member(grid, 1e-3, 1.0, s=1), _member(grid, 1e-1, 1.0, s=1),
+               _member(grid, 1e-2, 1.0, s=1)]
     report = gronwall_monitor(members, s=1)
     assert report.reference_eps == 1e-1
     # sup_norms preserve the input order
@@ -195,13 +200,13 @@ def test_gronwall_reference_is_largest_eps_any_order():
 
 def test_gronwall_inconclusive_on_blowup():
     grid = Grid(64)
-    members = [_member(grid, 1e-1, 1.0), _member(grid, 1e-2, 1.0, blew_up=True)]
-    assert gronwall_monitor(members, s=0).verdict == "INCONCLUSIVE"
+    members = [_member(grid, 1e-1, 1.0), _member(grid, 1e-2, 1.0)]
+    assert gronwall_monitor(members, s=0, blew_up=True).verdict == "INCONCLUSIVE"
 
 
 def test_gronwall_single_member_passes():
     grid = Grid(64)
-    assert gronwall_monitor([_member(grid, 1e-2, 3.0)], s=2).verdict == "PASS"
+    assert gronwall_monitor([_member(grid, 1e-2, 3.0, s=2)], s=2).verdict == "PASS"
 
 
 def test_gronwall_validation():

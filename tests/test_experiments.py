@@ -69,6 +69,8 @@ def test_sweep_spec_validation():
         SweepSpec(eps_list=())
     with pytest.raises(ValueError, match="positive"):
         SweepSpec(eps_list=(1e-1, -1e-2))
+    with pytest.raises(ValueError, match="at least"):
+        SweepSpec(eps_list=(1e-1, 1e-300))
     with pytest.raises(ValueError, match="eps_list"):
         SweepSpec(eps_list=(1e-1, float("nan")))
     with pytest.raises(ValueError, match="s_list"):

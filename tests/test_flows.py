@@ -16,7 +16,6 @@ from debye_limit.flows import (
     Trajectory,
     default_dt,
     evolve,
-    mass,
     quasineutral_residual,
     rhs_ep,
     rhs_limit,
@@ -30,6 +29,7 @@ from debye_limit.grid import (
     dealias,
     derivative,
     hs_norm,
+    integrate,
     l2_norm,
     max_abs,
 )
@@ -118,7 +118,7 @@ def test_mass_conservation_exact():
     for state, eps in ((ep, 1e-2), (lim, 0.0)):
         opts = RunOptions(dt=5e-4, t_end=0.5, eps=eps, record_every=10 ** 9)
         traj = evolve(state, opts)
-        drift = abs(mass(traj.final.n) - mass(state.n))
+        drift = abs(integrate(traj.final.n) - integrate(state.n))
         assert drift < 1e-13
 
 
@@ -252,15 +252,6 @@ def test_quasineutral_residual_tracks_eps():
         prev = r
 
 
-def test_exponential_filter_preserves_mass():
-    grid = Grid(64)
-    ep, _ = paired_states(grid)
-    opts = RunOptions(dt=1e-3, t_end=0.05, eps=1e-2, exp_filter=True,
-                      record_every=10 ** 9)
-    traj = evolve(ep, opts)
-    assert abs(mass(traj.final.n) - mass(ep.n)) < 1e-13
-
-
 def test_recorded_potentials_match_cold_solves():
     # the potentials ride through the RK stages as warm starts; each one
     # recorded must still be the potential of its own state
@@ -378,7 +369,7 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(lines) == 1 + len(traj.states)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
-    assert first[3] == pytest.approx(mass(ep.n), rel=1e-15)
+    assert first[3] == pytest.approx(integrate(ep.n), rel=1e-15)
 
 
 def test_snapshot_csv_schema(tmp_path):

@@ -1,4 +1,4 @@
-"""Spectral grid and Field plumbing: derivatives, norms, dealiasing, CSV."""
+"""Spectral grid and Field plumbing: derivatives, norms, dealiasing."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from debye_limit.grid import (
     integrate,
     l2_norm,
     max_abs,
-    read_field_csv,
-    write_field_csv,
 )
 from debye_limit.initial import random_smooth_field
 
@@ -192,17 +190,3 @@ def test_field_values_are_immutable():
     f = Field(grid, np.zeros(32))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
-
-
-def test_field_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(17)
-    grid = Grid(64)
-    f = random_smooth_field(grid, rng)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    back = read_field_csv(path)
-    assert back.grid.n_points == 64
-    assert np.array_equal(back.values, f.values)
-    # and against an explicit grid
-    back2 = read_field_csv(path, grid=grid)
-    assert np.array_equal(back2.values, f.values)

@@ -7,7 +7,6 @@ from debye_limit.grid import Field, Grid, hs_norm, integrate
 from debye_limit.initial import (
     InitParams,
     make_initial,
-    make_initial_multimode,
     random_smooth_field,
 )
 
@@ -46,22 +45,6 @@ def test_params_validation():
         InitParams(n_amp=-1.5)
     with pytest.raises(ValueError):
         InitParams(mode=0)
-
-
-def test_multimode_decay():
-    grid = Grid(128)
-    n, _ = make_initial_multimode(InitParams(mode=2), grid)
-    spec = np.abs(np.fft.rfft(n.values - 1.0)) / 128
-    assert spec[2] > spec[3] > spec[4]
-    assert spec[3] / spec[2] == pytest.approx((2.0 / 3.0) ** 2, rel=1e-10)
-    assert np.min(n.values) > 0.0
-
-
-def test_multimode_positivity_guard():
-    # the three-harmonic profile dips to about -1.05 * n_amp
-    grid = Grid(64)
-    with pytest.raises(ValueError):
-        make_initial_multimode(InitParams(n_amp=0.99), grid)
 
 
 def test_random_field_is_grid_independent():

@@ -207,7 +207,7 @@ def test_elliptic_ratios_positive_and_finite():
     rems = remainder_series(ep, lim)
     for rem in rems[1:]:
         for k in (0, 1, 2):
-            dens, pot = elliptic_ratio_pair(rem, k)
+            dens, pot = elliptic_ratio_pair(triple_norm(rem, k))
             assert np.isfinite(dens) and dens >= 0.0
             assert np.isfinite(pot) and pot > 0.0
 
@@ -216,7 +216,8 @@ def test_remainder_csv_schema(tmp_path):
     ep, lim = paired_run(record_every=10)
     rems = remainder_series(ep, lim)
     path = tmp_path / "rem.csv"
-    write_remainder_csv(rems, lim.states, (0, 2), path)
+    norms = {s: [triple_norm(r, s) for r in rems] for s in (0, 2)}
+    write_remainder_csv(rems, lim.states, norms, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,"
                         "res_n,res_u,res_phi")
