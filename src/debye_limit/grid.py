@@ -223,7 +223,7 @@ def max_abs(f: Field) -> float:
 def _hs_norm_values(grid: Grid, values: np.ndarray, s: int) -> float:
     fhat = np.fft.rfft(values)
     power = fhat.real**2 + fhat.imag**2
-    return float(np.sqrt(np.dot(grid.hs_weight(s), power)))
+    return float(np.sqrt(np.sum(grid.hs_weight(s) * power, axis=-1)))
 
 
 def hs_norm(f: Field, s: int) -> float:

@@ -198,14 +198,17 @@ def triple_norm(rem: Remainder, s: int) -> TripleNorm:
     n1_hs = hs_norm(rem.n1, s)
     u1_hs = hs_norm(rem.u1, s)
     du1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.u1.values, 1), s)
-    u1_triple = float(np.sqrt(u1_hs**2 + eps * du1_hs**2))
+    # squares as products: a Python float's ** calls pow(), which can round
+    # differently from numpy's elementwise square of the same value
+    u1_triple = float(np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs)))
     phi1_hs = hs_norm(rem.phi1, s)
     dphi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 1), s)
     d2phi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 2), s)
     phi1_triple = float(np.sqrt(
-        phi1_hs**2 + eps * dphi1_hs**2 + eps**2 * d2phi1_hs**2
+        phi1_hs * phi1_hs + eps * (dphi1_hs * dphi1_hs)
+        + eps**2 * (d2phi1_hs * d2phi1_hs)
     ))
-    combined = float(np.sqrt(u1_triple**2 + phi1_triple**2))
+    combined = float(np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple))
     return TripleNorm(rem.t, eps, s, n1_hs, u1_triple, phi1_triple, combined,
                       phi1_hs, dphi1_hs, d2phi1_hs)
 
@@ -287,10 +290,10 @@ def elliptic_ratio_pair(tn: TripleNorm) -> tuple[float, float]:
     triple norm already formed.
     """
     eps = tn.eps
-    n1_sq = tn.n1_hs**2
-    phi1_sq = tn.phi1_hs**2
-    dphi1_sq = tn.phi1_x_hs**2
-    d2phi1_sq = tn.phi1_xx_hs**2
+    n1_sq = tn.n1_hs * tn.n1_hs
+    phi1_sq = tn.phi1_hs * tn.phi1_hs
+    dphi1_sq = tn.phi1_x_hs * tn.phi1_x_hs
+    d2phi1_sq = tn.phi1_xx_hs * tn.phi1_xx_hs
     density_ratio = n1_sq / (1.0 + phi1_sq + eps**2 * d2phi1_sq)
     potential_ratio = (phi1_sq + eps * dphi1_sq + eps**2 * d2phi1_sq) / (1.0 + n1_sq)
     return density_ratio, potential_ratio
