@@ -64,7 +64,6 @@ from .remainder import (
     Remainder,
     TripleNorm,
     elliptic_ratio_pair,
-    form_remainder,
     r1_field,
     r1_majorant,
     remainder_residual,
@@ -81,7 +80,7 @@ __all__ = [
     "InitParams", "make_initial", "random_smooth_field",
     "EPState", "LimitState", "RunOptions", "BlowUpError", "BlowUpEvent",
     "Trajectory", "default_dt", "rhs_ep", "rhs_limit", "step", "evolve",
-    "Remainder", "TripleNorm", "form_remainder", "remainder_series",
+    "Remainder", "TripleNorm", "remainder_series",
     "r1_field", "r1_majorant", "triple_norm", "remainder_residual",
     "elliptic_ratio_pair",
     "EnergySnapshot", "IdentityReport", "GronwallReport",

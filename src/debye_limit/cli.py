@@ -223,9 +223,7 @@ def cmd_sweep(cfg, args) -> int:
     write_report_csv(report, csv_path)
     for member in report.members:
         rem_path = os.path.join(out, f"remainder_{member.eps:g}.csv")
-        lim_states = report.limit_traj.states[: len(member.remainders)]
-        write_remainder_csv(member.remainders, lim_states, member.triple_norms,
-                            rem_path)
+        write_remainder_csv(member.remainders, member.triple_norms, rem_path)
 
     for name, fit in report.fits.items():
         print(f"sweep: fit {name}: slope={fit['slope']:.4f} "
@@ -288,12 +286,11 @@ def cmd_check(cfg, args) -> int:
         print("check: run blew up before t_end; no verdicts")
         return 3
     rems = remainder_series(ep_traj, lim_traj)
-    if len(rems) < 5:
+    if len(rems.t) < 5:
         # the identity check at stride 2 needs three snapshots
         raise ConfigError(f"check needs at least 5 recorded states, got "
-                          f"{len(rems)}; raise t_end or lower record_every")
-    lims = lim_traj.states
-    snaps = [energy_snapshot(r, l, c["gamma"]) for r, l in zip(rems, lims)]
+                          f"{len(rems.t)}; raise t_end or lower record_every")
+    snaps = energy_snapshot(rems, c["gamma"])
     fine = identity_2_12_check(snaps, stride=1)
     coarse = identity_2_12_check(snaps, stride=2)
     ratio = coarse.defect / fine.defect if fine.defect > 0 else float("inf")
@@ -302,21 +299,12 @@ def cmd_check(cfg, args) -> int:
     defects = {i + 1: d for i, d in enumerate(fine.defects)}
     write_ledger_csv(snaps, defects, os.path.join(out, "check_ledger.csv"))
 
-    res_rows, res_fine_rows = [], []
-    for stride, sink in ((2, res_rows), (1, res_fine_rows)):
-        sub_r = rems[::stride]
-        sub_l = lims[::stride]
-        for i in range(1, len(sub_r)):
-            rn, ru, rp = remainder_residual(sub_r[i - 1], sub_r[i],
-                                            sub_l[i - 1], sub_l[i])
-            sink.append((sub_r[i].t, rn, ru, rp))
+    residuals = remainder_residual(rems, stride=2)
     write_csv(os.path.join(out, "check_residuals.csv"),
-              "t,res_n,res_u,res_phi", res_rows)
-    res_n = max(r[1] for r in res_rows)
-    res_u = max(r[2] for r in res_rows)
-    res_phi = max(r[3] for r in res_rows)
-    res_n_fine = max(r[1] for r in res_fine_rows)
-    res_u_fine = max(r[2] for r in res_fine_rows)
+              "t,res_n,res_u,res_phi", zip(rems.t[::2][1:], *residuals))
+    res_n, res_u, res_phi = (np.max(r) for r in residuals)
+    res_n_fine, res_u_fine, _ = (np.max(r) for r in
+                                 remainder_residual(rems, stride=1))
 
     kp_base = _kp_battery(c["kp_grid"], c["seed"], c["kp_pairs"], c["kp_max_mode"])
     kp_again = _kp_battery(c["kp_grid"], c["seed"], c["kp_pairs"], c["kp_max_mode"])

@@ -47,39 +47,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergySnapshot:
-    """Weighted energies and kinetic-balance terms at one instant.
+    """Weighted energies and kinetic-balance terms of a remainder stack.
 
     All five energies are integrals of squares against positive weights
     and are nonnegative by construction. ``term_i`` through ``term_iv``
     are the forcing, self-advection, transport and stretching
-    contributions to d/dt of the kinetic part.
+    contributions to d/dt of the kinetic part. Every field but
+    ``gamma`` is a ``(T,)`` array, one entry per recorded time.
     """
 
-    t: float
+    t: np.ndarray
     gamma: int
-    e_kin: float
-    e_phi: float
-    e_grad: float
-    e_visc: float
-    e_lap: float
-    term_i: float
-    term_ii: float
-    term_iii: float
-    term_iv: float
+    e_kin: np.ndarray
+    e_phi: np.ndarray
+    e_grad: np.ndarray
+    e_visc: np.ndarray
+    e_lap: np.ndarray
+    term_i: np.ndarray
+    term_ii: np.ndarray
+    term_iii: np.ndarray
+    term_iv: np.ndarray
 
 
-def energy_snapshot(rem: Remainder, lim_state, gamma: int) -> EnergySnapshot:
-    """Evaluate the weighted energies for one remainder snapshot.
+def energy_snapshot(rem: Remainder, gamma: int) -> EnergySnapshot:
+    """Evaluate the weighted energies at every row of a remainder stack.
 
     The full-flow density is reconstructed as n0 + eps*n1 and must stay
     strictly positive; outside that bracket the weights 1/n_eps lose
     meaning and a ValueError is raised.
     """
-    grid = rem.n1.grid
+    grid = rem.grid
     eps = rem.eps
-    n0 = lim_state.n.values
-    u0 = lim_state.u.values
-    n_eps = n0 + eps * rem.n1.values
+    n0, u0, u1, phi1 = rem.n0, rem.u0, rem.u1, rem.phi1
+    n_eps = n0 + eps * rem.n1
     if np.min(n_eps) <= 0.0 or np.min(n0) <= 0.0:
         raise ValueError(
             "density bracket violated: the reconstructed full-flow density "
@@ -89,25 +89,22 @@ def energy_snapshot(rem: Remainder, lim_state, gamma: int) -> EnergySnapshot:
     dg = lambda v: _derivative_values(grid, v, gamma)
     dx = lambda v: _derivative_values(grid, v, 1)
     dA = lambda v: _dealias_values(grid, v)
+    integral = lambda v: _integral_values(grid, v)
 
-    u1 = rem.u1.values
-    phi1 = rem.phi1.values
+    # each term is reduced to (T,) as soon as it is formed, so only the
+    # stacks that several terms share stay alive
     dg_u1 = dg(u1)
-    dg_phi1 = dg(phi1)
+    u1_x = dx(u1)
+    e_kin = 0.5 * integral(dg_u1**2)
+    e_phi = 0.5 * integral((n0 / n_eps) * dg(phi1)**2)
+    e_visc = 0.5 * eps * integral(dg(u1_x)**2)
+    e_lap = 0.5 * eps**2 * integral(dg(_derivative_values(grid, phi1, 2))**2 / n_eps)
     dg_dx_phi1 = dg(dx(phi1))
-    dg_dx_u1 = dg(dx(u1))
-    dg_lap_phi1 = dg(_derivative_values(grid, phi1, 2))
-
-    e_kin = 0.5 * _integral_values(grid, dg_u1**2)
-    e_phi = 0.5 * _integral_values(grid, (n0 / n_eps) * dg_phi1**2)
-    e_grad = 0.5 * eps * _integral_values(grid, dg_dx_phi1**2 / n_eps)
-    e_visc = 0.5 * eps * _integral_values(grid, dg_dx_u1**2)
-    e_lap = 0.5 * eps**2 * _integral_values(grid, dg_lap_phi1**2 / n_eps)
-
-    term_i = -_integral_values(grid, dg_dx_phi1 * dg_u1)
-    term_ii = -eps * _integral_values(grid, dg(dA(u1 * dx(u1))) * dg_u1)
-    term_iii = -_integral_values(grid, dg(dA(u0 * dx(u1))) * dg_u1)
-    term_iv = -_integral_values(grid, dg(dA(u1 * dx(u0))) * dg_u1)
+    e_grad = 0.5 * eps * integral(dg_dx_phi1**2 / n_eps)
+    term_i = -integral(dg_dx_phi1 * dg_u1)
+    term_ii = -eps * integral(dg(dA(u1 * u1_x)) * dg_u1)
+    term_iii = -integral(dg(dA(u0 * u1_x)) * dg_u1)
+    term_iv = -integral(dg(dA(u1 * dx(u0))) * dg_u1)
 
     return EnergySnapshot(rem.t, gamma, e_kin, e_phi, e_grad, e_visc, e_lap,
                           term_i, term_ii, term_iii, term_iv)
@@ -126,38 +123,37 @@ class IdentityReport:
     defects: tuple
 
 
-def identity_2_12_check(snapshots, stride: int = 1) -> IdentityReport:
+def identity_2_12_check(snapshots: EnergySnapshot, stride: int = 1) -> IdentityReport:
     """Compare centered-difference d/dt of the kinetic energy with I+II+III+IV.
 
-    ``snapshots`` are the :class:`EnergySnapshot` of one run at its
-    recorded times, all at one ``gamma``. ``stride`` subsamples them, so
-    one densely recorded run can be checked at several effective
-    spacings. The relative defect is normalized by the largest magnitude
-    either side attains over the window, which keeps equilibrium
-    trajectories at exactly zero defect.
+    ``snapshots`` are the energies of one run at its recorded times, at
+    one ``gamma``. ``stride`` subsamples them, so one densely recorded
+    run can be checked at several effective spacings. The relative
+    defect is normalized by the largest magnitude either side attains
+    over the window, which keeps equilibrium trajectories at exactly
+    zero defect.
     """
     if stride < 1:
         raise ValueError("stride must be a positive integer")
-    snaps = snapshots[::stride]
-    if len(snaps) < 3:
+    times = snapshots.t[::stride]
+    if len(times) < 3:
         raise ValueError(
             "need at least three recorded snapshots for a centered difference"
         )
-    times = np.array([s.t for s in snaps])
     gaps = np.diff(times)
     spacing = float(gaps[0])
     if np.max(np.abs(gaps - spacing)) > 1e-9 * max(spacing, 1.0):
         raise ValueError("recorded times are not uniformly spaced")
 
-    e_kin = np.array([s.e_kin for s in snaps])
-    rhs_all = np.array([s.term_i + s.term_ii + s.term_iii + s.term_iv
-                        for s in snaps])
+    e_kin = snapshots.e_kin[::stride]
+    rhs_all = (snapshots.term_i + snapshots.term_ii + snapshots.term_iii
+               + snapshots.term_iv)[::stride]
     lhs = (e_kin[2:] - e_kin[:-2]) / (2.0 * spacing)
     rhs = rhs_all[1:-1]
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     defects = np.abs(lhs - rhs) / scale
     return IdentityReport(
-        gamma=snaps[0].gamma,
+        gamma=snapshots.gamma,
         spacing=spacing,
         defect=float(np.max(defects)),
         times=tuple(times[1:-1]),
@@ -253,13 +249,12 @@ def kato_ponce_sample(f: Field, g: Field, k: int) -> KPSample:
     return KPSample(k, lhs, rhs, ratio)
 
 
-def write_ledger_csv(snapshots, defects, path) -> None:
+def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:
     """Energy ledger rows; ``defects`` maps interior row index -> defect."""
-    rows = []
-    for i, s in enumerate(snapshots):
-        defect = defects.get(i, float("nan"))
-        rows.append((s.t, s.gamma, s.e_kin, s.e_phi, s.e_grad, s.e_visc,
-                     s.e_lap, s.term_i, s.term_ii, s.term_iii, s.term_iv,
-                     defect))
+    s = snapshots
+    columns = (s.e_kin, s.e_phi, s.e_grad, s.e_visc, s.e_lap,
+               s.term_i, s.term_ii, s.term_iii, s.term_iv)
+    rows = [(t, s.gamma, *(c[i] for c in columns), defects.get(i, float("nan")))
+            for i, t in enumerate(s.t)]
     write_csv(path, "t,gamma,e_kin,e_phi,e_grad,e_visc,e_lap,I,II,III,IV,defect",
               rows)

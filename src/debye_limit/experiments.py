@@ -26,8 +26,8 @@ from .flows import (
     LimitState,
     RunOptions,
     default_dt,
+    _quasineutral_values,
     evolve,
-    quasineutral_residual,
 )
 from .grid import (
     MAX_SOBOLEV_ORDER,
@@ -35,6 +35,7 @@ from .grid import (
     _derivative_values,
     _hs_norm_values,
     _l2_values,
+    _stack_values,
 )
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
@@ -149,15 +150,15 @@ class SweepSpec:
 class MemberResult:
     """Everything retained for one eps of the sweep.
 
-    ``triple_norms`` maps each Sobolev order to the triple norms of
-    ``remainders``, in order.
+    ``remainders`` is the member's remainder stack and ``triple_norms``
+    maps each Sobolev order to its triple norms.
     """
 
     eps: float
     status: str  # "OK" | "BLOWUP"
     wall_time: float
     ep_traj: object
-    remainders: list
+    remainders: object
     triple_norms: dict
     sup_norms: dict
     errors: dict
@@ -197,14 +198,18 @@ class SweepReport:
         return out
 
 
-def quasineutrality_gap(traj) -> float:
-    """sup over recorded times of ||exp(phi) - n||_L2 for a full-flow run."""
+def _potential_stacks(traj):
+    """Grid, density and potential stacks of the states with a potential."""
     if traj.phis is None:
         raise ValueError("trajectory has no recorded potentials")
-    gap = 0.0
-    for state, phi in zip(traj.states, traj.phis):
-        gap = max(gap, quasineutral_residual(state, phi))
-    return gap
+    grid = traj.states[0].grid
+    n = _stack_values(grid, (st.n for st in traj.states[:len(traj.phis)]))
+    return grid, n, _stack_values(grid, traj.phis)
+
+
+def quasineutrality_gap(traj) -> float:
+    """sup over recorded times of ||exp(phi) - n||_L2 for a full-flow run."""
+    return _sup(_quasineutral_values(*_potential_stacks(traj)))
 
 
 def quasineutral_identity_defect(traj) -> float:
@@ -214,48 +219,42 @@ def quasineutral_identity_defect(traj) -> float:
     snapshot, which pins the measured gap to the field equation rather
     than to an accident of the dynamics.
     """
-    if traj.phis is None:
-        raise ValueError("trajectory has no recorded potentials")
-    worst = 0.0
-    for state, phi in zip(traj.states, traj.phis):
-        gap = quasineutral_residual(state, phi)
-        lap_norm = _l2_values(state.grid,
-                              _derivative_values(state.grid, phi.values, 2))
-        worst = max(worst, abs(gap - traj.eps * lap_norm))
-    return worst
+    grid, n, phi = _potential_stacks(traj)
+    gap = _quasineutral_values(grid, n, phi)
+    lap_norm = _l2_values(grid, _derivative_values(grid, phi, 2))
+    return _sup(np.abs(gap - traj.eps * lap_norm))
 
 
 def _sup(values) -> float:
-    """max of the values; NaN when a run recorded no potential at all."""
-    return max(values, default=float("nan"))
+    """max of a (T,) series; NaN when a run recorded no potential at all."""
+    return float(np.max(values)) if np.size(values) else float("nan")
 
 
 def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
     rems = remainder_series(ep_traj, lim_traj)
-    grid = ep_traj.states[0].grid
-    # one entry per remainder, like remainder_series
-    paired = list(zip(ep_traj.states, lim_traj.states, ep_traj.phis))
+    grid, count = rems.grid, len(rems.t)
+    # the full flow at the remainders' times, for the plain errors
+    ep_n = _stack_values(grid, (st.n for st in ep_traj.states[:count]))
+    ep_u = _stack_values(grid, (st.u for st in ep_traj.states[:count]))
+    phi = _stack_values(grid, ep_traj.phis[:count])
     triple_norms: dict = {}
     sup_norms: dict = {}
     errors: dict = {}
     elliptic: dict = {}
     for s in spec.s_list:
-        tns = triple_norms[s] = [triple_norm(r, s) for r in rems]
+        tn = triple_norms[s] = triple_norm(rems, s)
         sup_norms[f"s{s}"] = {
-            "n1_Hs": _sup(t.n1_hs for t in tns),
-            "u1_triple": _sup(t.u1_triple for t in tns),
-            "phi1_triple": _sup(t.phi1_triple for t in tns),
-            "combined": _sup(t.combined for t in tns),
+            "n1_Hs": _sup(tn.n1_hs),
+            "u1_triple": _sup(tn.u1_triple),
+            "phi1_triple": _sup(tn.phi1_triple),
+            "combined": _sup(tn.combined),
         }
-        errors[f"n_H{s}"] = _sup(_hs_norm_values(grid, ep.n.values - lim.n.values, s)
-                                 for ep, lim, _ in paired)
-        errors[f"u_H{s}"] = _sup(_hs_norm_values(grid, ep.u.values - lim.u.values, s)
-                                 for ep, lim, _ in paired)
-        ratios = [elliptic_ratio_pair(t) for t in tns]
-        elliptic[f"k{s}"] = {"density": _sup(d for d, _ in ratios),
-                             "potential": _sup(p for _, p in ratios)}
-    errors["phi_l2"] = _sup(_l2_values(grid, phi.values - np.log(ep.n.values))
-                            for ep, _, phi in paired)
+        errors[f"n_H{s}"] = _sup(_hs_norm_values(grid, ep_n - rems.n0, s))
+        errors[f"u_H{s}"] = _sup(_hs_norm_values(grid, ep_u - rems.u0, s))
+        density, potential = elliptic_ratio_pair(tn)
+        elliptic[f"k{s}"] = {"density": _sup(density),
+                             "potential": _sup(potential)}
+    errors["phi_l2"] = _sup(_l2_values(grid, phi - np.log(ep_n)))
     errors["qn_gap"] = quasineutrality_gap(ep_traj)
     status = "OK" if ep_traj.blowup is None else "BLOWUP"
     blowup = None

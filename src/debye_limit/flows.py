@@ -352,11 +352,13 @@ def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
                       wall_time=time.perf_counter() - t_start)
 
 
-def quasineutral_residual(state: EPState, phi: Field | None) -> float:
+def _quasineutral_values(grid: Grid, n: np.ndarray, phi: np.ndarray):
+    return _l2_values(grid, np.exp(phi) - n)
+
+
+def quasineutral_residual(state: EPState, phi: Field) -> float:
     """L2 gap ||exp(phi) - n||; zero by construction for the limit flow."""
-    if phi is None:
-        return 0.0
-    return _l2_values(state.grid, np.exp(phi.values) - state.n.values)
+    return float(_quasineutral_values(state.grid, state.n.values, phi.values))
 
 
 def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:

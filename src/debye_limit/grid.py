@@ -21,6 +21,9 @@ Conventions
 * ``integrate`` is the trapezoid rule, which on a uniform periodic grid
   is just ``mean(values) * length`` and integrates every resolved
   Fourier mode exactly.
+* The private value kernels transform and reduce over the last axis,
+  so each takes one field's values or a ``(T, N)`` stack of them and
+  gives every row of a stack the same bits as a single call.
 """
 
 from __future__ import annotations
@@ -170,6 +173,11 @@ class Field:
         return cls(grid, fn(grid.x))
 
 
+def _stack_values(grid: Grid, fields) -> np.ndarray:
+    """``(T, N)`` stack of the fields' values; ``T`` may be 0."""
+    return np.array([f.values for f in fields]).reshape(-1, grid.n_points)
+
+
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
         return np.asarray(values, dtype=np.float64).copy()
@@ -198,32 +206,32 @@ def derivative(f: Field, order: int = 1) -> Field:
     return Field(f.grid, _derivative_values(f.grid, f.values, order))
 
 
-def _integral_values(grid: Grid, values: np.ndarray) -> float:
-    return float(np.mean(values) * grid.length)
+def _integral_values(grid: Grid, values: np.ndarray):
+    return np.mean(values, axis=-1) * grid.length
 
 
 def integrate(f: Field) -> float:
     """Trapezoid quadrature over the periodic domain (= mean * length)."""
-    return _integral_values(f.grid, f.values)
+    return float(_integral_values(f.grid, f.values))
 
 
-def _l2_values(grid: Grid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(values * values) * grid.length))
+def _l2_values(grid: Grid, values: np.ndarray):
+    return np.sqrt(np.mean(values * values, axis=-1) * grid.length)
 
 
 def l2_norm(f: Field) -> float:
     """sqrt of the integral of f^2."""
-    return _l2_values(f.grid, f.values)
+    return float(_l2_values(f.grid, f.values))
 
 
 def max_abs(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def _hs_norm_values(grid: Grid, values: np.ndarray, s: int) -> float:
+def _hs_norm_values(grid: Grid, values: np.ndarray, s: int):
     fhat = np.fft.rfft(values)
     power = fhat.real**2 + fhat.imag**2
-    return float(np.sqrt(np.sum(grid.hs_weight(s) * power, axis=-1)))
+    return np.sqrt(np.sum(grid.hs_weight(s) * power, axis=-1))
 
 
 def hs_norm(f: Field, s: int) -> float:
@@ -233,7 +241,7 @@ def hs_norm(f: Field, s: int) -> float:
     directly from one real FFT so it is cheap enough for per-step monitors.
     """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
-    return _hs_norm_values(f.grid, f.values, s)
+    return float(_hs_norm_values(f.grid, f.values, s))
 
 
 def dealias(f: Field) -> Field:

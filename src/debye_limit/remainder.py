@@ -1,4 +1,4 @@
-"""Remainder fields and their diagnostics.
+"""Remainder stacks and their diagnostics.
 
 Writing the full-flow solution as a first-order expansion around the
 limit flow,
@@ -21,20 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    MAX_SOBOLEV_ORDER,
     Field,
+    Grid,
+    _check_order,
     _dealias_values,
     _derivative_values,
     _hs_norm_values,
     _l2_values,
-    hs_norm,
+    _stack_values,
 )
 from .io_utils import write_csv
-from .poisson import PBSolveOptions, _solve_phi_values
 
 __all__ = [
     "Remainder",
     "TripleNorm",
-    "form_remainder",
     "remainder_series",
     "r1_field",
     "r1_majorant",
@@ -52,83 +53,81 @@ MIN_REMAINDER_EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class Remainder:
-    """First-order remainder fields at one instant."""
+    """First-order remainders of one paired run, stacked over its times.
 
-    t: float
+    ``t`` holds the ``T`` matched record times. ``n0`` and ``u0`` (the
+    limit flow) and the remainders ``n1``, ``u1`` and ``phi1`` are
+    ``(T, N)`` arrays, one row per time. Each diagnostic below runs on
+    the whole stack, and a one-row stack gives the same bits as that row
+    of a longer one.
+    """
+
+    grid: Grid
     eps: float
-    n1: Field
-    u1: Field
-    phi1: Field
+    t: np.ndarray
+    n0: np.ndarray
+    u0: np.ndarray
+    n1: np.ndarray
+    u1: np.ndarray
+    phi1: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
+        shape = (self.t.size, self.grid.n_points)
+        for name in ("n0", "u0", "n1", "u1", "phi1"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
 
 
 @dataclass(frozen=True)
 class TripleNorm:
-    """eps-weighted norms of one remainder snapshot.
+    """eps-weighted norms of a remainder stack, one entry per time.
 
     ``u1_triple**2 = ||u1||_{H^s}^2 + eps*||u1_x||_{H^s}^2`` and
     ``phi1_triple**2 = ||phi1||_{H^s}^2 + eps*||phi1_x||_{H^s}^2
     + eps^2*||phi1_xx||_{H^s}^2``; ``combined`` joins the velocity and
     potential parts in quadrature. At eps = 0 every part reduces to the
     plain H^s norm. The three potential H^s norms are kept for the
-    elliptic ratios.
+    elliptic ratios. Every field but ``eps`` and ``s`` is a ``(T,)``
+    array.
     """
 
-    t: float
+    t: np.ndarray
     eps: float
     s: int
-    n1_hs: float
-    u1_triple: float
-    phi1_triple: float
-    combined: float
-    phi1_hs: float
-    phi1_x_hs: float
-    phi1_xx_hs: float
+    n1_hs: np.ndarray
+    u1_triple: np.ndarray
+    phi1_triple: np.ndarray
+    combined: np.ndarray
+    phi1_hs: np.ndarray
+    phi1_x_hs: np.ndarray
+    phi1_xx_hs: np.ndarray
 
 
-def form_remainder(
-    ep_state,
-    lim_state,
-    eps: float,
-    phi: Field | None = None,
-    pb: PBSolveOptions | None = None,
-) -> Remainder:
-    """Divided differences of the paired states at one matched time.
+def remainder_series(ep_traj, lim_traj) -> Remainder:
+    """Remainder stack at every recorded time common to the paired runs.
 
-    ``phi`` may pass in the already-solved full-flow potential (e.g.
-    recorded along the trajectory); otherwise it is re-solved from
-    ``ep_state.n``.
+    Each row holds the divided differences ``(n - n0)/eps``,
+    ``(u - u0)/eps`` and ``(phi - ln n0)/eps`` of the paired states, with
+    the full flow's recorded potential ``phi``.
     """
-    if not (eps > 0.0):
-        raise ValueError(f"remainders need eps > 0, got {eps}")
-    if abs(ep_state.t - lim_state.t) > 1e-12 * max(1.0, abs(ep_state.t)):
-        raise ValueError(
-            f"state times differ: {ep_state.t} vs {lim_state.t}"
-        )
-    grid = ep_state.grid
-    if phi is None:
-        phi_vals = _solve_phi_values(grid, ep_state.n.values, eps,
-                                     pb or PBSolveOptions())[0]
-    else:
-        phi_vals = phi.values
-    n1 = (ep_state.n.values - lim_state.n.values) / eps
-    u1 = (ep_state.u.values - lim_state.u.values) / eps
-    phi1 = (phi_vals - np.log(lim_state.n.values)) / eps
-    return Remainder(ep_state.t, eps, Field(grid, n1), Field(grid, u1),
-                     Field(grid, phi1))
-
-
-def remainder_series(ep_traj, lim_traj) -> list[Remainder]:
-    """Remainders at every recorded time common to the paired runs."""
     if not (ep_traj.eps > 0.0):
         raise ValueError("first trajectory must be a full-flow run")
     if lim_traj.eps != 0.0:
         raise ValueError("second trajectory must be a limit-flow run")
     count = min(len(ep_traj.phis), len(lim_traj.states))
-    out = []
-    for i in range(count):
-        out.append(form_remainder(ep_traj.states[i], lim_traj.states[i],
-                                  ep_traj.eps, phi=ep_traj.phis[i]))
-    return out
+    ep, lim = ep_traj.states[:count], lim_traj.states[:count]
+    t = np.array([st.t for st in ep], dtype=np.float64)
+    lim_t = np.array([st.t for st in lim], dtype=np.float64)
+    if np.any(np.abs(t - lim_t) > 1e-12 * np.maximum(1.0, np.abs(t))):
+        raise ValueError("state times of the paired runs differ")
+    grid, eps = lim_traj.states[0].grid, ep_traj.eps
+    n0 = _stack_values(grid, (st.n for st in lim))
+    u0 = _stack_values(grid, (st.u for st in lim))
+    n1 = (_stack_values(grid, (st.n for st in ep)) - n0) / eps
+    u1 = (_stack_values(grid, (st.u for st in ep)) - u0) / eps
+    phi1 = (_stack_values(grid, ep_traj.phis[:count]) - np.log(n0)) / eps
+    return Remainder(grid, eps, t, n0, u0, n1, u1, phi1)
 
 
 def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
@@ -139,10 +138,15 @@ def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
     Requires the limit relation n0 = exp(phi0) to hold pointwise to
     1e-10; the rest term is meaningless otherwise.
     """
+    return Field(phi0.grid, _r1_values(phi0.values, phi1.values, n0.values, eps))
+
+
+def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
+               eps: float) -> np.ndarray:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    expphi0 = np.exp(phi0.values)
-    gap = float(np.max(np.abs(n0.values - expphi0)))
+    expphi0 = np.exp(phi0)
+    gap = float(np.max(np.abs(n0 - expphi0), initial=0.0))
     if gap > 1e-10:
         raise ValueError(
             f"n0 and exp(phi0) disagree by {gap:.3e}; the limit relation "
@@ -155,12 +159,11 @@ def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
     # small (it subtracts O(1) quantities to get an O(z^2) result, then
     # multiplies by eps^(-3/2)); G is evaluated cancellation-free
     # instead. delta is zero whenever n0 was built as exp(phi0).
-    z = eps * phi1.values
-    vals = (
-        -np.sqrt(eps) * n0.values * _g_rest(z) * phi1.values ** 2
-        + eps ** (-1.5) * (n0.values - expphi0) * np.exp(z)
+    z = eps * phi1
+    return (
+        -np.sqrt(eps) * n0 * _g_rest(z) * phi1 ** 2
+        + eps ** (-1.5) * (n0 - expphi0) * np.exp(z)
     )
-    return Field(phi0.grid, vals)
 
 
 def _g_rest(z: np.ndarray) -> np.ndarray:
@@ -193,91 +196,88 @@ def r1_majorant(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
 
 
 def triple_norm(rem: Remainder, s: int) -> TripleNorm:
-    grid = rem.n1.grid
+    """eps-weighted ``H^s`` norms of every row of the stack."""
+    _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
+    grid = rem.grid
     eps = rem.eps
-    n1_hs = hs_norm(rem.n1, s)
-    u1_hs = hs_norm(rem.u1, s)
-    du1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.u1.values, 1), s)
+    n1_hs = _hs_norm_values(grid, rem.n1, s)
+    u1_hs = _hs_norm_values(grid, rem.u1, s)
+    du1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.u1, 1), s)
     # squares as products: a Python float's ** calls pow(), which can round
     # differently from numpy's elementwise square of the same value
-    u1_triple = float(np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs)))
-    phi1_hs = hs_norm(rem.phi1, s)
-    dphi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 1), s)
-    d2phi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1.values, 2), s)
-    phi1_triple = float(np.sqrt(
+    u1_triple = np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs))
+    phi1_hs = _hs_norm_values(grid, rem.phi1, s)
+    dphi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1, 1), s)
+    d2phi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1, 2), s)
+    phi1_triple = np.sqrt(
         phi1_hs * phi1_hs + eps * (dphi1_hs * dphi1_hs)
         + eps**2 * (d2phi1_hs * d2phi1_hs)
-    ))
-    combined = float(np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple))
+    )
+    combined = np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple)
     return TripleNorm(rem.t, eps, s, n1_hs, u1_triple, phi1_triple, combined,
                       phi1_hs, dphi1_hs, d2phi1_hs)
 
 
-def _res_phi_at(rem: Remainder, lim_state) -> float:
-    grid = rem.n1.grid
-    eps = rem.eps
-    n0 = lim_state.n
-    phi0 = Field(grid, np.log(n0.values))
-    r1 = r1_field(phi0, rem.phi1, n0, eps)
+def _res_phi_values(grid: Grid, eps: float, n0: np.ndarray, n1: np.ndarray,
+                    phi1: np.ndarray) -> np.ndarray:
+    """L2 residual of the time-local potential equation, per row."""
+    phi0 = np.log(n0)
+    r1 = _r1_values(phi0, phi1, n0, eps)
     field = (
-        -eps * _derivative_values(grid, rem.phi1.values, 2)
-        - _derivative_values(grid, phi0.values, 2)
-        - rem.n1.values
-        + n0.values * rem.phi1.values
-        - np.sqrt(eps) * r1.values
+        -eps * _derivative_values(grid, phi1, 2)
+        - _derivative_values(grid, phi0, 2)
+        - n1
+        + n0 * phi1
+        - np.sqrt(eps) * r1
     )
     return _l2_values(grid, _dealias_values(grid, field))
 
 
-def remainder_residual(rem_a: Remainder, rem_b: Remainder,
-                       lim_a, lim_b) -> tuple[float, float, float]:
-    """L2 residuals of the remainder evolution system over one record gap.
+def remainder_residual(rem: Remainder, stride: int = 1):
+    """L2 residuals of the remainder evolution system over each record gap.
 
-    Time derivatives use the centered difference about the midpoint of
-    the snapshot pair with spatial terms averaged there (second order in
-    the gap). The time-local potential equation is evaluated at both
-    snapshots and the larger residual is reported. All residuals are
-    measured on resolved modes (dealiased).
+    The rows ``rem.t[::stride]`` are taken in consecutive pairs. Returns
+    ``(res_n, res_u, res_phi)``, each a ``(P,)`` array over the ``P``
+    pairs, in the order of the times ``rem.t[::stride][1:]`` that end
+    them. Time derivatives use the centered difference about the
+    midpoint of each pair with spatial terms averaged there (second
+    order in the gap). The time-local potential equation is evaluated
+    once at each row, and a pair reports the larger residual of its two
+    ends. All residuals are measured on resolved modes (dealiased).
     """
-    eps = rem_a.eps
-    if rem_b.eps != eps:
-        raise ValueError("snapshot pair mixes eps values")
-    dt_gap = rem_b.t - rem_a.t
-    if not (dt_gap > 0.0):
-        raise ValueError(f"snapshots must be time-ordered, gap = {dt_gap}")
-    for rem, lim in ((rem_a, lim_a), (rem_b, lim_b)):
-        if abs(rem.t - lim.t) > 1e-12 * max(1.0, abs(rem.t)):
-            raise ValueError("limit states do not match the remainder times")
-    grid = rem_a.n1.grid
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    grid, eps = rem.grid, rem.eps
+    t, n0, u0, n1, u1, phi1 = (v[::stride] for v in (
+        rem.t, rem.n0, rem.u0, rem.n1, rem.u1, rem.phi1))
+    dt_gap = (t[1:] - t[:-1])[:, None]
+    if not np.all(dt_gap > 0.0):
+        raise ValueError("snapshots must be time-ordered")
 
-    def mid(a, b):
-        return 0.5 * (a + b)
-
-    n1m = mid(rem_a.n1.values, rem_b.n1.values)
-    u1m = mid(rem_a.u1.values, rem_b.u1.values)
-    phi1m = mid(rem_a.phi1.values, rem_b.phi1.values)
-    n0m = mid(lim_a.n.values, lim_b.n.values)
-    u0m = mid(lim_a.u.values, lim_b.u.values)
+    def mid(v):
+        return 0.5 * (v[:-1] + v[1:])
 
     dA = lambda v: _dealias_values(grid, v)
     dx = lambda v: _derivative_values(grid, v, 1)
 
-    dt_n1 = (rem_b.n1.values - rem_a.n1.values) / dt_gap
-    res_n_field = dt_n1 + dx(dA(n0m * u1m + u0m * n1m)) + eps * dx(dA(n1m * u1m))
-
-    dt_u1 = (rem_b.u1.values - rem_a.u1.values) / dt_gap
-    res_u_field = (
-        dt_u1
+    # each residual is reduced to (P,) as soon as it is formed, so that
+    # few (P, N) stacks are alive at once
+    res_phi = _res_phi_values(grid, eps, n0, n1, phi1)
+    n1m = mid(n1)
+    u1m = mid(u1)
+    u0m = mid(u0)
+    res_n = _l2_values(grid, dA(
+        (n1[1:] - n1[:-1]) / dt_gap
+        + dx(dA(mid(n0) * u1m + u0m * n1m)) + eps * dx(dA(n1m * u1m))
+    ))
+    res_u = _l2_values(grid, dA(
+        (u1[1:] - u1[:-1]) / dt_gap
         + dA(u0m * dx(u1m))
         + dA(u1m * dx(u0m))
         + eps * dA(u1m * dx(u1m))
-        + dx(phi1m)
-    )
-
-    res_n = _l2_values(grid, dA(res_n_field))
-    res_u = _l2_values(grid, dA(res_u_field))
-    res_phi = max(_res_phi_at(rem_a, lim_a), _res_phi_at(rem_b, lim_b))
-    return res_n, res_u, res_phi
+        + dx(mid(phi1))
+    ))
+    return res_n, res_u, np.maximum(res_phi[:-1], res_phi[1:])
 
 
 def elliptic_ratio_pair(tn: TripleNorm) -> tuple[float, float]:
@@ -299,22 +299,22 @@ def elliptic_ratio_pair(tn: TripleNorm) -> tuple[float, float]:
     return density_ratio, potential_ratio
 
 
-def write_remainder_csv(remainders, lim_states, norms, path) -> None:
+def write_remainder_csv(rem: Remainder, norms, path) -> None:
     """Time series of triple norms and equation residuals.
 
-    ``norms`` maps each Sobolev order to the triple norms of
-    ``remainders``, in order. One row per recorded time per order.
-    Residual columns hold the values of the snapshot pair *ending* at
-    the row's time; the first row carries NaNs there.
+    ``norms`` maps each Sobolev order to the triple norms of the stack
+    ``rem``. One row per recorded time per order. Residual columns hold
+    the values of the snapshot pair *ending* at the row's time; the
+    first row carries NaNs there.
     """
+    res_n, res_u, res_phi = remainder_residual(rem)
     rows = []
-    for i in range(len(remainders)):
-        res = (float("nan"),) * 3 if i == 0 else remainder_residual(
-            remainders[i - 1], remainders[i], lim_states[i - 1], lim_states[i])
-        for tns in norms.values():
-            tn = tns[i]
-            rows.append((tn.t, tn.eps, tn.s, tn.n1_hs, tn.u1_triple,
-                         tn.phi1_triple, tn.combined, *res))
+    for i in range(len(rem.t)):
+        res = (float("nan"),) * 3 if i == 0 else (
+            res_n[i - 1], res_u[i - 1], res_phi[i - 1])
+        for tn in norms.values():
+            rows.append((tn.t[i], tn.eps, tn.s, tn.n1_hs[i], tn.u1_triple[i],
+                         tn.phi1_triple[i], tn.combined[i], *res))
     write_csv(path,
               "t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,res_n,res_u,res_phi",
               rows)

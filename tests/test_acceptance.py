@@ -90,7 +90,7 @@ def identity_run():
     lim = evolve(LimitState(0.0, n0, u0),
                  RunOptions(dt=2.5e-4, t_end=0.05, eps=0.0, record_every=1))
     assert ep.blowup is None and lim.blowup is None
-    return remainder_series(ep, lim), lim.states
+    return remainder_series(ep, lim)
 
 
 def test_criterion_1_first_order_convergence(small_eps_sweep):
@@ -162,13 +162,13 @@ def test_criterion_4_elliptic_estimate_ratios(small_eps_sweep):
 
 
 def test_criterion_5_energy_identity(identity_run):
-    rems, lims = identity_run
+    rems = identity_run
     worst_defect = 0.0
     worst_ratio = np.inf
     for gamma in (0, 1, 2):
         # record dt = 2.5e-4, so stride 4 is spacing 1e-3 and stride 2
         # is the halved spacing
-        snaps = [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
+        snaps = energy_snapshot(rems, gamma)
         at_1e3 = identity_2_12_check(snaps, stride=4)
         at_5e4 = identity_2_12_check(snaps, stride=2)
         assert at_1e3.spacing == pytest.approx(1e-3, rel=1e-12)

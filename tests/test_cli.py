@@ -99,6 +99,14 @@ eps_list = 1e-2 1e-3
     for row in report["rows"]:
         assert row["status"] == "BLOWUP"
         assert row["blowup"]["reason"] == "pb_divergence"
+        # the first solve failed, so no state has a potential: every
+        # sup over the empty series reads NaN, the gap included
+        assert row["blowup"]["t"] == 0.0
+        sups = [v for fam in (row["sup_norms"], row["elliptic"])
+                for group in fam.values() for v in group.values()]
+        for value in [*row["errors"].values(), *sups]:
+            assert np.isnan(value)
+        assert np.isnan(row["errors"]["qn_gap"])
 
 
 def test_near_vacuum_guard_outcome_matches_trajectory(tmp_path, capsys):
@@ -318,8 +326,9 @@ def _recording(monkeypatch, module, name, sink):
 
 
 def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
-    # one triple norm per (recorded snapshot, s) per member, and the
-    # elliptic ratios read those norms instead of forming their own
+    # one triple norm stack per (member, s), covering every recorded
+    # snapshot, and the elliptic ratios read those norms instead of
+    # forming their own
     from debye_limit import energy, experiments, remainder
 
     series, norms, ratios, ffts_in_ratios, inside = [], [], [], [], []
@@ -350,10 +359,12 @@ def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code in (0, 4)
     s_count = 3  # the default s_list 0 1 2
-    snapshots = sum(len(rems) for rems in series)
+    snapshots = sum(len(rems.t) for rems in series)
     assert len(series) == 3 and snapshots > 3
-    assert len(norms) == snapshots * s_count
-    assert len(ratios) == snapshots * s_count
+    assert len(norms) == len(series) * s_count
+    assert [len(tn.t) for tn in norms] == [
+        len(rems.t) for rems in series for _ in range(s_count)]
+    assert len(ratios) == len(series) * s_count
     assert not ffts_in_ratios
 
 
@@ -370,7 +381,38 @@ def test_check_computes_each_energy_snapshot_once(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     assert code in (0, 4)
     assert len(series) == 1
-    assert len(snaps) == len(series[0]) == 11
+    assert len(snaps) == 1
+    assert len(snaps[0].t) == len(series[0].t) == 11
+
+
+def test_each_potential_residual_formed_once_per_pass(tmp_path, monkeypatch,
+                                                      capsys):
+    # check takes residuals at strides 2 and 1, and the sweep's remainder
+    # tables at stride 1: each pass forms the potential equation's
+    # residual once per snapshot it uses, not once per pair end
+    from debye_limit import cli, experiments, remainder
+
+    series, rows = [], []
+    real = remainder._res_phi_values
+
+    def counting(grid, eps, n0, n1, phi1):
+        rows.append(len(n0))
+        return real(grid, eps, n0, n1, phi1)
+
+    monkeypatch.setattr(remainder, "_res_phi_values", counting)
+    _recording(monkeypatch, cli, "remainder_series", series)
+    conf = tmp_path / "check.ini"
+    conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
+    assert main(["check", "--config", str(conf), "--out", str(tmp_path)]) in (0, 4)
+    assert rows == [6, 11]  # 11 records: rows 0, 2, ..., 10, then all
+
+    series.clear()
+    rows.clear()
+    _recording(monkeypatch, experiments, "remainder_series", series)
+    conf.write_text(SMALL_SWEEP)
+    assert main(["sweep", "--config", str(conf), "--out", str(tmp_path)]) in (0, 4)
+    capsys.readouterr()
+    assert rows == [len(rems.t) for rems in series] and len(rows) == 3
 
 
 # --------------------------------------------------- exit-code contract

@@ -16,26 +16,16 @@ from debye_limit.initial import InitParams, make_initial, random_smooth_field
 from debye_limit.remainder import Remainder, remainder_series, triple_norm
 
 
-def _field(grid, values):
-    return Field(grid, np.asarray(values, dtype=float))
+def _rem(grid, eps, t=(0.0,), n1=None, u1=None, phi1=None, n0=None, u0=None):
+    """A remainder stack at times ``t`` whose rows all hold the given fields.
 
-
-def _rem(grid, eps, t=0.0, n1=None, u1=None, phi1=None):
-    zero = np.zeros(grid.n_points)
-    return Remainder(
-        t=t,
-        eps=eps,
-        n1=_field(grid, zero if n1 is None else n1),
-        u1=_field(grid, zero if u1 is None else u1),
-        phi1=_field(grid, zero if phi1 is None else phi1),
-    )
-
-
-def _lim(grid, t=0.0, n=None, u=None):
-    ones = np.ones(grid.n_points)
-    zero = np.zeros(grid.n_points)
-    return LimitState(t, _field(grid, ones if n is None else n),
-                      _field(grid, zero if u is None else u))
+    The limit flow defaults to the rest state n0 = 1, u0 = 0.
+    """
+    def rows(values, fill=0.0):
+        row = np.full(grid.n_points, fill) if values is None else values
+        return np.tile(np.asarray(row, dtype=float), (len(t), 1))
+    return Remainder(grid, eps, t, rows(n0, 1.0), rows(u0), rows(n1),
+                     rows(u1), rows(phi1))
 
 
 # ---------------------------------------------------------------- snapshots
@@ -44,16 +34,12 @@ def _lim(grid, t=0.0, n=None, u=None):
 def test_equilibrium_snapshot_is_identically_zero():
     grid = Grid(64)
     rem = _rem(grid, eps=1e-2)
-    lim = _lim(grid)
     for gamma in (0, 1, 2):
-        snap = energy_snapshot(rem, lim, gamma)
-        assert snap.e_kin == 0.0
-        assert snap.e_phi == 0.0
-        assert snap.e_grad == 0.0
-        assert snap.e_visc == 0.0
-        assert snap.e_lap == 0.0
-        assert snap.term_i == snap.term_ii == 0.0
-        assert snap.term_iii == snap.term_iv == 0.0
+        snap = energy_snapshot(rem, gamma)
+        for value in (snap.e_kin, snap.e_phi, snap.e_grad, snap.e_visc,
+                      snap.e_lap, snap.term_i, snap.term_ii, snap.term_iii,
+                      snap.term_iv):
+            assert value.tolist() == [0.0]
 
 
 def test_kinetic_and_forcing_values_single_mode():
@@ -65,22 +51,22 @@ def test_kinetic_and_forcing_values_single_mode():
     x = grid.x
     rem = _rem(grid, eps=1e-2, u1=np.cos(2 * np.pi * x),
                phi1=np.sin(2 * np.pi * x))
-    snap = energy_snapshot(rem, _lim(grid), gamma=0)
-    assert abs(snap.e_kin - 0.25) < 1e-14
-    assert abs(snap.e_phi - 0.25) < 1e-14
-    assert abs(snap.term_i + np.pi) < 1e-12
+    snap = energy_snapshot(rem, gamma=0)
+    assert abs(snap.e_kin[0] - 0.25) < 1e-14
+    assert abs(snap.e_phi[0] - 0.25) < 1e-14
+    assert abs(snap.term_i[0] + np.pi) < 1e-12
     # zero background velocity kills the transport and stretching terms
-    assert snap.term_iii == 0.0
-    assert snap.term_iv == 0.0
+    assert snap.term_iii[0] == 0.0
+    assert snap.term_iv[0] == 0.0
 
 
 def test_gamma_weight_applies_derivative():
     grid = Grid(128)
     u1 = np.sin(2 * np.pi * grid.x)
-    snap0 = energy_snapshot(_rem(grid, 1e-3, u1=u1), _lim(grid), gamma=0)
-    snap1 = energy_snapshot(_rem(grid, 1e-3, u1=u1), _lim(grid), gamma=1)
-    assert abs(snap0.e_kin - 0.25) < 1e-14
-    assert abs(snap1.e_kin - np.pi**2) < 1e-11 * np.pi**2
+    snap0 = energy_snapshot(_rem(grid, 1e-3, u1=u1), gamma=0)
+    snap1 = energy_snapshot(_rem(grid, 1e-3, u1=u1), gamma=1)
+    assert abs(snap0.e_kin[0] - 0.25) < 1e-14
+    assert abs(snap1.e_kin[0] - np.pi**2) < 1e-11 * np.pi**2
 
 
 def test_energies_nonnegative_random_fields():
@@ -93,22 +79,20 @@ def test_energies_nonnegative_random_fields():
         phi1 = random_smooth_field(grid, rng, max_mode=6).values
         n0 = 1.0 + 0.2 * random_smooth_field(grid, rng, max_mode=4).values
         u0 = 0.3 * random_smooth_field(grid, rng, max_mode=4).values
-        rem = _rem(grid, eps, n1=n1, u1=u1, phi1=phi1)
-        lim = _lim(grid, n=n0, u=u0)
+        rem = _rem(grid, eps, n1=n1, u1=u1, phi1=phi1, n0=n0, u0=u0)
         for gamma in (0, 1, 2):
-            snap = energy_snapshot(rem, lim, gamma)
+            snap = energy_snapshot(rem, gamma)
             for value in (snap.e_kin, snap.e_phi, snap.e_grad,
                           snap.e_visc, snap.e_lap):
-                assert value >= 0.0
+                assert value[0] >= 0.0
 
 
 def test_density_bracket_violation_raises():
     grid = Grid(64)
-    lim = _lim(grid)
     # reconstructed n0 + eps*n1 dips below zero; n0 alone is fine
     bad = _rem(grid, eps=0.5, n1=-3.0 * np.ones(grid.n_points))
     with pytest.raises(ValueError, match="density bracket"):
-        energy_snapshot(bad, lim, gamma=0)
+        energy_snapshot(bad, gamma=0)
 
 
 # ----------------------------------------------------------- balance check
@@ -121,15 +105,11 @@ def _paired_run(n_points=64, eps=1e-2, dt=1e-4, t_end=0.01):
                 RunOptions(dt=dt, t_end=t_end, eps=eps, record_every=1))
     lim = evolve(LimitState(0.0, n0, u0),
                  RunOptions(dt=dt, t_end=t_end, eps=0.0, record_every=1))
-    return remainder_series(ep, lim), lim.states
-
-
-def _snapshots(rems, lims, gamma):
-    return [energy_snapshot(r, l, gamma) for r, l in zip(rems, lims)]
+    return remainder_series(ep, lim)
 
 
 def test_identity_defect_second_order_in_spacing():
-    snaps = _snapshots(*_paired_run(), gamma=0)
+    snaps = energy_snapshot(_paired_run(), gamma=0)
     defects = {}
     for stride in (8, 4, 2):
         report = identity_2_12_check(snaps, stride=stride)
@@ -142,26 +122,23 @@ def test_identity_defect_second_order_in_spacing():
 
 def test_identity_defect_zero_on_equilibrium():
     grid = Grid(64)
-    times = [0.0, 0.1, 0.2, 0.3]
-    rems = [_rem(grid, 1e-2, t=t) for t in times]
-    lims = [_lim(grid, t=t) for t in times]
-    report = identity_2_12_check(_snapshots(rems, lims, gamma=1))
+    rems = _rem(grid, 1e-2, t=(0.0, 0.1, 0.2, 0.3))
+    report = identity_2_12_check(energy_snapshot(rems, gamma=1))
     assert report.defect == 0.0
     assert all(d == 0.0 for d in report.defects)
 
 
 def test_identity_check_validation():
     grid = Grid(64)
-    rems = [_rem(grid, 1e-2, t=t) for t in (0.0, 0.1, 0.2)]
-    lims = [_lim(grid, t=t) for t in (0.0, 0.1, 0.2)]
-    snaps = _snapshots(rems, lims, gamma=0)
+    snaps = energy_snapshot(_rem(grid, 1e-2, t=(0.0, 0.1, 0.2)), gamma=0)
     with pytest.raises(ValueError, match="stride"):
         identity_2_12_check(snaps, stride=0)
     with pytest.raises(ValueError, match="at least three"):
-        identity_2_12_check(snaps[:2])
-    crooked = [_rem(grid, 1e-2, t=t) for t in (0.0, 0.1, 0.35)]
+        identity_2_12_check(
+            energy_snapshot(_rem(grid, 1e-2, t=(0.0, 0.1)), gamma=0))
+    crooked = _rem(grid, 1e-2, t=(0.0, 0.1, 0.35))
     with pytest.raises(ValueError, match="uniformly spaced"):
-        identity_2_12_check(_snapshots(crooked, lims, gamma=0))
+        identity_2_12_check(energy_snapshot(crooked, gamma=0))
 
 
 # ---------------------------------------------------------------- monitors
@@ -170,7 +147,7 @@ def test_identity_check_validation():
 def _member(grid, eps, amp, s=0):
     """(eps, sup combined norm) of a member with one remainder snapshot."""
     u1 = amp * np.sin(2 * np.pi * grid.x)
-    return eps, triple_norm(_rem(grid, eps, u1=u1), s).combined
+    return eps, triple_norm(_rem(grid, eps, u1=u1), s).combined[0]
 
 
 def test_gronwall_pass_and_fail():
@@ -306,8 +283,7 @@ def test_kato_ponce_validation():
 
 def test_ledger_csv_layout(tmp_path):
     grid = Grid(64)
-    snaps = [energy_snapshot(_rem(grid, 1e-2, t=t), _lim(grid, t=t), gamma=0)
-             for t in (0.0, 0.1, 0.2)]
+    snaps = energy_snapshot(_rem(grid, 1e-2, t=(0.0, 0.1, 0.2)), gamma=0)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(snaps, {1: 0.5}, path)
     lines = path.read_text().strip().split("\n")

@@ -14,9 +14,10 @@ from debye_limit.experiments import (
     write_report_csv,
     write_report_json,
 )
-from debye_limit.flows import LimitState, RunOptions, evolve
+from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import MAX_SOBOLEV_ORDER, Grid
 from debye_limit.initial import InitParams, make_initial
+from debye_limit.poisson import PBSolveOptions
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
 
@@ -219,3 +220,10 @@ def test_gap_helpers_need_potentials():
         quasineutrality_gap(lim)
     with pytest.raises(ValueError, match="no recorded potentials"):
         quasineutral_identity_defect(lim)
+    # a full flow whose first potential solve failed recorded none: NaN
+    ep = evolve(EPState(0.0, n0, u0),
+                RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
+                           pb=PBSolveOptions(max_newton_iters=1)))
+    assert ep.blowup is not None and ep.phis == []
+    assert np.isnan(quasineutrality_gap(ep))
+    assert np.isnan(quasineutral_identity_defect(ep))
