@@ -245,8 +245,8 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     once at each row, and a pair reports the larger residual of its two
     ends. All residuals are measured on resolved modes (dealiased).
     """
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    if stride < 1:
+        raise ValueError("stride must be a positive integer")
     grid, eps = rem.grid, rem.eps
     t, n0, u0, n1, u1, phi1 = (v[::stride] for v in (
         rem.t, rem.n0, rem.u0, rem.n1, rem.u1, rem.phi1))
@@ -280,7 +280,7 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     return res_n, res_u, np.maximum(res_phi[:-1], res_phi[1:])
 
 
-def elliptic_ratio_pair(tn: TripleNorm) -> tuple[float, float]:
+def elliptic_ratio_pair(tn: TripleNorm) -> tuple[np.ndarray, np.ndarray]:
     """Empirical constants of the two-sided elliptic estimates at k = tn.s.
 
     First: ||n1||_{H^k}^2 against 1 + ||phi1||_{H^k}^2 +
