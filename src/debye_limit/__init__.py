@@ -51,7 +51,7 @@ from .grid import (
     l2_norm,
     max_abs,
 )
-from .initial import InitParams, make_initial, random_smooth_field
+from .initial import InitParams, make_initial, random_smooth_field, random_smooth_fields
 from .poisson import (
     PBConvergenceError,
     PBSolution,
@@ -77,7 +77,7 @@ __all__ = [
     "max_abs", "dealias",
     "PBSolveOptions", "PBSolution", "PBConvergenceError", "pb_residual",
     "solve_phi", "solve_phi_limit",
-    "InitParams", "make_initial", "random_smooth_field",
+    "InitParams", "make_initial", "random_smooth_field", "random_smooth_fields",
     "EPState", "LimitState", "RunOptions", "BlowUpError", "BlowUpEvent",
     "Trajectory", "default_dt", "rhs_ep", "rhs_limit", "step", "evolve",
     "Remainder", "TripleNorm", "remainder_series",

@@ -33,8 +33,8 @@ from .flows import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from .grid import MAX_SOBOLEV_ORDER, Grid
-from .initial import InitParams, make_initial, random_smooth_field
+from .grid import MAX_SOBOLEV_ORDER, Field, Grid
+from .initial import InitParams, make_initial, random_smooth_fields
 from .io_utils import write_csv
 from .poisson import PBSolveOptions
 from .remainder import (
@@ -247,10 +247,12 @@ def _kp_battery(n_points: int, seed: int, pairs: int, max_mode: int):
     rng = np.random.default_rng(seed)
     samples = []
     for index in range(pairs):
-        f = random_smooth_field(grid, rng, max_mode=max_mode)
-        g = random_smooth_field(grid, rng, max_mode=max_mode)
-        for k in (1, 2, 3):
-            samples.append((index, kato_ponce_sample(f, g, k)))
+        # one stacked draw per pair: a whole battery in one stack costs
+        # peak memory
+        f, g = (Field(grid, v) for v in
+                random_smooth_fields(grid, rng, 2, max_mode=max_mode))
+        samples.extend((index, sample)
+                       for sample in kato_ponce_sample(f, g, (1, 2, 3)))
     return samples
 
 
@@ -272,6 +274,10 @@ def cmd_check(cfg, args) -> int:
                           record_every=c["record_every"])
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # the sampler is alias-free only for fields below the grid's Nyquist mode
+    if not c["kp_max_mode"] < c["kp_grid"] / 2:
+        raise ConfigError(f"check needs kp_max_mode < kp_grid / 2 = "
+                          f"{c['kp_grid'] // 2}, got {c['kp_max_mode']}")
     # the identity check takes centered differences of uniformly spaced records
     n_full, tail = _count_steps(c["t_end"], c["dt"])
     if tail > 0.0 or n_full % c["record_every"]:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["InitParams", "make_initial", "random_smooth_field"]
+__all__ = ["InitParams", "make_initial", "random_smooth_field",
+           "random_smooth_fields"]
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,36 @@ def make_initial(params: InitParams, grid: Grid) -> tuple[Field, Field]:
     return Field(grid, n0), Field(grid, u0)
 
 
+def random_smooth_fields(
+    grid: Grid,
+    rng: np.random.Generator,
+    count: int,
+    max_mode: int = 8,
+    amplitude: float = 1.0,
+) -> np.ndarray:
+    """``(count, N)`` stack of seeded band-limited trigonometric samples.
+
+    Each row has 1/m^2 coefficient decay over modes ``1..max_mode``. The
+    coefficients are drawn before any grid-dependent work, in one draw
+    that consumes the stream like ``count`` draws of one field, so the
+    same generator state produces the *same continuum functions* on
+    every resolution. Refinement studies depend on that.
+    """
+    coeffs = rng.standard_normal((count, max_mode, 2))
+    theta = (2.0 * np.pi * np.arange(1, max_mode + 1))[:, None] * grid.x / grid.length
+    cos, sin = np.cos(theta), np.sin(theta)
+    values = np.zeros((count, grid.n_points))
+    for m in range(1, max_mode + 1):
+        a, b = coeffs[:, m - 1, :1], coeffs[:, m - 1, 1:]
+        values = values + (amplitude / m**2) * (a * cos[m - 1] + b * sin[m - 1])
+    return values
+
+
 def random_smooth_field(
     grid: Grid,
     rng: np.random.Generator,
     max_mode: int = 8,
     amplitude: float = 1.0,
 ) -> Field:
-    """Seeded band-limited trigonometric sample with 1/m^2 coefficient decay.
-
-    The coefficients are drawn before any grid-dependent work, so the
-    same generator state produces the *same continuum function* on every
-    resolution. Refinement studies depend on that.
-    """
-    coeffs = rng.standard_normal((max_mode, 2))
-    values = np.zeros(grid.n_points)
-    for m in range(1, max_mode + 1):
-        theta = 2.0 * np.pi * m * grid.x / grid.length
-        a, b = coeffs[m - 1]
-        values = values + (amplitude / m**2) * (a * np.cos(theta) + b * np.sin(theta))
-    return Field(grid, values)
+    """One seeded band-limited sample: row 0 of :func:`random_smooth_fields`."""
+    return Field(grid, random_smooth_fields(grid, rng, 1, max_mode, amplitude)[0])

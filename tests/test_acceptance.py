@@ -247,8 +247,7 @@ def _kp_max_ratio(n_points: int, seed: int = 0, pairs: int = 100):
     for _ in range(pairs):
         f = random_smooth_field(grid, rng, max_mode=8)
         g = random_smooth_field(grid, rng, max_mode=8)
-        for k in (1, 2, 3):
-            ratios.append(kato_ponce_sample(f, g, k).ratio)
+        ratios.extend(s.ratio for s in kato_ponce_sample(f, g, (1, 2, 3)))
     return max(ratios), ratios
 
 

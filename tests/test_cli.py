@@ -368,6 +368,19 @@ def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
     assert not ffts_in_ratios
 
 
+@pytest.mark.parametrize("max_mode, want", [("15", (0, 4)), ("16", (2,)),
+                                             ("10000000000000", (2,))])
+def test_kp_max_mode_must_stay_below_nyquist(tmp_path, capsys, max_mode, want):
+    # kp_grid 32 has its Nyquist mode at 16: from there on the sampler
+    # is not alias-free, and a huge mode count cannot even be drawn
+    keys = dict(SMALL_CHECK_KEYS, kp_max_mode=max_mode)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"check": keys}))
+    code = main(["check", "--config", str(conf), "--out", str(tmp_path)])
+    assert code in want
+    assert ("kp_max_mode" in capsys.readouterr().err) == (code == 2)
+
+
 def test_check_computes_each_energy_snapshot_once(tmp_path, monkeypatch, capsys):
     from debye_limit import cli, energy
 
@@ -443,7 +456,8 @@ _EDGES = (
     ("sweep", "eps_list", "1e-2 -1"), ("sweep", "eps_list", "1e-2 1e-300"),
     ("sweep", "s_list", "0 9"),
     ("check", "kp_pairs", "0"), ("check", "kp_grid", "33"),
-    ("check", "kp_max_mode", "-1"),
+    ("check", "kp_max_mode", "-1"), ("check", "kp_max_mode", "10000000000000"),
+    ("check", "kp_max_mode", "16"),
 )
 
 

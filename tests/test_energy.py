@@ -11,7 +11,7 @@ from debye_limit.energy import (
     write_ledger_csv,
 )
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
-from debye_limit.grid import Field, Grid
+from debye_limit.grid import Field, Grid, l2_norm
 from debye_limit.initial import InitParams, make_initial, random_smooth_field
 from debye_limit.remainder import Remainder, remainder_series, triple_norm
 
@@ -204,7 +204,7 @@ def test_kato_ponce_k1_never_exceeds_one():
     for _ in range(20):
         f = random_smooth_field(grid, rng, max_mode=8)
         g = random_smooth_field(grid, rng, max_mode=8)
-        sample = kato_ponce_sample(f, g, 1)
+        (sample,) = kato_ponce_sample(f, g, (1,))
         assert sample.ratio <= 1.0 + 1e-12
         assert sample.lhs >= 0.0 and sample.rhs > 0.0
 
@@ -216,8 +216,7 @@ def test_kato_ponce_uniform_over_orders():
     for _ in range(30):
         f = random_smooth_field(grid, rng, max_mode=8)
         g = random_smooth_field(grid, rng, max_mode=8)
-        for k in (1, 2, 3):
-            sample = kato_ponce_sample(f, g, k)
+        for sample in kato_ponce_sample(f, g, (1, 2, 3)):
             assert np.isfinite(sample.ratio)
             worst = max(worst, sample.ratio)
     assert worst <= 10.0
@@ -228,11 +227,10 @@ def test_kato_ponce_constant_f_gives_zero():
     rng = np.random.default_rng(5)
     f = Field(grid, np.full(grid.n_points, 3.2))
     g = random_smooth_field(grid, rng, max_mode=8)
-    for k in (1, 2, 3):
-        # rhs has no |f_x| or |d^k f| left, and the guarded ratio comes
-        # back 0. lhs is pure FFT roundoff, but d^3 amplifies it by the
-        # cube of the fine-grid Nyquist wavenumber, hence the loose cap.
-        sample = kato_ponce_sample(f, g, k)
+    # rhs has no |f_x| or |d^k f| left, and the guarded ratio comes
+    # back 0. lhs is pure FFT roundoff, but d^3 amplifies it by the
+    # cube of the fine-grid Nyquist wavenumber, hence the loose cap.
+    for sample in kato_ponce_sample(f, g, (1, 2, 3)):
         assert sample.lhs <= 1e-6
         assert sample.rhs == 0.0
         assert sample.ratio == 0.0
@@ -246,7 +244,7 @@ def test_kato_ponce_bitwise_reproducible():
         for _ in range(10):
             f = random_smooth_field(grid, rng, max_mode=8)
             g = random_smooth_field(grid, rng, max_mode=8)
-            sink.append(kato_ponce_sample(f, g, 2))
+            sink.extend(kato_ponce_sample(f, g, (2,)))
     for a, b in zip(first, second):
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.ratio == b.ratio
 
@@ -261,7 +259,7 @@ def test_kato_ponce_resolution_insensitive():
         rng = np.random.default_rng(7)
         f = random_smooth_field(grid, rng, max_mode=8)
         g = random_smooth_field(grid, rng, max_mode=8)
-        samples[n] = kato_ponce_sample(f, g, 3)
+        (samples[n],) = kato_ponce_sample(f, g, (3,))
     assert samples[128].lhs == pytest.approx(samples[256].lhs, rel=1e-12)
     assert samples[128].ratio == pytest.approx(samples[256].ratio, rel=1e-3)
 
@@ -272,10 +270,56 @@ def test_kato_ponce_validation():
     f = random_smooth_field(grid, rng, max_mode=4)
     g = random_smooth_field(grid, rng, max_mode=4)
     with pytest.raises(ValueError, match="order"):
-        kato_ponce_sample(f, g, 0)
+        kato_ponce_sample(f, g, (0,))
     other = random_smooth_field(Grid(64), rng, max_mode=4)
     with pytest.raises(ValueError, match="share a grid"):
-        kato_ponce_sample(f, other, 2)
+        kato_ponce_sample(f, other, (2,))
+
+
+def _upsample_one(grid, values):
+    n = grid.n_points
+    fine = np.zeros(n + 1, dtype=complex)
+    fine[: n // 2 + 1] = np.fft.rfft(values)
+    fine[n // 2] *= 0.5
+    return np.fft.irfft(fine, n=2 * n) * 2
+
+
+def _single_order_sample(f, g, k):
+    # one order at a time, each derivative its own pair of transforms:
+    # the orders' shared transforms must give these bits exactly
+    grid = f.grid
+    fine = Grid(2 * grid.n_points, grid.length)
+    fv, gv = _upsample_one(grid, f.values), _upsample_one(grid, g.values)
+    d = lambda v, a: np.fft.irfft(fine.derivative_symbol(a) * np.fft.rfft(v),
+                                  fine.n_points) if a else v
+    lhs = l2_norm(Field(fine, d(fv * gv, k) - fv * d(gv, k)))
+    rhs = float(np.max(np.abs(d(fv, 1))) * l2_norm(Field(fine, d(gv, k - 1)))
+                + l2_norm(Field(fine, d(fv, k))) * np.max(np.abs(gv)))
+    return lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0
+
+
+@pytest.mark.parametrize("n_points", [64, 128, 256])
+def test_kato_ponce_orders_match_single_order_oracle(n_points):
+    grid = Grid(n_points)
+    rng = np.random.default_rng(n_points)
+    pairs = [(random_smooth_field(grid, rng), random_smooth_field(grid, rng))
+             for _ in range(5)]
+    pairs.append((Field(grid, np.full(n_points, 3.2)), pairs[0][1]))
+    for f, g in pairs:
+        samples = kato_ponce_sample(f, g, (1, 2, 3))
+        assert [s.k for s in samples] == [1, 2, 3]
+        for sample in samples:
+            got = np.array([sample.lhs, sample.rhs, sample.ratio])
+            assert np.array_equal(got, _single_order_sample(f, g, sample.k))
+
+
+def test_kato_ponce_pair_makes_four_fft_calls(fft_calls):
+    grid = Grid(128)
+    rng = np.random.default_rng(1)
+    f, g = random_smooth_field(grid, rng), random_smooth_field(grid, rng)
+    fft_calls.clear()
+    kato_ponce_sample(f, g, (1, 2, 3))
+    assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
 
 
 # ------------------------------------------------------------------ ledger

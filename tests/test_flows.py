@@ -26,6 +26,7 @@ from debye_limit.flows import (
 from debye_limit.grid import (
     Field,
     Grid,
+    _hs_norm_values,
     dealias,
     derivative,
     hs_norm,
@@ -33,7 +34,7 @@ from debye_limit.grid import (
     l2_norm,
     max_abs,
 )
-from debye_limit.initial import InitParams, make_initial
+from debye_limit.initial import InitParams, make_initial, random_smooth_field
 from debye_limit.poisson import (
     PBConvergenceError,
     PBSolveOptions,
@@ -186,6 +187,46 @@ def test_rhs_equals_composed_public_kernels():
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _single_row_rhs(grid, n, u, phi):
+    # the right-hand side with one transform call per spectrum: the
+    # stacked calls must give these bits exactly
+    ik, keep, size = grid.derivative_symbol(1), grid.keep, grid.n_points
+    ux = np.fft.irfft(ik * np.fft.rfft(u), size)
+    dn = -np.fft.irfft(keep * ik * np.fft.rfft(n * u), size)
+    du = -np.fft.irfft(keep * (np.fft.rfft(u * ux) + ik * np.fft.rfft(phi)),
+                       size)
+    return dn, du
+
+
+@pytest.mark.parametrize("n_points", [32, 256, 4096])
+def test_stacked_rhs_matches_single_row_transforms(n_points):
+    # small noise puts energy in every mode, above the cutoff and at
+    # Nyquist too; both potentials: the limit's ln n and a PB solve
+    grid = Grid(n_points)
+    rng = np.random.default_rng(n_points)
+    noise = lambda: 1e-3 * rng.standard_normal(n_points)
+    n = 1.0 + 0.2 * random_smooth_field(grid, rng).values + noise()
+    u = 0.3 * random_smooth_field(grid, rng).values + noise()
+    phis = (np.log(n), solve_phi(Field(grid, n), 1e-2).phi.values)
+    for phi in phis:
+        got = flows._rhs_values(grid, n, u, phi)
+        want = _single_row_rhs(grid, n, u, phi)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_rhs_and_limit_step_fft_calls(fft_calls):
+    # a right-hand side is 4 transform calls; a limit-flow step is four
+    # of them plus one stacked H^2 guard transform of (n, u)
+    grid = Grid(64)
+    _, lim = paired_states(grid)
+    n, u = lim.n.values, lim.u.values
+    flows._rhs_values(grid, n, u, np.log(n))
+    assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
+    fft_calls.clear()
+    flows._step_values(grid, n, u, 0.0, 1e-3, RunOptions(dt=1e-3, eps=0.0), 1)
+    assert len(fft_calls) == 17
+
+
 def test_density_floor_guard():
     grid = Grid(64)
     ep, _ = paired_states(grid)
@@ -202,6 +243,21 @@ def test_norm_ceiling_guard():
     with pytest.raises(BlowUpError) as info:
         step(ep, opts)
     assert info.value.event.reason == "norm_ceiling"
+
+
+@pytest.mark.parametrize("u_amp", [0.1, 0.5])
+def test_norm_ceiling_value_is_the_larger_h2_norm(u_amp):
+    # at u_amp 0.1 the density's H^2 norm is the larger, at 0.5 the
+    # velocity's; the event carries exactly that single-row norm
+    grid = Grid(64)
+    ep, _ = paired_states(grid, InitParams(u_amp=u_amp))
+    new = step(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2))
+    norms = [_hs_norm_values(grid, f.values, 2) for f in (new.n, new.u)]
+    assert (norms[1] > norms[0]) == (u_amp > 0.2)
+    opts = RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, norm_ceiling=1e-3)
+    with pytest.raises(BlowUpError) as info:
+        step(ep, opts)
+    assert info.value.event.value == max(norms)
 
 
 def test_evolve_returns_partial_trajectory_on_blowup():

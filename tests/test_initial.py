@@ -8,6 +8,7 @@ from debye_limit.initial import (
     InitParams,
     make_initial,
     random_smooth_field,
+    random_smooth_fields,
 )
 
 
@@ -58,3 +59,31 @@ def test_random_field_reproducible():
     a = random_smooth_field(Grid(64), np.random.default_rng(7))
     b = random_smooth_field(Grid(64), np.random.default_rng(7))
     assert np.array_equal(a.values, b.values)
+
+
+def _one_field(grid, rng, max_mode):
+    # the single-field draw, one mode at a time: the stacked draw must
+    # give every row these bits
+    coeffs = rng.standard_normal((max_mode, 2))
+    values = np.zeros(grid.n_points)
+    for m in range(1, max_mode + 1):
+        theta = 2.0 * np.pi * m * grid.x / grid.length
+        a, b = coeffs[m - 1]
+        values = values + (0.7 / m**2) * (a * np.cos(theta) + b * np.sin(theta))
+    return values
+
+
+@pytest.mark.parametrize("n_points", [64, 128, 256, 512])
+@pytest.mark.parametrize("max_mode", [1, 8, 31])
+def test_stacked_draw_matches_sequential_fields(n_points, max_mode):
+    grid = Grid(n_points)
+    stack = random_smooth_fields(grid, np.random.default_rng(5), 3,
+                                 max_mode, amplitude=0.7)
+    rng = np.random.default_rng(5)
+    assert stack.shape == (3, n_points)
+    for row in stack:
+        assert np.array_equal(row, _one_field(grid, rng, max_mode))
+    rng = np.random.default_rng(5)
+    for row in stack:
+        field = random_smooth_field(grid, rng, max_mode, amplitude=0.7)
+        assert np.array_equal(row, field.values)
