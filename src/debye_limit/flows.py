@@ -247,29 +247,38 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
 
 def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
                  opts: RunOptions, step_index: int,
-                 phi: np.ndarray | None = None):
+                 phi: np.ndarray | None = None,
+                 phi_half: np.ndarray | None = None):
     """One RK4 step from (n, u) with potential ``phi`` (solved if None).
 
-    Each stage's potential is warm-started from the previous stage's.
-    Returns the new (n, u) and the last stage's potential, which is a
-    close guess for the potential of the new state.
+    For ``eps > 0`` each stage's Newton solve starts from a guess of its
+    potential. Stage 2 starts from ``phi_half``, a guess for the
+    potential at ``t + dt/2`` (``phi`` if None), and stage 3 from stage
+    2's potential. Stage 4 starts from ``2 phi_3 - phi``, since its
+    density is ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new (n, u) and
+    the last stage's potential, which is a close guess for the
+    potential of the new state.
     """
     floor = opts.density_floor
 
-    def stage(nv, uv, t_stage, phi_prev):
+    def stage(nv, uv, t_stage, guess):
         _guard_stage(nv, floor, t_stage, step_index)
-        phi_stage = _potential(grid, nv, opts, phi_prev, t_stage, step_index)
+        phi_stage = _potential(grid, nv, opts, guess, t_stage, step_index)
         return _rhs_values(grid, nv, uv, phi_stage), phi_stage
 
     _guard_stage(n, floor, t, step_index)
     if phi is None:
         phi = _potential(grid, n, opts, None, t, step_index)
     k1n, k1u = _rhs_values(grid, n, u, phi)
-    (k2n, k2u), phi = stage(n + 0.5 * dt * k1n, u + 0.5 * dt * k1u,
-                            t + 0.5 * dt, phi)
-    (k3n, k3u), phi = stage(n + 0.5 * dt * k2n, u + 0.5 * dt * k2u,
-                            t + 0.5 * dt, phi)
-    (k4n, k4u), phi = stage(n + dt * k3n, u + dt * k3u, t + dt, phi)
+    # one name for the stage potentials, so each is freed once it has
+    # served as the next stage's guess
+    (k2n, k2u), phi_s = stage(n + 0.5 * dt * k1n, u + 0.5 * dt * k1u,
+                              t + 0.5 * dt, phi if phi_half is None else phi_half)
+    (k3n, k3u), phi_s = stage(n + 0.5 * dt * k2n, u + 0.5 * dt * k2u,
+                              t + 0.5 * dt, phi_s)
+    if opts.eps > 0.0:
+        phi_s = 2.0 * phi_s - phi
+    (k4n, k4u), phi_s = stage(n + dt * k3n, u + dt * k3u, t + dt, phi_s)
     new_n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
     new_u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
 
@@ -281,7 +290,7 @@ def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
                                      GUARD_NORM_ORDER))
     if norm_hi > opts.norm_ceiling:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
-    return new_n, new_u, phi
+    return new_n, new_u, phi_s
 
 
 def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
@@ -315,8 +324,10 @@ def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
     the potential of every state is solved once, warm-started from the
     last stage of the step that reached it; it serves as the first
     stage of the next step and is recorded alongside recorded states.
-    On blow-up the partial trajectory is returned with the event
-    attached instead of propagating the error.
+    From the second step on, stage 2 starts from the linear
+    extrapolation of the last two states' potentials to its time. On
+    blow-up the partial trajectory is returned with the event attached
+    instead of propagating the error.
     """
     t_start = time.perf_counter()
     grid = state.grid
@@ -329,14 +340,22 @@ def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
     n_vals, u_vals = state.n.values, state.u.values
     t0 = state.t
     phi = None
+    phi_before = None  # potential of the state before; eps > 0 only
     blowup = None
     for i in range(total_steps + 1):
         try:
             if i > 0:
                 step_dt = dt if i <= n_full else tail
                 t_prev = t0 + (i - 1) * dt if i <= n_full else t0 + n_full * dt
+                # only the last step can be short, so the step before
+                # any step spans a full dt
+                phi_half = None
+                if phi_before is not None:
+                    phi_half = phi + (0.5 * step_dt / dt) * (phi - phi_before)
+                if phis is not None:
+                    phi_before = phi
                 n_vals, u_vals, phi = _step_values(grid, n_vals, u_vals, t_prev,
-                                                   step_dt, opts, i, phi)
+                                                   step_dt, opts, i, phi, phi_half)
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:

@@ -12,10 +12,13 @@ Jacobian system ``P(-eps v'' + exp(phi) v) = F`` matrix-free by
 conjugate gradients: the operator is symmetric positive definite there,
 one application costs two FFTs, and the Fourier-diagonal preconditioner
 ``1 / (eps k^2 + mean(exp(phi)))`` makes the iteration count depend on
-the spread of ``exp(phi)`` but not on the grid size. The Boltzmann
-nonlinearity pins the constant mode, so no mean normalization is
-applied. In the eps -> 0 limit the potential degenerates to ln n,
-exposed as :func:`solve_phi_limit`.
+the spread of ``exp(phi)`` but not on the grid size. CG is inexact in
+the sense of Eisenstat and Walker: it stops at ``CG_RTOL`` times the
+Newton residual or ``CG_FLOOR`` times the Newton tolerance, whichever
+is larger, so CG does not chase digits that the Newton exit test never
+reads. The Boltzmann nonlinearity pins the constant mode, so no mean
+normalization is applied. In the eps -> 0 limit the potential
+degenerates to ln n, exposed as :func:`solve_phi_limit`.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ __all__ = [
 ]
 
 
-# CG for one Newton correction stops once its residual has dropped by
-# CG_RTOL relative to the Newton residual; then the Newton iterates
-# match exact linear solves to round-off. The preconditioned count is
-# set by max/min of exp(phi), not by the grid: at most ~20 per
-# correction at density ratio 3.
+# CG for one Newton correction stops once its residual is below
+# CG_RTOL times the Newton residual or CG_FLOOR times the Newton tol,
+# whichever is larger (an inexact-Newton forcing term): a linear
+# residual that small adds at most 1% of tol to the next Newton
+# residual, so further digits only cost iterations. The
+# preconditioned count is set by max/min of exp(phi), not by the
+# grid: at most ~20 per correction at density ratio 3.
 CG_RTOL = 1e-10
+CG_FLOOR = 0.01
 CG_MAX_ITERS = 500
 
 
@@ -126,16 +132,18 @@ def _band_residual(band: _Band, phi_hat: np.ndarray, exp_phi: np.ndarray,
 
 
 def _newton_step(band: _Band, exp_phi: np.ndarray, residual: np.ndarray,
-                 res_norm: float) -> tuple[np.ndarray, int]:
+                 res_norm: float, tol: float) -> tuple[np.ndarray, int]:
     """Solve P(-eps v'' + e^phi v) = F on the band by preconditioned CG.
 
     The operator is symmetric positive definite on the band, and the
     constant-coefficient symbol eps k^2 + mean(e^phi) is diagonal in
     Fourier space and spectrally equivalent to it, so the iteration
-    count depends on the spread of e^phi but not on the grid.
+    count depends on the spread of e^phi but not on the grid. CG stops
+    at ``max(CG_RTOL * res_norm, CG_FLOOR * tol)``, ``tol`` being the
+    Newton exit test.
     """
     symbol = band.eps_k2 + float(np.mean(exp_phi))
-    target = CG_RTOL * res_norm
+    target = max(CG_RTOL * res_norm, CG_FLOOR * tol)
     delta = np.zeros_like(residual)
     r = residual.copy()
     z = r / symbol
@@ -202,7 +210,8 @@ def _solve_phi_values(
                 f"{opts.max_newton_iters} iterations",
                 res_norm,
             )
-        delta, count = _newton_step(band, exp_phi, residual, res_norm)
+        delta, count = _newton_step(band, exp_phi, residual, res_norm,
+                                    opts.tol)
         linear_iters += count
         lam = 1.0
         while True:

@@ -401,8 +401,9 @@ def test_check_computes_each_energy_snapshot_once(tmp_path, monkeypatch, capsys)
 def test_each_potential_residual_formed_once_per_pass(tmp_path, monkeypatch,
                                                       capsys):
     # check takes residuals at strides 2 and 1, and the sweep's remainder
-    # tables at stride 1: each pass forms the potential equation's
-    # residual once per snapshot it uses, not once per pair end
+    # tables at stride 1: the potential equation's residual is formed
+    # once per snapshot of the stack, whatever the strides, not once per
+    # pair end or per pass
     from debye_limit import cli, experiments, remainder
 
     series, rows = [], []
@@ -417,7 +418,7 @@ def test_each_potential_residual_formed_once_per_pass(tmp_path, monkeypatch,
     conf = tmp_path / "check.ini"
     conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
     assert main(["check", "--config", str(conf), "--out", str(tmp_path)]) in (0, 4)
-    assert rows == [6, 11]  # 11 records: rows 0, 2, ..., 10, then all
+    assert rows == [11]  # 11 records, shared by both strides
 
     series.clear()
     rows.clear()

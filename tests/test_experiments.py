@@ -138,6 +138,21 @@ def test_sweep_parallel_matches_serial(mini_report):
     assert a == b
 
 
+def test_default_sweep_pb_work(pb_counts):
+    # the default sweep's members at N = 256 over 17 steps of the default
+    # dt: 69 solves each, all but the cold first solve and the first
+    # step's stage 2 in one Newton step. The solver before the stage
+    # extrapolation and the CG floor made 419 Newton steps and 2641 CG
+    # iterations here.
+    spec = SweepSpec(eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
+                     run=RunOptions(t_end=0.01, record_every=2))
+    run_sweep(spec)
+    steps = 17
+    assert len(pb_counts) == 4 * (4 * steps + 1)
+    assert sum(newton for newton, _ in pb_counts) <= 300
+    assert sum(cg for _, cg in pb_counts) <= 1400
+
+
 def test_sweep_duplicate_eps_identical_rows():
     spec = _mini_spec(eps_list=(1e-2, 1e-2))
     rep = run_sweep(spec)

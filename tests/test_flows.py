@@ -309,19 +309,24 @@ def test_quasineutral_residual_tracks_eps():
 
 
 def test_recorded_potentials_match_cold_solves():
-    # the potentials ride through the RK stages as warm starts; each one
-    # recorded must still be the potential of its own state
+    # the potentials ride through the RK stages as extrapolated guesses;
+    # each one recorded must still be the potential of its own state, at
+    # the default amplitude and at larger ones. The cold reference is
+    # solved to 1e-14: one solved to the run's 1e-12 can stop just under
+    # tol and sit 5e-12 from the converged potential at n_amp = 0.6
     grid = Grid(64)
-    ep, _ = paired_states(grid, InitParams(n_amp=0.3))
     opts = RunOptions(dt=1e-3, t_end=0.05, eps=1e-3, record_every=5)
-    traj = evolve(ep, opts)
-    assert traj.blowup is None
-    assert len(traj.phis) == len(traj.states) == 11
-    for state, phi in zip(traj.states, traj.phis):
-        cold = solve_phi(state.n, opts.eps, opts.pb)
-        assert np.max(np.abs(phi.values - cold.phi.values)) <= 1e-12
-        residual = l2_norm(pb_residual(phi, state.n, opts.eps))
-        assert residual <= opts.pb.tol
+    reference = PBSolveOptions(tol=1e-14)
+    for n_amp in (0.1, 0.3, 0.6):
+        ep, _ = paired_states(grid, InitParams(n_amp=n_amp))
+        traj = evolve(ep, opts)
+        assert traj.blowup is None
+        assert len(traj.phis) == len(traj.states) == 11
+        for state, phi in zip(traj.states, traj.phis):
+            cold = solve_phi(state.n, opts.eps, reference)
+            assert np.max(np.abs(phi.values - cold.phi.values)) <= 1e-12
+            residual = l2_norm(pb_residual(phi, state.n, opts.eps))
+            assert residual <= opts.pb.tol
 
 
 def test_one_potential_solve_per_stage(monkeypatch):
@@ -344,6 +349,38 @@ def test_one_potential_solve_per_stage(monkeypatch):
                           record_every=record_every)
         evolve(ep, opts)
         assert len(calls) == 4 * steps + 1
+
+
+# 20 steps of 1e-3 and a tail step of 5e-4: the tail's stage 2
+# extrapolates across two step sizes. CG totals at the pre-extrapolation
+# solver (warm starts from the previous stage, CG to 1e-10 relative)
+# were 772 and 1024.
+@pytest.mark.parametrize("eps, cg_max", [(1e-2, 400), (1e-4, 520)])
+def test_warm_solves_take_one_newton_step(pb_counts, eps, cg_max):
+    # solves run in the order initial state, then per step stages 2-4
+    # and the new state; only the cold initial solve and the first
+    # step's stage 2, which has no history to extrapolate, take more
+    grid = Grid(64)
+    ep, _ = paired_states(grid)
+    steps = 21
+    traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.0205, eps=eps,
+                                 record_every=5))
+    assert traj.blowup is None
+    assert len(pb_counts) == 4 * steps + 1
+    newton = [count for count, _ in pb_counts]
+    assert newton[2:] == [1] * (len(newton) - 2)
+    assert sum(cg for _, cg in pb_counts) <= cg_max
+
+
+def test_large_amplitude_run_ends_at_the_density_floor():
+    # extrapolated guesses far from a steepening solution must not turn
+    # the density-floor blow-up into a failed potential solve
+    grid = Grid(64)
+    ep, _ = paired_states(grid, InitParams(n_amp=0.9, u_amp=0.9))
+    traj = evolve(ep, RunOptions(t_end=0.5, eps=1e-2, record_every=10))
+    assert traj.blowup is not None
+    assert traj.blowup.reason == "density_floor"
+    assert len(traj.phis) == len(traj.states)
 
 
 @pytest.mark.parametrize("failing_call, n_states, n_phis, t_event", [
