@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_js
 from .flows import (
     EPState,
     LimitState,
+    RecordAllocationError,
     RunOptions,
     _count_steps,
     evolve,
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from .grid import MAX_SOBOLEV_ORDER, Field, Grid
+from .grid import MAX_DERIVATIVE_ORDER, MAX_SOBOLEV_ORDER, Field, Grid, _check_order
 from .initial import InitParams, make_initial, random_smooth_fields
 from .io_utils import write_csv
 from .poisson import PBSolveOptions
@@ -186,11 +188,10 @@ def cmd_simulate(cfg, args) -> int:
     os.makedirs(out, exist_ok=True)
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
     write_trajectory_csv(traj, traj_path, s=cfg["run"]["s"])
-    final = traj.final
-    snap_path = write_snapshot_csv(final, flow, eps, out, phi=traj.final_phi)
+    snap_path = write_snapshot_csv(traj, flow, out)
 
     print(f"simulate: flow={flow} eps={eps:g} grid={grid.n_points} "
-          f"dt={traj.dt:g} steps to t={final.t:g}")
+          f"dt={traj.dt:g} steps to t={traj.t[-1]:g}")
     print(f"simulate: wrote {traj_path} and {snap_path}")
     if traj.blowup is not None:
         ev = traj.blowup
@@ -256,6 +257,11 @@ def _kp_battery(n_points: int, seed: int, pairs: int, max_mode: int):
     return samples
 
 
+def _ratio(coarse: float, fine: float) -> float:
+    """Coarse-to-fine ratio of an error; inf when the fine one vanishes."""
+    return coarse / fine if fine > 0 else float("inf")
+
+
 def cmd_check(cfg, args) -> int:
     out = _out_dir(args, cfg)
     c = cfg["check"]
@@ -268,6 +274,7 @@ def cmd_check(cfg, args) -> int:
     try:
         grid = Grid(c["n_points"])
         Grid(c["kp_grid"])  # the Kato-Ponce battery's grid
+        _check_order(c["gamma"], MAX_DERIVATIVE_ORDER, "[check] gamma")
         init = InitParams(**cfg["init"])
         pb = PBSolveOptions(**cfg["pb"])
         opts = RunOptions(dt=c["dt"], t_end=c["t_end"], eps=c["eps"], pb=pb,
@@ -285,9 +292,7 @@ def cmd_check(cfg, args) -> int:
                           "intervals dt * record_every")
     n0, u0 = make_initial(init, grid)
     ep_traj = evolve(EPState(0.0, n0, u0), opts)
-    lim_traj = evolve(LimitState(0.0, n0, u0),
-                      RunOptions(dt=c["dt"], t_end=c["t_end"], eps=0.0, pb=pb,
-                                 record_every=c["record_every"]))
+    lim_traj = evolve(LimitState(0.0, n0, u0), replace(opts, eps=0.0))
     if ep_traj.blowup is not None or lim_traj.blowup is not None:
         print("check: run blew up before t_end; no verdicts")
         return 3
@@ -299,7 +304,7 @@ def cmd_check(cfg, args) -> int:
     snaps = energy_snapshot(rems, c["gamma"])
     fine = identity_2_12_check(snaps, stride=1)
     coarse = identity_2_12_check(snaps, stride=2)
-    ratio = coarse.defect / fine.defect if fine.defect > 0 else float("inf")
+    ratio = _ratio(coarse.defect, fine.defect)
 
     os.makedirs(out, exist_ok=True)
     defects = {i + 1: d for i, d in enumerate(fine.defects)}
@@ -343,8 +348,9 @@ def cmd_check(cfg, args) -> int:
         all_ok = all_ok and ok
     print(f"check: identity defect halving ratio = {ratio:.2f} "
           f"(fine spacing {fine.spacing:.1e})")
-    print(f"check: residual second-order ratios: res_n {res_n / res_n_fine:.2f}, "
-          f"res_u {res_u / res_u_fine:.2f}")
+    print(f"check: residual second-order ratios: "
+          f"res_n {_ratio(res_n, res_n_fine):.2f}, "
+          f"res_u {_ratio(res_u, res_u_fine):.2f}")
     return 0 if all_ok else 4
 
 
@@ -362,7 +368,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args)
         if args.command == "check":
             return cmd_check(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, RecordAllocationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -25,6 +25,7 @@ from .grid import (
     MAX_DERIVATIVE_ORDER,
     Field,
     Grid,
+    _check_order,
     _dealias_values,
     _derivative_values,
     _integral_values,
@@ -77,6 +78,7 @@ def energy_snapshot(rem: Remainder, gamma: int) -> EnergySnapshot:
     strictly positive; outside that bracket the weights 1/n_eps lose
     meaning and a ValueError is raised.
     """
+    _check_order(gamma, MAX_DERIVATIVE_ORDER, "gamma")
     grid = rem.grid
     eps = rem.eps
     n0, u0, u1, phi1 = rem.n0, rem.u0, rem.u1, rem.phi1

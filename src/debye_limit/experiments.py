@@ -35,7 +35,6 @@ from .grid import (
     _derivative_values,
     _hs_norm_values,
     _l2_values,
-    _stack_values,
 )
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
@@ -199,12 +198,10 @@ class SweepReport:
 
 
 def _potential_stacks(traj):
-    """Grid, density and potential stacks of the states with a potential."""
-    if traj.phis is None:
+    """Grid, density and potential stacks of the records with a potential."""
+    if traj.phi is None:
         raise ValueError("trajectory has no recorded potentials")
-    grid = traj.states[0].grid
-    n = _stack_values(grid, (st.n for st in traj.states[:len(traj.phis)]))
-    return grid, n, _stack_values(grid, traj.phis)
+    return traj.grid, traj.n[:len(traj.phi)], traj.phi
 
 
 def quasineutrality_gap(traj) -> float:
@@ -234,9 +231,7 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
     rems = remainder_series(ep_traj, lim_traj)
     grid, count = rems.grid, len(rems.t)
     # the full flow at the remainders' times, for the plain errors
-    ep_n = _stack_values(grid, (st.n for st in ep_traj.states[:count]))
-    ep_u = _stack_values(grid, (st.u for st in ep_traj.states[:count]))
-    phi = _stack_values(grid, ep_traj.phis[:count])
+    ep_n, ep_u, phi = (v[:count] for v in (ep_traj.n, ep_traj.u, ep_traj.phi))
     triple_norms: dict = {}
     sup_norms: dict = {}
     errors: dict = {}
@@ -321,7 +316,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
     if jobs > 1 and len(spec.eps_list) > 1:
         args = [(spec, eps, dt, lim_traj) for eps in spec.eps_list]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(spec.eps_list))) as pool:
             members = list(pool.map(_member_worker, args))
     else:
         members = [_run_member(spec, eps, dt, lim_traj) for eps in spec.eps_list]

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, _hs_norm_values, _l2_values, hs_norm, integrate
+from .grid import (MAX_SOBOLEV_ORDER, Field, Grid, _check_order, _hs_norm_values,
+                   _integral_values, _l2_values)
 from .io_utils import write_csv
 from .poisson import PBConvergenceError, PBSolveOptions, _solve_phi_values
 
@@ -41,7 +42,7 @@ __all__ = [
     "rhs_limit",
     "step",
     "evolve",
-    "quasineutral_residual",
+    "RecordAllocationError",
     "write_trajectory_csv",
     "write_snapshot_csv",
 ]
@@ -137,38 +138,37 @@ class BlowUpError(RuntimeError):
         self.event = event
 
 
+class RecordAllocationError(MemoryError):
+    """The record stacks of a run do not fit in memory."""
+
+
 @dataclass
 class Trajectory:
-    """Recorded states of one run, plus solved potentials for the full flow.
+    """Records of one run: times ``t`` ``(R,)`` and stacks ``n``, ``u`` ``(R, N)``.
 
-    ``phis`` is aligned with ``states`` when ``eps > 0`` and None for
-    limit-flow runs. ``blowup`` is set when the run ended early; when a
-    ``pb_divergence`` hit the solve for a recorded state, that last
-    state has no potential and ``phis`` is one entry shorter.
+    ``phi`` stacks the recorded potentials row by row when ``eps > 0``
+    and is None for limit-flow runs. ``blowup`` is set when the run ended
+    early; when a ``pb_divergence`` hit the solve for a recorded state,
+    that last row has no potential and ``phi`` is one row shorter. The
+    stacks are read-only, since consumers share them as views.
     """
 
     eps: float
     dt: float
-    record_every: int
-    states: list
-    phis: list | None
+    grid: Grid
+    t: np.ndarray
+    n: np.ndarray
+    u: np.ndarray
+    phi: np.ndarray | None
     blowup: BlowUpEvent | None = None
     wall_time: float = 0.0
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-    @property
-    def final_phi(self) -> Field | None:
-        """Potential of the final state, if the run solved one."""
-        if self.phis is None or len(self.phis) < len(self.states):
-            return None
-        return self.phis[-1]
+    def final(self) -> EPState:
+        """The last recorded row as a state of its flow."""
+        cls = LimitState if self.phi is None else EPState
+        return cls(float(self.t[-1]), Field(self.grid, self.n[-1]),
+                   Field(self.grid, self.u[-1]))
 
 
 def default_dt(state: EPState) -> float:
@@ -317,31 +317,39 @@ def _count_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
+def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     """Integrate to ``t_end``, recording every ``record_every``-th step.
 
-    The initial and final states are always recorded. For ``eps > 0``
-    the potential of every state is solved once, warm-started from the
-    last stage of the step that reached it; it serves as the first
-    stage of the next step and is recorded alongside recorded states.
-    From the second step on, stage 2 starts from the linear
-    extrapolation of the last two states' potentials to its time. On
-    blow-up the partial trajectory is returned with the event attached
-    instead of propagating the error.
+    The initial and final states are always recorded, into stacks sized
+    for the whole run up front (:class:`RecordAllocationError` if they do
+    not fit). For ``eps > 0`` the potential of every state is solved
+    once, warm-started from the last stage of the step that reached it;
+    it serves as the first stage of the next step and is recorded with
+    recorded states. From the second step on, stage 2 starts from the
+    linear extrapolation of the last two states' potentials to its time.
+    On blow-up the stacks are cut at the last record and returned with
+    the event attached instead of propagating the error.
     """
     t_start = time.perf_counter()
     grid = state.grid
     dt = opts.dt if opts.dt is not None else default_dt(state)
     n_full, tail = _count_steps(opts.t_end - state.t, dt)
     total_steps = n_full + (1 if tail > 0.0 else 0)
+    records = -(-total_steps // opts.record_every) + 1
+    try:
+        times = np.empty(records)
+        stacks = np.empty((3 if opts.eps > 0.0 else 2, records, grid.n_points))
+    except (MemoryError, ValueError) as err:
+        raise RecordAllocationError(
+            f"the {records} records of a run to t_end = {opts.t_end:g} on "
+            f"{grid.n_points} points do not fit in memory ({err})") from None
 
-    states = []
-    phis = [] if opts.eps > 0.0 else None
     n_vals, u_vals = state.n.values, state.u.values
     t0 = state.t
     phi = None
     phi_before = None  # potential of the state before; eps > 0 only
     blowup = None
+    rows = phi_rows = 0
     for i in range(total_steps + 1):
         try:
             if i > 0:
@@ -352,76 +360,68 @@ def evolve(state: EPState, opts: RunOptions, observer=None) -> Trajectory:
                 phi_half = None
                 if phi_before is not None:
                     phi_half = phi + (0.5 * step_dt / dt) * (phi - phi_before)
-                if phis is not None:
+                if opts.eps > 0.0:
                     phi_before = phi
                 n_vals, u_vals, phi = _step_values(grid, n_vals, u_vals, t_prev,
                                                    step_dt, opts, i, phi, phi_half)
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:
-                rec = state if i == 0 else replace(
-                    state, t=t_now, n=Field(grid, n_vals), u=Field(grid, u_vals))
-                states.append(rec)
+                times[rows], stacks[0, rows], stacks[1, rows] = t_now, n_vals, u_vals
+                rows += 1
             phi = _potential(grid, n_vals, opts, phi, t_now, i)
-            if recorded and phis is not None:
-                phis.append(Field(grid, phi))
+            if recorded and opts.eps > 0.0:
+                stacks[2, rows - 1] = phi
+                phi_rows = rows
         except BlowUpError as err:
             blowup = err.event
             break
-        if recorded and observer is not None:
-            observer(rec)
 
-    return Trajectory(eps=opts.eps, dt=dt, record_every=opts.record_every,
-                      states=states, phis=phis, blowup=blowup,
-                      wall_time=time.perf_counter() - t_start)
+    times.flags.writeable = stacks.flags.writeable = False
+    return Trajectory(eps=opts.eps, dt=dt, grid=grid, t=times[:rows],
+                      n=stacks[0, :rows], u=stacks[1, :rows],
+                      phi=stacks[2, :phi_rows] if opts.eps > 0.0 else None,
+                      blowup=blowup, wall_time=time.perf_counter() - t_start)
 
 
 def _quasineutral_values(grid: Grid, n: np.ndarray, phi: np.ndarray):
+    """L2 gap ||exp(phi) - n||; zero by construction for the limit flow."""
     return _l2_values(grid, np.exp(phi) - n)
 
 
-def quasineutral_residual(state: EPState, phi: Field) -> float:
-    """L2 gap ||exp(phi) - n||; zero by construction for the limit flow."""
-    return float(_quasineutral_values(state.grid, state.n.values, phi.values))
-
-
 def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
-    """Write the per-record scalar diagnostics of a run."""
+    """Write the per-record scalar diagnostics of a run, row by row.
+
+    A stacked pass would hold a complex spectrum the size of the record.
+    """
+    _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
+    grid = traj.grid
     rows = []
-    for idx, st in enumerate(traj.states):
-        if traj.phis is None:
+    for i, (t, n, u) in enumerate(zip(traj.t, traj.n, traj.u)):
+        if traj.phi is None:
             gap = 0.0
-        elif idx < len(traj.phis):
-            gap = quasineutral_residual(st, traj.phis[idx])
+        elif i < len(traj.phi):
+            gap = _quasineutral_values(grid, n, traj.phi[i])
         else:
             gap = float("nan")  # the potential solve failed here
-        rows.append((
-            st.t,
-            hs_norm(st.n, s),
-            hs_norm(st.u, s),
-            integrate(st.n),
-            float(np.min(st.n.values)),
-            float(np.max(st.n.values)),
-            gap,
-        ))
+        rows.append((t, _hs_norm_values(grid, n, s), _hs_norm_values(grid, u, s),
+                     _integral_values(grid, n), np.min(n), np.max(n), gap))
     write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",
               rows)
 
 
-def write_snapshot_csv(state: EPState, flow: str, eps: float, out_dir,
-                       phi: Field | None = None) -> str:
-    """Write one state as ``snap_<flow>_<eps>_<t>.csv`` and return the path."""
+def write_snapshot_csv(traj: Trajectory, flow: str, out_dir) -> str:
+    """Write the last record, with its potential if it has one, as
+    ``snap_<flow>_<eps>_<t>.csv`` and return the path."""
     import os
 
-    name = f"snap_{flow}_{eps:g}_{state.t:g}.csv"
+    t = traj.t[-1]
+    name = f"snap_{flow}_{traj.eps:g}_{t:g}.csv"
     path = os.path.join(os.fspath(out_dir), name)
-    header = "x,n,u" + (",phi" if phi is not None else "")
-    rows = []
-    for i in range(state.grid.n_points):
-        row = [float(state.grid.x[i]), float(state.n.values[i]),
-               float(state.u.values[i])]
-        if phi is not None:
-            row.append(float(phi.values[i]))
-        rows.append(tuple(row))
-    write_csv(path, header, rows)
+    columns = [traj.grid.x, traj.n[-1], traj.u[-1]]
+    header = "x,n,u"
+    if traj.phi is not None and len(traj.phi) == len(traj.t):
+        columns.append(traj.phi[-1])
+        header += ",phi"
+    write_csv(path, header, zip(*(col.tolist() for col in columns)))
     return path

@@ -173,11 +173,6 @@ class Field:
         return cls(grid, fn(grid.x))
 
 
-def _stack_values(grid: Grid, fields) -> np.ndarray:
-    """``(T, N)`` stack of the fields' values; ``T`` may be 0."""
-    return np.array([f.values for f in fields]).reshape(-1, grid.n_points)
-
-
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
         return np.asarray(values, dtype=np.float64).copy()

@@ -30,7 +30,6 @@ from .grid import (
     _derivative_values,
     _hs_norm_values,
     _l2_values,
-    _stack_values,
 )
 from .io_utils import write_csv
 
@@ -58,9 +57,11 @@ class Remainder:
 
     ``t`` holds the ``T`` matched record times. ``n0`` and ``u0`` (the
     limit flow) and the remainders ``n1``, ``u1`` and ``phi1`` are
-    ``(T, N)`` arrays, one row per time. Each diagnostic below runs on
-    the whole stack, and a one-row stack gives the same bits as that row
-    of a longer one.
+    ``(T, N)`` arrays, one row per time. From :func:`remainder_series`,
+    ``n0`` and ``u0`` are read-only views of the limit flow's record
+    stacks, which every member of a sweep shares. Each diagnostic below
+    runs on the whole stack, and a one-row stack gives the same bits as
+    that row of a longer one.
     """
 
     grid: Grid
@@ -126,19 +127,16 @@ def remainder_series(ep_traj, lim_traj) -> Remainder:
         raise ValueError("first trajectory must be a full-flow run")
     if lim_traj.eps != 0.0:
         raise ValueError("second trajectory must be a limit-flow run")
-    count = min(len(ep_traj.phis), len(lim_traj.states))
-    ep, lim = ep_traj.states[:count], lim_traj.states[:count]
-    t = np.array([st.t for st in ep], dtype=np.float64)
-    lim_t = np.array([st.t for st in lim], dtype=np.float64)
-    if np.any(np.abs(t - lim_t) > 1e-12 * np.maximum(1.0, np.abs(t))):
+    count = min(len(ep_traj.phi), len(lim_traj.t))
+    t = ep_traj.t[:count]
+    if np.any(np.abs(t - lim_traj.t[:count]) > 1e-12 * np.maximum(1.0, np.abs(t))):
         raise ValueError("state times of the paired runs differ")
-    grid, eps = lim_traj.states[0].grid, ep_traj.eps
-    n0 = _stack_values(grid, (st.n for st in lim))
-    u0 = _stack_values(grid, (st.u for st in lim))
-    n1 = (_stack_values(grid, (st.n for st in ep)) - n0) / eps
-    u1 = (_stack_values(grid, (st.u for st in ep)) - u0) / eps
-    phi1 = (_stack_values(grid, ep_traj.phis[:count]) - np.log(n0)) / eps
-    return Remainder(grid, eps, t, n0, u0, n1, u1, phi1)
+    eps = ep_traj.eps
+    n0, u0 = lim_traj.n[:count], lim_traj.u[:count]
+    n1 = (ep_traj.n[:count] - n0) / eps
+    u1 = (ep_traj.u[:count] - u0) / eps
+    phi1 = (ep_traj.phi[:count] - np.log(n0)) / eps
+    return Remainder(lim_traj.grid, eps, t, n0, u0, n1, u1, phi1)
 
 
 def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:

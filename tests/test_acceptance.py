@@ -214,8 +214,7 @@ def test_criterion_7_conservation_and_equilibrium():
                               ("limit", LimitState(0.0, n0, u0), 0.0)):
         traj = evolve(state, RunOptions(eps=eps, **opts))
         assert traj.blowup is None
-        masses = [float(np.mean(s.n.values) * grid.length)
-                  for s in traj.states]
+        masses = [float(np.mean(n) * grid.length) for n in traj.n]
         drifts[label] = max(abs(m - masses[0]) for m in masses)
 
     flat_n = Field(grid, np.full(128, 1.3))
@@ -226,7 +225,7 @@ def test_criterion_7_conservation_and_equilibrium():
                        (LimitState(0.0, flat_n, flat_u), 0.0)):
         traj = evolve(state, RunOptions(dt=1e-3, t_end=const_steps * 1e-3,
                                         eps=eps, record_every=const_steps))
-        final = traj.states[-1]
+        final = traj.final
         wobble = max(wobble,
                      float(np.max(np.abs(final.n.values - 1.3))),
                      float(np.max(np.abs(final.u.values - 0.4))))

@@ -190,6 +190,9 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
                  None, (3,), id="simulate-eps-inf"),
     pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3", "--eps", "1e308"],
                  None, (3,), id="simulate-eps-1e308"),
+    # a derivative order outside 0..16 built k**-1 or overflowed
+    pytest.param(["check"], "[check]\ngamma = -1\n", (2,), id="check-gamma-negative"),
+    pytest.param(["check"], "[check]\ngamma = 17\n", (2,), id="check-gamma-17"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:
@@ -200,6 +203,30 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     assert proc.returncode in codes
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "check"])
+def test_record_stacks_too_large_exit_two(tmp_path, capsys, command):
+    # a run's record stacks are allocated before its first step, so a
+    # run too long to record fails at once, naming its record count
+    code = main([command, "--t-end", "1e9", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and " records of a run " in err
+    assert int(err.split()[2]) > 10 ** 11
+
+
+def test_check_on_the_rest_state(tmp_path, capsys):
+    # n_amp = u_amp = 0: every residual vanishes, and each halving ratio
+    # of a vanishing error reads inf instead of warning on 0/0
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"init": {"n_amp": 0.0, "u_amp": 0.0},
+                          "check": dict(SMALL_CHECK_KEYS, n_points=64)}))
+    code = main(["check", "--config", str(conf), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "halving ratio = inf" in out
+    assert "ratios: res_n inf, res_u inf" in out
 
 
 def test_sweep_duplicate_eps_passes_and_writes(tmp_path, capsys):
@@ -459,6 +486,7 @@ _EDGES = (
     ("check", "kp_pairs", "0"), ("check", "kp_grid", "33"),
     ("check", "kp_max_mode", "-1"), ("check", "kp_max_mode", "10000000000000"),
     ("check", "kp_max_mode", "16"),
+    ("check", "gamma", "-1"), ("check", "gamma", "17"),
 )
 
 

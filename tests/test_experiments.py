@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from debye_limit import experiments
 from debye_limit.experiments import (
     SweepSpec,
     fit_order,
@@ -138,6 +139,49 @@ def test_sweep_parallel_matches_serial(mini_report):
     assert a == b
 
 
+def test_members_share_the_read_only_limit_rows(mini_report):
+    # each member's remainder reads the limit flow through views of its
+    # record stacks, so no stack may be written through any of them
+    lim = mini_report.limit_traj
+    for m in mini_report.members:
+        assert np.shares_memory(m.remainders.n0, lim.n)
+        assert np.shares_memory(m.remainders.u0, lim.u)
+        ep = m.ep_traj
+        assert ep.phi.shape == ep.n.shape == lim.n.shape == (21, 64)
+        for stack in (lim.t, lim.n, lim.u, ep.t, ep.n, ep.u, ep.phi,
+                      m.remainders.n0, m.remainders.u0):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 1.0
+    assert lim.phi is None
+
+
+def test_sweep_pool_is_capped_at_the_member_count(monkeypatch):
+    # the pool forks its workers at once, so a large --jobs must not
+    # start more of them than there are members
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    spec = _mini_spec(run=RunOptions(dt=1e-3, t_end=2e-3))
+    for jobs in (100_000, 3, 2):
+        rep = run_sweep(spec, jobs=jobs)
+        assert seen.pop() == min(jobs, len(EPS_MINI))
+        assert all(row["status"] == "OK" for row in rep.rows)
+
+
 def test_default_sweep_pb_work(pb_counts):
     # the default sweep's members at N = 256 over 17 steps of the default
     # dt: 69 solves each, all but the cold first solve and the first
@@ -239,6 +283,6 @@ def test_gap_helpers_need_potentials():
     ep = evolve(EPState(0.0, n0, u0),
                 RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
                            pb=PBSolveOptions(max_newton_iters=1)))
-    assert ep.blowup is not None and ep.phis == []
+    assert ep.blowup is not None and len(ep.phi) == 0
     assert np.isnan(quasineutrality_gap(ep))
     assert np.isnan(quasineutral_identity_defect(ep))

@@ -16,7 +16,6 @@ from debye_limit.flows import (
     Trajectory,
     default_dt,
     evolve,
-    quasineutral_residual,
     rhs_ep,
     rhs_limit,
     step,
@@ -62,8 +61,8 @@ def test_linear_dispersion_of_limit_flow():
     u = Field(grid, np.zeros(64))
     opts = RunOptions(dt=1e-3, t_end=0.3, eps=0.0, record_every=1)
     traj = evolve(LimitState(0.0, n, u), opts)
-    coeffs = [mode_coefficient(s.n.values - 1.0, 1) for s in traj.states]
-    times = traj.times
+    coeffs = [mode_coefficient(row - 1.0, 1) for row in traj.n]
+    times = traj.t
     # first zero crossing of cos(2 pi t) sits at t = 0.25
     sign = np.sign(coeffs)
     idx = np.argmax(sign != sign[0])
@@ -83,8 +82,8 @@ def test_full_flow_dispersion_shift():
     eps = 1e-2
     opts = RunOptions(dt=1e-3, t_end=0.4, eps=eps, record_every=1)
     traj = evolve(EPState(0.0, n, u), opts)
-    coeffs = [mode_coefficient(s.n.values - 1.0, 1) for s in traj.states]
-    times = traj.times
+    coeffs = [mode_coefficient(row - 1.0, 1) for row in traj.n]
+    times = traj.t
     sign = np.sign(coeffs)
     idx = np.argmax(sign != sign[0])
     lo, hi = times[idx - 1], times[idx]
@@ -277,14 +276,15 @@ def test_record_schedule():
     opts = RunOptions(dt=0.01, t_end=0.1, eps=0.0, record_every=3)
     traj = evolve(lim, opts)
     # records at steps 0, 3, 6, 9 and the final state
-    assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1])
+    assert np.allclose(traj.t, [0.0, 0.03, 0.06, 0.09, 0.1])
+    assert traj.n.shape == traj.u.shape == (5, 32) and traj.phi is None
 
 
 def test_t_end_zero_records_initial_state_only():
     grid = Grid(32)
     _, lim = paired_states(grid)
     traj = evolve(lim, RunOptions(dt=0.01, t_end=0.0, eps=0.0))
-    assert len(traj.states) == 1
+    assert len(traj.t) == 1
     assert traj.final.t == 0.0
 
 
@@ -302,7 +302,7 @@ def test_quasineutral_residual_tracks_eps():
     for eps in (1e-2, 1e-3, 1e-4):
         opts = RunOptions(dt=1e-3, t_end=0.05, eps=eps, record_every=10 ** 9)
         traj = evolve(ep, opts)
-        r = quasineutral_residual(traj.final, traj.phis[-1])
+        r = flows._quasineutral_values(grid, traj.n[-1], traj.phi[-1])
         if prev is not None:
             assert r < prev
         prev = r
@@ -321,11 +321,12 @@ def test_recorded_potentials_match_cold_solves():
         ep, _ = paired_states(grid, InitParams(n_amp=n_amp))
         traj = evolve(ep, opts)
         assert traj.blowup is None
-        assert len(traj.phis) == len(traj.states) == 11
-        for state, phi in zip(traj.states, traj.phis):
-            cold = solve_phi(state.n, opts.eps, reference)
-            assert np.max(np.abs(phi.values - cold.phi.values)) <= 1e-12
-            residual = l2_norm(pb_residual(phi, state.n, opts.eps))
+        assert traj.phi.shape == traj.n.shape == (11, 64)
+        for n, phi in zip(traj.n, traj.phi):
+            cold = solve_phi(Field(grid, n), opts.eps, reference)
+            assert np.max(np.abs(phi - cold.phi.values)) <= 1e-12
+            residual = l2_norm(pb_residual(Field(grid, phi), Field(grid, n),
+                                           opts.eps))
             assert residual <= opts.pb.tol
 
 
@@ -380,7 +381,7 @@ def test_large_amplitude_run_ends_at_the_density_floor():
     traj = evolve(ep, RunOptions(t_end=0.5, eps=1e-2, record_every=10))
     assert traj.blowup is not None
     assert traj.blowup.reason == "density_floor"
-    assert len(traj.phis) == len(traj.states)
+    assert len(traj.phi) == len(traj.t)
 
 
 @pytest.mark.parametrize("failing_call, n_states, n_phis, t_event", [
@@ -388,7 +389,7 @@ def test_large_amplitude_run_ends_at_the_density_floor():
     (17, 5, 4, 4e-3),  # step 4's state: kept, without its potential
 ])
 def test_pb_failure_ends_run_with_partial_trajectory(
-        monkeypatch, failing_call, n_states, n_phis, t_event):
+        monkeypatch, tmp_path, failing_call, n_states, n_phis, t_event):
     # solves 1 + 4 k cover the initial state and k steps
     calls = []
     solve = flows._solve_phi_values
@@ -408,11 +409,14 @@ def test_pb_failure_ends_run_with_partial_trajectory(
     assert traj.blowup.value == 1.5e-3
     assert traj.blowup.step_index == 4
     assert traj.blowup.t == pytest.approx(t_event)
-    assert len(traj.states) == n_states and len(traj.phis) == n_phis
-    assert (traj.final_phi is None) == (n_phis < n_states)
+    assert traj.n.shape == traj.u.shape == (n_states, 32)
+    assert traj.phi.shape == (n_phis, 32)
+    # the last row is the snapshot; it has a potential only if one was solved
+    header = open(write_snapshot_csv(traj, "ep", tmp_path)).readline()
+    assert header.strip() == ("x,n,u,phi" if n_phis == n_states else "x,n,u")
 
 
-def test_pb_failure_at_the_initial_state():
+def test_pb_failure_at_the_initial_state(tmp_path):
     grid = Grid(64)
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
@@ -420,8 +424,11 @@ def test_pb_failure_at_the_initial_state():
     traj = evolve(ep, opts)
     assert traj.blowup.reason == "pb_divergence"
     assert traj.blowup.step_index == 0
-    assert traj.states == [ep] and traj.phis == []
-    assert traj.final_phi is None
+    assert traj.t.tolist() == [0.0] and traj.phi.shape == (0, 64)
+    assert np.array_equal(traj.n, [ep.n.values])
+    assert np.array_equal(traj.u, [ep.u.values])
+    header = open(write_snapshot_csv(traj, "ep", tmp_path)).readline()
+    assert header.strip() == "x,n,u"
 
 
 def test_state_validation():
@@ -459,7 +466,7 @@ def test_trajectory_csv_schema(tmp_path):
     write_trajectory_csv(traj, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual"
-    assert len(lines) == 1 + len(traj.states)
+    assert len(lines) == 1 + len(traj.t)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
     assert first[3] == pytest.approx(integrate(ep.n), rel=1e-15)
@@ -470,8 +477,7 @@ def test_snapshot_csv_schema(tmp_path):
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2, record_every=10 ** 9)
     traj = evolve(ep, opts)
-    out = write_snapshot_csv(traj.final, "ep", 1e-2, tmp_path,
-                             phi=traj.phis[-1])
+    out = write_snapshot_csv(traj, "ep", tmp_path)
     text = out.read_text() if hasattr(out, "read_text") else open(out).read()
     header = text.strip().split("\n")[0]
     assert header == "x,n,u,phi"

@@ -51,14 +51,13 @@ def test_remainder_reconstructs_ep_state():
     ep, lim = paired_run()
     rems = remainder_series(ep, lim)
     eps = ep.eps
-    assert len(rems.t) == len(ep.states)
-    for i, (se, sl) in enumerate(zip(ep.states, lim.states)):
-        assert rems.t[i] == se.t
-        assert np.array_equal(rems.n0[i], sl.n.values)
-        rebuilt = sl.n.values + eps * rems.n1[i]
-        assert np.max(np.abs(rebuilt - se.n.values)) < 1e-13 * np.max(se.n.values)
-        rebuilt_u = sl.u.values + eps * rems.u1[i]
-        assert np.max(np.abs(rebuilt_u - se.u.values)) < 1e-13
+    assert np.array_equal(rems.t, ep.t)
+    assert np.array_equal(rems.n0, lim.n) and np.array_equal(rems.u0, lim.u)
+    for i in range(len(ep.t)):
+        rebuilt = lim.n[i] + eps * rems.n1[i]
+        assert np.max(np.abs(rebuilt - ep.n[i])) < 1e-13 * np.max(ep.n[i])
+        rebuilt_u = lim.u[i] + eps * rems.u1[i]
+        assert np.max(np.abs(rebuilt_u - ep.u[i])) < 1e-13
 
 
 def test_remainder_is_zero_at_matched_start():
@@ -73,7 +72,7 @@ def test_remainder_is_zero_at_matched_start():
 
 def test_remainder_series_rejects_mismatched_runs():
     ep, lim = paired_run(t_end=0.01)
-    shifted = replace(lim, states=[replace(st, t=st.t + 0.5) for st in lim.states])
+    shifted = replace(lim, t=lim.t + 0.5)
     with pytest.raises(ValueError, match="times"):
         remainder_series(ep, shifted)
     with pytest.raises(ValueError, match="full-flow"):
@@ -246,7 +245,7 @@ def test_stacked_diagnostics_are_row_identical():
     from debye_limit.energy import energy_snapshot
     from debye_limit.experiments import (quasineutral_identity_defect,
                                          quasineutrality_gap)
-    from debye_limit.flows import _quasineutral_values, quasineutral_residual
+    from debye_limit.flows import _quasineutral_values
 
     ep, lim = paired_run(eps=1e-2, n_points=64, t_end=0.02, dt=1e-3,
                          record_every=2)
@@ -275,13 +274,12 @@ def test_stacked_diagnostics_are_row_identical():
             pair = remainder_residual(_rows(rems, slice(i, i + stride + 1, stride)))
             for got, want in zip(pair, whole):
                 assert np.array_equal(got, want[p:p + 1]), (stride, i)
-    n = np.array([st.n.values for st in ep.states])
-    phi = np.array([f.values for f in ep.phis])
-    stacked_gap = _quasineutral_values(rems.grid, n, phi)
+    stacked_gap = _quasineutral_values(rems.grid, ep.n, ep.phi)
     gaps, defects = [], []
     for i in range(count):
-        assert quasineutral_residual(ep.states[i], ep.phis[i]) == stacked_gap[i]
-        one = replace(ep, states=ep.states[i:i + 1], phis=ep.phis[i:i + 1])
+        assert _quasineutral_values(rems.grid, ep.n[i], ep.phi[i]) == stacked_gap[i]
+        one = replace(ep, t=ep.t[i:i + 1], n=ep.n[i:i + 1], u=ep.u[i:i + 1],
+                      phi=ep.phi[i:i + 1])
         gaps.append(quasineutrality_gap(one))
         defects.append(quasineutral_identity_defect(one))
     assert quasineutrality_gap(ep) == max(gaps)
