@@ -223,8 +223,8 @@ def cmd_sweep(cfg, args) -> int:
     write_report_json(report, json_path)
     write_report_csv(report, csv_path)
     for member in report.members:
-        rem_path = os.path.join(out, f"remainder_{member.eps:g}.csv")
-        write_remainder_csv(member.remainders, member.triple_norms, rem_path)
+        rem_path = os.path.join(out, f"remainder_{member.row['eps']:g}.csv")
+        write_remainder_csv(member.triple_norms, member.residuals, rem_path)
 
     for name, fit in report.fits.items():
         print(f"sweep: fit {name}: slope={fit['slope']:.4f} "

@@ -3,9 +3,12 @@
 A sweep integrates the limit flow once and the full flow at every eps
 in the list, from identical initial data on one shared grid with one
 shared dt (so time-discretization error cancels in the differences).
-Per eps it reduces the paired trajectories to remainder diagnostics,
-then fits convergence orders across eps and assembles PASS/FAIL
-verdicts for the uniform-boundedness monitors.
+Each member reduces its paired trajectories on the spot to its report
+row and the ``(T,)`` series of its remainder CSV (triple norms and
+equation residuals); neither its trajectory nor its remainder stack
+outlives that reduction, so a pool worker sends back only series. The
+sweep then fits convergence orders across eps and assembles PASS/FAIL
+verdicts from the rows.
 
 Reports serialize to a JSON document plus a flat CSV; identical specs
 reproduce bit-identical numbers (timing fields aside).
@@ -41,6 +44,7 @@ from .io_utils import atomic_write_text, write_csv
 from .remainder import (
     MIN_REMAINDER_EPS,
     elliptic_ratio_pair,
+    remainder_residual,
     remainder_series,
     triple_norm,
 )
@@ -69,7 +73,6 @@ class OrderFit:
     intercept: float
     r_squared: float
     eps_used: tuple
-    excluded_largest: bool = False
 
 
 def fit_order(pairs) -> OrderFit:
@@ -149,20 +152,15 @@ class SweepSpec:
 class MemberResult:
     """Everything retained for one eps of the sweep.
 
-    ``remainders`` is the member's remainder stack and ``triple_norms``
-    maps each Sobolev order to its triple norms.
+    ``row`` is the member's report row. ``triple_norms`` maps each
+    Sobolev order to the triple norms of its remainder stack and
+    ``residuals`` is that stack's ``(res_n, res_u, res_phi)``, the
+    series of its remainder CSV.
     """
 
-    eps: float
-    status: str  # "OK" | "BLOWUP"
-    wall_time: float
-    ep_traj: object
-    remainders: object
+    row: dict
     triple_norms: dict
-    sup_norms: dict
-    errors: dict
-    elliptic: dict
-    blowup: dict | None = None
+    residuals: tuple
 
 
 @dataclass
@@ -175,7 +173,6 @@ class SweepReport:
     verdicts: dict
     wall_time_total: float
     members: list  # MemberResult objects; not serialized
-    limit_traj: object  # not serialized
 
     def as_dict(self, include_timings: bool = True) -> dict:
         rows = []
@@ -251,15 +248,19 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
                              "potential": _sup(potential)}
     errors["phi_l2"] = _sup(_l2_values(grid, phi - np.log(ep_n)))
     errors["qn_gap"] = quasineutrality_gap(ep_traj)
-    status = "OK" if ep_traj.blowup is None else "BLOWUP"
-    blowup = None
+    row = {
+        "eps": eps,
+        "status": "OK" if ep_traj.blowup is None else "BLOWUP",
+        "sup_norms": sup_norms,
+        "errors": errors,
+        "elliptic": elliptic,
+        "wall_time": ep_traj.wall_time,
+    }
     if ep_traj.blowup is not None:
         ev = ep_traj.blowup
-        blowup = {"t": ev.t, "reason": ev.reason, "value": ev.value}
-    return MemberResult(eps=eps, status=status, wall_time=ep_traj.wall_time,
-                        ep_traj=ep_traj, remainders=rems,
-                        triple_norms=triple_norms, sup_norms=sup_norms,
-                        errors=errors, elliptic=elliptic, blowup=blowup)
+        row["blowup"] = {"t": ev.t, "reason": ev.reason, "value": ev.value}
+    return MemberResult(row=row, triple_norms=triple_norms,
+                        residuals=remainder_residual(rems))
 
 
 def _run_member(spec: SweepSpec, eps: float, dt: float, lim_traj) -> MemberResult:
@@ -322,30 +323,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     else:
         members = [_run_member(spec, eps, dt, lim_traj) for eps in spec.eps_list]
 
-    rows = []
-    for m in members:
-        row = {
-            "eps": m.eps,
-            "status": m.status,
-            "sup_norms": m.sup_norms,
-            "errors": m.errors,
-            "elliptic": m.elliptic,
-            "wall_time": m.wall_time,
-        }
-        if m.blowup is not None:
-            row["blowup"] = m.blowup
-        rows.append(row)
-
+    rows = [m.row for m in members]
     fits: dict = {}
     verdicts: dict = {}
-    ok_members = [m for m in members if m.status == "OK"]
-    member_blowup = len(ok_members) < len(members)
+    ok_rows = [row for row in rows if row["status"] == "OK"]
+    member_blowup = len(ok_rows) < len(rows)
     any_blowup = member_blowup or limit_status != "OK"
 
-    if spec.fit_ready() and len(ok_members) >= 3:
+    if spec.fit_ready() and len(ok_rows) >= 3:
         keys = [f"{v}_H{s}" for s in spec.s_list for v in ("n", "u")] + ["qn_gap"]
         for key in keys:
-            fit = _fit_with_exclusion([(m.eps, m.errors[key]) for m in ok_members])
+            fit = _fit_with_exclusion([(row["eps"], row["errors"][key])
+                                       for row in ok_rows])
             if fit is not None:
                 fits[key] = fit
 
@@ -369,10 +358,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         if any_blowup:
             verdicts[f"elliptic_k{k}"] = "INCONCLUSIVE"
             continue
-        ref = max(members, key=lambda m: m.eps).elliptic[f"k{k}"]
+        ref = max(rows, key=lambda row: row["eps"])["elliptic"][f"k{k}"]
         ok = True
-        for m in members:
-            fam = m.elliptic[f"k{k}"]
+        for row in rows:
+            fam = row["elliptic"][f"k{k}"]
             for side in ("density", "potential"):
                 bound = ELLIPTIC_FACTOR * ref[side]
                 if not (fam[side] <= bound or (ref[side] == 0.0 and fam[side] == 0.0)):
@@ -399,7 +388,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         verdicts=verdicts,
         wall_time_total=time.perf_counter() - t_begin,
         members=members,
-        limit_traj=lim_traj,
     )
 
 

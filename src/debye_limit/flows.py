@@ -107,6 +107,9 @@ class RunOptions:
         if not (0.0 <= self.t_end < np.inf):
             raise ValueError(
                 f"t_end must be finite and nonnegative, got {self.t_end}")
+        if self.dt is not None and not np.isfinite(self.t_end / self.dt):
+            raise ValueError(
+                f"dt = {self.dt} is too small: t_end / dt overflows")
         if not (self.eps >= 0.0):
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if not (self.density_floor > 0.0):

@@ -309,17 +309,20 @@ def elliptic_ratio_pair(tn: TripleNorm) -> tuple[np.ndarray, np.ndarray]:
     return density_ratio, potential_ratio
 
 
-def write_remainder_csv(rem: Remainder, norms, path) -> None:
+def write_remainder_csv(norms, residuals, path) -> None:
     """Time series of triple norms and equation residuals.
 
-    ``norms`` maps each Sobolev order to the triple norms of the stack
-    ``rem``. One row per recorded time per order. Residual columns hold
-    the values of the snapshot pair *ending* at the row's time; the
-    first row carries NaNs there.
+    ``norms`` maps each Sobolev order to the triple norms of one
+    remainder stack and ``residuals`` is that stack's
+    ``(res_n, res_u, res_phi)`` from :func:`remainder_residual`. One row
+    per recorded time per order. Residual columns hold the values of the
+    snapshot pair *ending* at the row's time; the first row carries NaNs
+    there.
     """
-    res_n, res_u, res_phi = remainder_residual(rem)
+    res_n, res_u, res_phi = residuals
+    t = next(iter(norms.values())).t
     rows = []
-    for i in range(len(rem.t)):
+    for i in range(len(t)):
         res = (float("nan"),) * 3 if i == 0 else (
             res_n[i - 1], res_u[i - 1], res_phi[i - 1])
         for tn in norms.values():

@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from debye_limit import flows
+from debye_limit import experiments, flows
 
 
 def _counting(name, real, calls):
@@ -46,3 +48,47 @@ def pb_counts(monkeypatch):
 
     monkeypatch.setattr(flows, "_solve_phi_values", wrapper)
     return counts
+
+
+def _keeping(real, kept):
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        kept.append(out)
+        return out
+    return wrapper
+
+
+def _record_sweep(patch):
+    """Wrap ``experiments.evolve`` and ``remainder_series`` through ``patch``.
+
+    Returns the lists the wrappers fill: ``trajectories`` gets every run
+    a sweep integrates (the limit flow first, then each member's full
+    flow) and ``remainders`` every member's remainder stack.
+    """
+    records = SimpleNamespace(trajectories=[], remainders=[])
+    patch.setattr(experiments, "evolve",
+                  _keeping(experiments.evolve, records.trajectories))
+    patch.setattr(experiments, "remainder_series",
+                  _keeping(experiments.remainder_series, records.remainders))
+    return records
+
+
+@pytest.fixture
+def sweep_records(monkeypatch):
+    """The trajectories and remainder stacks an in-process sweep builds.
+
+    A sweep member reduces them to series and keeps none of them, but
+    ``experiments`` looks ``evolve`` and ``remainder_series`` up on its
+    module at call time, so wrapping them there keeps every one for the
+    test (see ``_record_sweep``). Pool workers (``jobs > 1``) record
+    into their own copies, so sweeps read through this run with
+    ``jobs=1``.
+    """
+    return _record_sweep(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def record_sweep():
+    """``_record_sweep`` for module-scoped fixtures, which patch through
+    their own ``pytest.MonkeyPatch.context()``."""
+    return _record_sweep

@@ -63,7 +63,7 @@ def _phase_drift(eps: float, mode: int, t_end: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def small_eps_sweep():
+def small_eps_sweep(record_sweep):
     spec = SweepSpec(
         eps_list=SMALL_EPS_SWEEP,
         n_points=256,
@@ -74,10 +74,14 @@ def small_eps_sweep():
     assert drift <= MAX_PHASE_DRIFT, (
         f"largest gated eps has phase drift {drift:.3f} rad > "
         f"{MAX_PHASE_DRIFT} rad: outside the small-eps regime")
-    t0 = time.perf_counter()
-    report = run_sweep(spec, jobs=1)
-    wall = time.perf_counter() - t0
-    return report, wall
+    # the report keeps no trajectory; gate 3 reads the full-flow runs
+    # that the sweep integrated
+    with pytest.MonkeyPatch.context() as patch:
+        records = record_sweep(patch)
+        t0 = time.perf_counter()
+        report = run_sweep(spec, jobs=1)
+        wall = time.perf_counter() - t0
+    return report, wall, records.trajectories[1:]
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +98,7 @@ def identity_run():
 
 
 def test_criterion_1_first_order_convergence(small_eps_sweep):
-    report, wall = small_eps_sweep
+    report, wall, _ = small_eps_sweep
     fit_n = report.fits["n_H2"]
     fit_u = report.fits["u_H2"]
     ok = (report.verdicts["order_n"] == "PASS"
@@ -110,7 +114,7 @@ def test_criterion_1_first_order_convergence(small_eps_sweep):
 
 
 def test_criterion_2_uniform_remainder_bounds(small_eps_sweep):
-    report, _ = small_eps_sweep
+    report, _, _ = small_eps_sweep
     verdicts = {s: report.verdicts[f"gronwall_s{s}"] for s in (0, 1, 2)}
     sups = {s: [(row["eps"], row["sup_norms"][f"s{s}"]["combined"])
                 for row in report.rows] for s in (0, 1, 2)}
@@ -128,10 +132,10 @@ def test_criterion_2_uniform_remainder_bounds(small_eps_sweep):
 
 
 def test_criterion_3_quasineutrality_gap(small_eps_sweep):
-    report, _ = small_eps_sweep
+    report, _, ep_trajs = small_eps_sweep
     fit = report.fits["qn_gap"]
     worst_identity = max(
-        quasineutral_identity_defect(m.ep_traj) for m in report.members)
+        quasineutral_identity_defect(traj) for traj in ep_trajs)
     ok = (report.verdicts["order_qn_gap"] == "PASS"
           and worst_identity <= 1e-9)
     detail = (f"gap slope={fit['slope']:.3f} r2={fit['r_squared']:.4f}; "
@@ -142,7 +146,7 @@ def test_criterion_3_quasineutrality_gap(small_eps_sweep):
 
 
 def test_criterion_4_elliptic_estimate_ratios(small_eps_sweep):
-    report, _ = small_eps_sweep
+    report, _, _ = small_eps_sweep
     verdicts = {k: report.verdicts[f"elliptic_k{k}"] for k in (0, 1, 2)}
     worst = {}
     for k in (0, 1, 2):

@@ -193,6 +193,13 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
     # a derivative order outside 0..16 built k**-1 or overflowed
     pytest.param(["check"], "[check]\ngamma = -1\n", (2,), id="check-gamma-negative"),
     pytest.param(["check"], "[check]\ngamma = 17\n", (2,), id="check-gamma-17"),
+    # t_end / dt overflowed to inf when the steps were counted
+    pytest.param(["simulate", "--grid", "32", "--t-end", "1e-3", "--dt", "1e-320"],
+                 None, (2,), id="simulate-dt-tiny"),
+    pytest.param(["sweep", "--grid", "32", "--t-end", "1e-3", "--dt", "1e-320"],
+                 None, (2,), id="sweep-dt-tiny"),
+    pytest.param(["check", "--t-end", "1e-3", "--dt", "1e-320"], None, (2,),
+                 id="check-dt-tiny"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:
@@ -472,7 +479,7 @@ _VALID_FLAGS = {
 }
 _EDGES = (
     ("--t-end", "-1e-3"), ("--t-end", "nan"), ("--t-end", "inf"),
-    ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"),
+    ("--dt", "0"), ("--dt", "-1e-3"), ("--dt", "nan"), ("--dt", "1e-320"),
     ("--grid", "0"), ("--grid", "-1"), ("--grid", "33"),
     ("--eps", "0"), ("--eps", "-1e-2"), ("--eps", "nan"), ("--eps", "inf"),
     ("--eps", "1e308"), ("--eps", "1e-300"), ("--s", "-2"), ("--s", "-1"),

@@ -1,5 +1,6 @@
 """Sweep orchestration: order fits, verdict assembly, reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -132,24 +133,56 @@ def test_sweep_deterministic_rerun(mini_report):
     assert a == b
 
 
-def test_sweep_parallel_matches_serial(mini_report):
-    par = run_sweep(_mini_spec(), jobs=2)
+@pytest.fixture(scope="module")
+def mini_parallel_report():
+    return run_sweep(_mini_spec(), jobs=2)
+
+
+def test_sweep_parallel_matches_serial(mini_report, mini_parallel_report):
     a = json.dumps(mini_report.as_dict(include_timings=False), sort_keys=True)
-    b = json.dumps(par.as_dict(include_timings=False), sort_keys=True)
+    b = json.dumps(mini_parallel_report.as_dict(include_timings=False),
+                   sort_keys=True)
     assert a == b
 
 
-def test_members_share_the_read_only_limit_rows(mini_report):
+def _arrays(obj):
+    """Every ndarray reachable through dataclass fields, dicts and sequences."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(key)
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+
+
+def test_report_keeps_only_series(mini_report, mini_parallel_report):
+    # members reduce their trajectories and remainder stacks to (T,)
+    # series in the worker, so no (R, N) or (T, N) stack reaches the
+    # report, whether the members ran in process or in a pool
+    for report in (mini_report, mini_parallel_report):
+        arrays = list(_arrays(report))
+        assert arrays, "the members keep their series"
+        assert [a.shape for a in arrays if a.ndim >= 2] == []
+
+
+def test_members_share_the_read_only_limit_rows(sweep_records):
     # each member's remainder reads the limit flow through views of its
     # record stacks, so no stack may be written through any of them
-    lim = mini_report.limit_traj
-    for m in mini_report.members:
-        assert np.shares_memory(m.remainders.n0, lim.n)
-        assert np.shares_memory(m.remainders.u0, lim.u)
-        ep = m.ep_traj
+    run_sweep(_mini_spec())
+    lim, *eps_trajs = sweep_records.trajectories
+    assert len(eps_trajs) == len(sweep_records.remainders) == len(EPS_MINI)
+    for ep, rems in zip(eps_trajs, sweep_records.remainders):
+        assert np.shares_memory(rems.n0, lim.n)
+        assert np.shares_memory(rems.u0, lim.u)
         assert ep.phi.shape == ep.n.shape == lim.n.shape == (21, 64)
         for stack in (lim.t, lim.n, lim.u, ep.t, ep.n, ep.u, ep.phi,
-                      m.remainders.n0, m.remainders.u0):
+                      rems.n0, rems.u0):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 1.0
     assert lim.phi is None
@@ -221,7 +254,7 @@ def test_sweep_blowup_member_gates_verdicts():
     assert rep.fits == {}
 
 
-def test_sweep_shorter_than_one_auto_step():
+def test_sweep_shorter_than_one_auto_step(sweep_records):
     # t_end = 0: the n and u errors are zero, so no order can be read
     # from them; the quasineutrality gap of the initial state remains
     run = RunOptions(t_end=0.0, record_every=5)
@@ -230,9 +263,10 @@ def test_sweep_shorter_than_one_auto_step():
     assert rep.verdicts["order_n"] == rep.verdicts["order_u"] == "INCONCLUSIVE"
     # t_end below the auto dt: the sweep takes one step of length t_end
     run = RunOptions(t_end=1e-4, record_every=5)
+    sweep_records.trajectories.clear()
     rep = run_sweep(_mini_spec(n_points=32, run=run))
     assert rep.dt == 1e-4
-    assert rep.limit_traj.final.t == 1e-4
+    assert sweep_records.trajectories[0].final.t == 1e-4
     assert all(row["status"] == "OK" for row in rep.rows)
 
 

@@ -3,7 +3,9 @@
 Both commands run through ``cli.main`` at N = 64 with a short
 ``t_end``, and their files are compared with the committed copies under
 ``tests/golden/`` at relative tolerance ``RTOL`` (NaN equals NaN; text
-cells and the printed gate lines must match exactly). Timings are left
+cells and the printed gate lines must match exactly). The sweep runs
+again with ``--jobs 2`` against the same copies, since its members
+reduce themselves in the pool's workers. Timings are left
 out: ``wall_time_total`` and the rows' ``wall_time`` in the JSON report
 and the ``wall_time`` column of ``sweep_rows.csv``.
 
@@ -30,7 +32,7 @@ from debye_limit.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 
-SWEEP_ARGS = ["sweep", "--grid", "64", "--t-end", "0.01", "--jobs", "1"]
+SWEEP_ARGS = ["sweep", "--grid", "64", "--t-end", "0.01"]
 # 21 records at the check's dt and record interval, and a 3-pair battery
 CHECK_INI = ("[check]\nn_points = 64\nt_end = 0.01\n"
              "kp_pairs = 3\nkp_grid = 64\n")
@@ -54,7 +56,7 @@ def _run(argv, out: Path) -> str:
 
 def _generate(out: Path):
     out.mkdir(parents=True, exist_ok=True)
-    _run(SWEEP_ARGS, out)
+    _run([*SWEEP_ARGS, "--jobs", "1"], out)
     conf = out / "check.ini"
     conf.write_text(CHECK_INI)
     _run(["check", "--config", str(conf)], out)
@@ -123,14 +125,30 @@ def outputs(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name", SWEEP_FILES + ["sweep_stdout.txt"] + CHECK_FILES)
-def test_matches_golden(outputs, name):
-    got, want = _load(name, outputs), _load(name, GOLDEN)
+@pytest.fixture(scope="module")
+def parallel_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_jobs2")
+    _run([*SWEEP_ARGS, "--jobs", "2"], out)
+    return out
+
+
+def _compare(directory: Path, name: str):
+    got, want = _load(name, directory), _load(name, GOLDEN)
     if isinstance(want, str):
         assert got == want
     else:
         diffs = _diff_tree(got, want)
         assert not diffs, "\n".join(diffs[:20])
+
+
+@pytest.mark.parametrize("name", SWEEP_FILES + ["sweep_stdout.txt"] + CHECK_FILES)
+def test_matches_golden(outputs, name):
+    _compare(outputs, name)
+
+
+@pytest.mark.parametrize("name", SWEEP_FILES + ["sweep_stdout.txt"])
+def test_parallel_sweep_matches_golden(parallel_outputs, name):
+    _compare(parallel_outputs, name)
 
 
 if __name__ == "__main__":

@@ -228,7 +228,7 @@ def test_remainder_csv_schema(tmp_path):
     rems = remainder_series(ep, lim)
     path = tmp_path / "rem.csv"
     norms = {s: triple_norm(rems, s) for s in (0, 2)}
-    write_remainder_csv(rems, norms, path)
+    write_remainder_csv(norms, remainder_residual(rems), path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,"
                         "res_n,res_u,res_phi")
