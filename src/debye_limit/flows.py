@@ -7,15 +7,17 @@ Two initial-value problems share one code path:
 * the quasineutral limit flow, where the potential collapses to ln n
   (selected by ``eps == 0``).
 
-Both advance (n, u) with classical RK4:
+Both advance the stacked state (n, u) with classical RK4 in
+conservative form:
 
     n_t = -(n u)_x
-    u_t = -u u_x - phi_x
+    u_t = -(u^2/2 + phi)_x
 
-with products dealiased before differentiation (conservative form for
-the density, so mass is conserved to round-off). Blow-up guards abort
-a run when the density touches a floor or an H^2 monitor explodes, and
-``evolve`` returns whatever was recorded up to the event.
+with both fluxes dealiased before differentiation, so mass and
+momentum are conserved to round-off. On a band-limited u the 2/3 rule
+makes the dealiased (u^2/2)_x and u u_x the same operator. Blow-up
+guards abort a run when the density touches a floor or an H^2 monitor
+explodes, and ``evolve`` returns whatever was recorded up to the event.
 """
 
 from __future__ import annotations
@@ -181,28 +183,21 @@ def default_dt(state: EPState) -> float:
 
 
 def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray,
-                phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dn, du) = (-(n u)_x, -u u_x - phi_x), products dealiased.
+                phi: np.ndarray) -> np.ndarray:
+    """The ``(2, N)`` stack (dn, du) = -((n u)_x, (u^2/2 + phi)_x), dealiased.
 
-    One spectral evaluation: 4 forward and 3 inverse real FFTs in 4
-    calls, since a stacked transform gives each row the bits of a
-    single one.
+    One masked derivative of the two fluxes: 2 transform calls, since a
+    stacked transform gives each row the bits of a single one. The
+    potential is dealiased with u^2/2: phi comes from a pointwise
+    exponential (or log), so it carries energy above the cutoff, and
+    feeding that into u opens a resonant alias loop at the boundary mode
+    of the full flow (flat dispersion at high k makes neighbours
+    degenerate). Trimming it keeps the state band-limited, and then the
+    2/3 rule actually applies to every product.
     """
-    ik, keep, size = grid.derivative_symbol(1), grid.keep, grid.n_points
-    u_hat, nu_hat, phi_hat = np.fft.rfft(np.array((u, n * u, phi)))
-    ux = np.fft.irfft(ik * u_hat, size)
-    uux_hat = np.fft.rfft(u * ux)
-    # the potential gradient is dealiased too: phi comes from a pointwise
-    # exponential (or log), so it carries energy above the cutoff, and
-    # feeding that into u opens a resonant alias loop at the boundary
-    # mode of the full flow (flat dispersion at high k makes neighbours
-    # degenerate). Trimming it keeps the state band-limited, and then
-    # the 2/3 rule actually applies to every product.
-    out = np.fft.irfft(np.array((keep * ik * nu_hat,
-                                 keep * (uux_hat + ik * phi_hat))), size)
-    # negated in place: one fewer (2, N) temporary per evaluation
-    dn, du = np.negative(out, out=out)
-    return dn, du
+    symbol = grid._cached("flux", lambda: -(grid.keep * grid.derivative_symbol(1)))
+    flux_hat = np.fft.rfft(np.array((n * u, 0.5 * u * u + phi)))
+    return np.fft.irfft(symbol * flux_hat, grid.n_points)
 
 
 def rhs_ep(state: EPState, eps: float,
@@ -248,52 +243,50 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
                                       step_index))
 
 
-def _step_values(grid: Grid, n: np.ndarray, u: np.ndarray, t: float, dt: float,
+def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
                  opts: RunOptions, step_index: int,
                  phi: np.ndarray | None = None,
                  phi_half: np.ndarray | None = None):
-    """One RK4 step from (n, u) with potential ``phi`` (solved if None).
+    """One RK4 step from the ``(2, N)`` stack (n, u) with potential ``phi``
+    (solved if None).
 
     For ``eps > 0`` each stage's Newton solve starts from a guess of its
     potential. Stage 2 starts from ``phi_half``, a guess for the
     potential at ``t + dt/2`` (``phi`` if None), and stage 3 from stage
     2's potential. Stage 4 starts from ``2 phi_3 - phi``, since its
-    density is ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new (n, u) and
+    density is ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new stack and
     the last stage's potential, which is a close guess for the
     potential of the new state.
     """
     floor = opts.density_floor
 
-    def stage(nv, uv, t_stage, guess):
-        _guard_stage(nv, floor, t_stage, step_index)
-        phi_stage = _potential(grid, nv, opts, guess, t_stage, step_index)
-        return _rhs_values(grid, nv, uv, phi_stage), phi_stage
+    def stage(s, t_stage, guess):
+        _guard_stage(s[0], floor, t_stage, step_index)
+        phi_stage = _potential(grid, s[0], opts, guess, t_stage, step_index)
+        return _rhs_values(grid, *s, phi_stage), phi_stage
 
-    _guard_stage(n, floor, t, step_index)
+    _guard_stage(state[0], floor, t, step_index)
     if phi is None:
-        phi = _potential(grid, n, opts, None, t, step_index)
-    k1n, k1u = _rhs_values(grid, n, u, phi)
+        phi = _potential(grid, state[0], opts, None, t, step_index)
+    k1 = _rhs_values(grid, *state, phi)
     # one name for the stage potentials, so each is freed once it has
     # served as the next stage's guess
-    (k2n, k2u), phi_s = stage(n + 0.5 * dt * k1n, u + 0.5 * dt * k1u,
-                              t + 0.5 * dt, phi if phi_half is None else phi_half)
-    (k3n, k3u), phi_s = stage(n + 0.5 * dt * k2n, u + 0.5 * dt * k2u,
-                              t + 0.5 * dt, phi_s)
+    k2, phi_s = stage(state + 0.5 * dt * k1, t + 0.5 * dt,
+                      phi if phi_half is None else phi_half)
+    k3, phi_s = stage(state + 0.5 * dt * k2, t + 0.5 * dt, phi_s)
     if opts.eps > 0.0:
         phi_s = 2.0 * phi_s - phi
-    (k4n, k4u), phi_s = stage(n + dt * k3n, u + dt * k3u, t + dt, phi_s)
-    new_n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-    new_u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    k4, phi_s = stage(state + dt * k3, t + dt, phi_s)
+    new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     t_new = t + dt
-    if not (np.all(np.isfinite(new_n)) and np.all(np.isfinite(new_u))):
+    if not np.all(np.isfinite(new)):
         raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan"), step_index))
-    _guard_stage(new_n, floor, t_new, step_index)
-    norm_hi = np.max(_hs_norm_values(grid, np.array((new_n, new_u)),
-                                     GUARD_NORM_ORDER))
+    _guard_stage(new[0], floor, t_new, step_index)
+    norm_hi = np.max(_hs_norm_values(grid, new, GUARD_NORM_ORDER))
     if norm_hi > opts.norm_ceiling:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
-    return new_n, new_u, phi_s
+    return new, phi_s
 
 
 def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
@@ -305,8 +298,9 @@ def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
     if dt is None:
         dt = opts.dt if opts.dt is not None else default_dt(state)
     grid = state.grid
-    new_n, new_u, _ = _step_values(grid, state.n.values, state.u.values,
-                                   state.t, dt, opts, step_index=0)
+    (new_n, new_u), _ = _step_values(
+        grid, np.array((state.n.values, state.u.values)), state.t, dt, opts,
+        step_index=0)
     return replace(state, t=state.t + dt, n=Field(grid, new_n),
                    u=Field(grid, new_u))
 
@@ -347,7 +341,7 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
             f"the {records} records of a run to t_end = {opts.t_end:g} on "
             f"{grid.n_points} points do not fit in memory ({err})") from None
 
-    n_vals, u_vals = state.n.values, state.u.values
+    values = np.array((state.n.values, state.u.values))
     t0 = state.t
     phi = None
     phi_before = None  # potential of the state before; eps > 0 only
@@ -365,14 +359,14 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
                     phi_half = phi + (0.5 * step_dt / dt) * (phi - phi_before)
                 if opts.eps > 0.0:
                     phi_before = phi
-                n_vals, u_vals, phi = _step_values(grid, n_vals, u_vals, t_prev,
-                                                   step_dt, opts, i, phi, phi_half)
+                values, phi = _step_values(grid, values, t_prev, step_dt, opts,
+                                           i, phi, phi_half)
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:
-                times[rows], stacks[0, rows], stacks[1, rows] = t_now, n_vals, u_vals
+                times[rows], stacks[:2, rows] = t_now, values
                 rows += 1
-            phi = _potential(grid, n_vals, opts, phi, t_now, i)
+            phi = _potential(grid, values[0], opts, phi, t_now, i)
             if recorded and opts.eps > 0.0:
                 stacks[2, rows - 1] = phi
                 phi_rows = rows
@@ -393,9 +387,10 @@ def _quasineutral_values(grid: Grid, n: np.ndarray, phi: np.ndarray):
 
 
 def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
-    """Write the per-record scalar diagnostics of a run, row by row.
+    """Write the per-record scalar diagnostics of a run, record by record.
 
-    A stacked pass would hold a complex spectrum the size of the record.
+    Each record's (n, u) pair shares one ``H^s`` transform; a pass over
+    the whole record stack would hold a complex spectrum its size.
     """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
     grid = traj.grid
@@ -407,8 +402,9 @@ def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
             gap = _quasineutral_values(grid, n, traj.phi[i])
         else:
             gap = float("nan")  # the potential solve failed here
-        rows.append((t, _hs_norm_values(grid, n, s), _hs_norm_values(grid, u, s),
-                     _integral_values(grid, n), np.min(n), np.max(n), gap))
+        norm_n, norm_u = _hs_norm_values(grid, np.array((n, u)), s)
+        rows.append((t, norm_n, norm_u, _integral_values(grid, n), np.min(n),
+                     np.max(n), gap))
     write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",
               rows)
 

@@ -4,6 +4,8 @@ Physics cross-checks (dispersion, Richardson order) come before the
 bookkeeping tests since they validate the actual dynamics.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ def test_mass_conservation_exact():
         assert drift < 1e-13
 
 
+def test_momentum_conservation_exact():
+    # the conservative u equation keeps the integral of u to round-off
+    grid = Grid(64)
+    ep, lim = paired_states(grid)
+    for state, eps in ((ep, 1e-2), (lim, 0.0)):
+        opts = RunOptions(dt=5e-4, t_end=0.5, eps=eps, record_every=10 ** 9)
+        traj = evolve(state, opts)
+        drift = abs(integrate(traj.final.u) - integrate(state.u))
+        assert drift < 1e-13
+
+
 def test_constant_state_is_equilibrium():
     grid = Grid(32)
     n = Field(grid, np.full(32, 1.3))
@@ -170,10 +183,9 @@ def test_rhs_equals_composed_public_kernels():
               + 0.01 * np.sin(2 * np.pi * 27 * x) + 0.01 * nyq)
 
     def composed(phi):
-        ux = derivative(u).values
         dn = -derivative(dealias(Field(grid, n.values * u.values))).values
-        du = (-dealias(Field(grid, u.values * ux)).values
-              - dealias(derivative(phi)).values)
+        du = -derivative(dealias(Field(
+            grid, u.values * u.values / 2 + phi.values))).values
         return dn, du
 
     eps = 1e-2
@@ -187,13 +199,11 @@ def test_rhs_equals_composed_public_kernels():
 
 
 def _single_row_rhs(grid, n, u, phi):
-    # the right-hand side with one transform call per spectrum: the
-    # stacked calls must give these bits exactly
-    ik, keep, size = grid.derivative_symbol(1), grid.keep, grid.n_points
-    ux = np.fft.irfft(ik * np.fft.rfft(u), size)
-    dn = -np.fft.irfft(keep * ik * np.fft.rfft(n * u), size)
-    du = -np.fft.irfft(keep * (np.fft.rfft(u * ux) + ik * np.fft.rfft(phi)),
-                       size)
+    # the right-hand side with one transform call per flux: the stacked
+    # calls must give these bits exactly
+    symbol = -(grid.keep * grid.derivative_symbol(1))
+    dn = np.fft.irfft(symbol * np.fft.rfft(n * u), grid.n_points)
+    du = np.fft.irfft(symbol * np.fft.rfft(0.5 * u * u + phi), grid.n_points)
     return dn, du
 
 
@@ -214,16 +224,84 @@ def test_stacked_rhs_matches_single_row_transforms(n_points):
 
 
 def test_rhs_and_limit_step_fft_calls(fft_calls):
-    # a right-hand side is 4 transform calls; a limit-flow step is four
+    # a right-hand side is 2 transform calls; a limit-flow step is four
     # of them plus one stacked H^2 guard transform of (n, u)
     grid = Grid(64)
     _, lim = paired_states(grid)
     n, u = lim.n.values, lim.u.values
     flows._rhs_values(grid, n, u, np.log(n))
-    assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
+    assert fft_calls == ["rfft", "irfft"]
     fft_calls.clear()
-    flows._step_values(grid, n, u, 0.0, 1e-3, RunOptions(dt=1e-3, eps=0.0), 1)
-    assert len(fft_calls) == 17
+    flows._step_values(grid, np.array((n, u)), 0.0, 1e-3,
+                       RunOptions(dt=1e-3, eps=0.0), 1)
+    assert len(fft_calls) == 9
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+def test_conservative_rhs_equals_advective_form_on_band_limited_data(n_points):
+    # the 2/3 rule makes the dealiased (u^2/2)_x and u u_x one operator
+    # on a band-limited u, so the conservative right-hand side must equal
+    # the advective composition, for the limit's ln n and a PB potential
+    grid = Grid(n_points)
+    rng = np.random.default_rng(7)
+    n = Field(grid, 1.0 + 0.1 * random_smooth_field(grid, rng, max_mode=8).values)
+    u = Field(grid, 0.1 * random_smooth_field(grid, rng, max_mode=8).values)
+    eps = 1e-2
+    cases = [(rhs_limit(LimitState(0.0, n, u)), Field(grid, np.log(n.values))),
+             (rhs_ep(EPState(0.0, n, u), eps), solve_phi(n, eps).phi)]
+    for (_, du), phi in cases:
+        advective = Field(grid, u.values * derivative(u).values)
+        want = -dealias(advective).values - dealias(derivative(phi)).values
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(du.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_recorded_states_stay_band_limited(eps):
+    # every state a run records keeps its modes above N/3 at round-off:
+    # the premise of the conservative form's equivalence above
+    grid = Grid(64)
+    state = (EPState if eps > 0 else LimitState)(
+        0.0, *make_initial(InitParams(), grid))
+    traj = evolve(state, RunOptions(dt=1e-3, t_end=0.05, eps=eps))
+    spectra = np.fft.rfft(np.concatenate((traj.n, traj.u)))
+    assert len(spectra) == 2 * 51
+    assert np.max(np.abs(spectra[:, ~grid.keep])) / grid.n_points <= 1e-14
+
+
+def _textbook_rk4(state, dt, rhs):
+    # classical RK4 row by row from a public right-hand side and Field
+    # values, with no stacked state anywhere
+    grid = state.grid
+
+    def shifted(c, k):
+        return replace(state, n=Field(grid, state.n.values + c * k[0].values),
+                       u=Field(grid, state.u.values + c * k[1].values))
+
+    k1 = rhs(state)
+    k2 = rhs(shifted(0.5 * dt, k1))
+    k3 = rhs(shifted(0.5 * dt, k2))
+    k4 = rhs(shifted(dt, k3))
+    return [Field(grid, f.values + (dt / 6.0) * (a.values + 2.0 * b.values
+                                                 + 2.0 * c.values + d.values))
+            for f, a, b, c, d in zip((state.n, state.u), k1, k2, k3, k4)]
+
+
+def test_stacked_step_matches_textbook_rk4():
+    grid = Grid(64)
+    ep, lim = paired_states(grid, InitParams(n_amp=0.3, u_amp=0.2))
+    dt = 2e-3
+    got = step(lim, RunOptions(dt=dt, eps=0.0))
+    want_n, want_u = _textbook_rk4(lim, dt, rhs_limit)
+    assert np.array_equal(got.n.values, want_n.values)
+    assert np.array_equal(got.u.values, want_u.values)
+    # the full flow warm-starts its stage solves, so it agrees with cold
+    # solves to the PB tolerance
+    eps = 1e-2
+    got = step(ep, RunOptions(dt=dt, eps=eps))
+    want_n, want_u = _textbook_rk4(ep, dt, lambda s: rhs_ep(s, eps))
+    assert max_abs(Field(grid, got.n.values - want_n.values)) < 1e-13
+    assert max_abs(Field(grid, got.u.values - want_u.values)) < 1e-13
 
 
 def test_density_floor_guard():
@@ -469,6 +547,9 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(lines) == 1 + len(traj.t)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
+    # each record's (n, u) norms share one transform call, with the bits
+    # of the single-field norms
+    assert first[1:3] == [hs_norm(ep.n, 2), hs_norm(ep.u, 2)]
     assert first[3] == pytest.approx(integrate(ep.n), rel=1e-15)
 
 
