@@ -17,61 +17,8 @@ class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
 
-# value kinds: float | int | str | float_or_auto | float_list | int_list
-SCHEMA = {
-    "grid": {"n_points": "int"},
-    "init": {
-        "n_base": "float",
-        "n_amp": "float",
-        "u_amp": "float",
-        "mode": "int",
-        "phase_u": "float",
-    },
-    "run": {
-        "flow": "str",
-        "eps": "float",
-        "dt": "float_or_auto",
-        "t_end": "float",
-        "density_floor": "float",
-        "norm_ceiling": "float",
-        "record_every": "int",
-        "s": "int",
-    },
-    "pb": {
-        "tol": "float",
-        "max_newton_iters": "int",
-        "damping_min": "float",
-    },
-    "sweep": {
-        "eps_list": "float_list",
-        "s_list": "int_list",
-        "record_every": "int",
-        "bound_factor": "float",
-        "seed": "int",
-    },
-    "check": {
-        "eps": "float",
-        "gamma": "int",
-        "n_points": "int",
-        "dt": "float",
-        "record_every": "int",
-        "t_end": "float",
-        "identity_tol": "float",
-        "res_n_tol": "float",
-        "res_u_tol": "float",
-        "res_phi_tol": "float",
-        "seed": "int",
-        "kp_pairs": "int",
-        "kp_max_mode": "int",
-        "kp_grid": "int",
-        "kp_ratio_max": "float",
-        "kp_refine_rtol": "float",
-    },
-    "output": {"dir": "str"},
-}
-
-
 def default_config() -> dict:
+    """Every key with its default, whose type sets the key's kind."""
     return {
         "grid": {"n_points": 256},
         "init": {
@@ -125,6 +72,23 @@ def default_config() -> dict:
     }
 
 
+# the kinds of the keys whose default is None; every other key takes
+# the kind of its default: float | int | str | float_list | int_list
+_NONE_KINDS = {("run", "dt"): "float_or_auto", ("output", "dir"): "str"}
+
+
+def _kind(section: str, key: str, default) -> str:
+    if default is None:
+        return _NONE_KINDS[section, key]
+    if isinstance(default, list):
+        return f"{type(default[0]).__name__}_list"
+    return type(default).__name__
+
+
+SCHEMA = {section: {key: _kind(section, key, value) for key, value in values.items()}
+          for section, values in default_config().items()}
+
+
 def _find_position(text: str, section: str, key: str | None) -> str:
     """Best-effort ``line N, column M`` locator for diagnostics."""
     in_section = section is None
@@ -148,8 +112,7 @@ def _parse_value(raw: str, kind: str, where: str):
         if kind == "float":
             return float(raw)
         if kind == "int":
-            value = int(raw)
-            return value
+            return int(raw)
         if kind == "str":
             return raw
         if kind == "float_or_auto":

@@ -241,22 +241,24 @@ def kato_ponce_sample(f: Field, g: Field,
     grid = f.grid
     if g.grid != grid:
         raise ValueError("f and g must share a grid")
-    fine_grid = Grid(2 * grid.n_points, grid.length)
+    # the 2x grid and its symbols are built once per coarse grid
+    fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points, grid.length))
     fv, gv = _upsample(grid, np.array((f.values, g.values)))
     hats = np.fft.rfft(np.array((fv * gv, gv, fv)))
     # d[a - 1] holds (d^a(fg), d^a g, d^a f) for a = 1..max(orders)
     d = np.fft.irfft(np.array([fine_grid.derivative_symbol(a) * hats
                               for a in range(1, max(orders) + 1)]),
                      fine_grid.n_points)
+    dg = np.concatenate((gv[None], d[:, 1]))  # d^a g for a = 0..max(orders)
     df_max, g_max = np.max(np.abs(d[0, 2])), np.max(np.abs(gv))
-    samples = []
-    for k in orders:
-        lhs = _l2_values(fine_grid, d[k - 1, 0] - fv * d[k - 1, 1])
-        dkm1_g = gv if k == 1 else d[k - 2, 1]
-        rhs = float(df_max * _l2_values(fine_grid, dkm1_g)
-                    + _l2_values(fine_grid, d[k - 1, 2]) * g_max)
-        samples.append(KPSample(k, lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0))
-    return tuple(samples)
+    # one row per order in each of the three stacked L2 norms
+    k1 = np.array(orders) - 1
+    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1])
+    rhs = (df_max * _l2_values(fine_grid, dg[k1])
+           + _l2_values(fine_grid, d[k1, 2]) * g_max)
+    return tuple(KPSample(k, lhs_k, float(rhs_k),
+                          lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
+                 for k, lhs_k, rhs_k in zip(orders, lhs, rhs))
 
 
 def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:

@@ -206,7 +206,7 @@ def rhs_ep(state: EPState, eps: float,
     if not (eps > 0.0):
         raise ValueError(f"the full flow needs eps > 0, got {eps}")
     grid, n = state.grid, state.n.values
-    phi = _solve_phi_values(grid, n, eps, pb or PBSolveOptions())[0]
+    phi = _solve_phi_values(grid, n, eps, pb or PBSolveOptions())[0][0]
     dn, du = _rhs_values(grid, n, state.u.values, phi)
     return Field(grid, dn), Field(grid, du)
 
@@ -219,25 +219,25 @@ def rhs_limit(state: EPState) -> tuple[Field, Field]:
 
 
 def _guard_stage(n: np.ndarray, floor: float, t: float, step_index: int):
-    if not np.all(np.isfinite(n)):
+    if not np.isfinite(n).all():
         raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan"), step_index))
-    low = float(np.min(n))
+    low = float(n.min())
     if low < floor:
         raise BlowUpError(BlowUpEvent(t, "density_floor", low, step_index))
 
 
 def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
-               phi_init: np.ndarray | None, t: float,
-               step_index: int) -> np.ndarray:
-    """Potential of density n: the PB solve for eps > 0, else ln n.
+               guess: tuple | None, t: float, step_index: int) -> tuple:
+    """Potential of density n as the pair (values, band coefficients):
+    the PB solve for eps > 0, else ``(ln n, None)``.
 
-    ``phi_init`` warm-starts Newton. A failed solve ends the run like a
-    guard does, as a ``pb_divergence`` blow-up.
+    ``guess``, a pair of the same kind, warm-starts Newton. A failed
+    solve ends the run like a guard does, as a ``pb_divergence`` blow-up.
     """
     if opts.eps == 0.0:
-        return np.log(n)
+        return np.log(n), None
     try:
-        return _solve_phi_values(grid, n, opts.eps, opts.pb, phi_init)[0]
+        return _solve_phi_values(grid, n, opts.eps, opts.pb, guess)[0]
     except PBConvergenceError as err:
         raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual,
                                       step_index))
@@ -245,45 +245,45 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
 
 def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
                  opts: RunOptions, step_index: int,
-                 phi: np.ndarray | None = None,
-                 phi_half: np.ndarray | None = None):
+                 phi: tuple | None = None, phi_half: tuple | None = None):
     """One RK4 step from the ``(2, N)`` stack (n, u) with potential ``phi``
     (solved if None).
 
-    For ``eps > 0`` each stage's Newton solve starts from a guess of its
-    potential. Stage 2 starts from ``phi_half``, a guess for the
-    potential at ``t + dt/2`` (``phi`` if None), and stage 3 from stage
-    2's potential. Stage 4 starts from ``2 phi_3 - phi``, since its
-    density is ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new stack and
-    the last stage's potential, which is a close guess for the
-    potential of the new state.
+    Potentials are the pairs of :func:`_potential`. For ``eps > 0`` each
+    stage's Newton solve starts from a guess of its potential. Stage 2
+    starts from ``phi_half``, a guess for the potential at ``t + dt/2``
+    (``phi`` if None), and stage 3 from stage 2's potential. Stage 4
+    starts from ``2 phi_3 - phi``, since its density is
+    ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new stack and the last
+    stage's potential, which is a close guess for the potential of the
+    new state.
     """
     floor = opts.density_floor
 
     def stage(s, t_stage, guess):
         _guard_stage(s[0], floor, t_stage, step_index)
         phi_stage = _potential(grid, s[0], opts, guess, t_stage, step_index)
-        return _rhs_values(grid, *s, phi_stage), phi_stage
+        return _rhs_values(grid, *s, phi_stage[0]), phi_stage
 
     _guard_stage(state[0], floor, t, step_index)
     if phi is None:
         phi = _potential(grid, state[0], opts, None, t, step_index)
-    k1 = _rhs_values(grid, *state, phi)
+    k1 = _rhs_values(grid, *state, phi[0])
     # one name for the stage potentials, so each is freed once it has
     # served as the next stage's guess
     k2, phi_s = stage(state + 0.5 * dt * k1, t + 0.5 * dt,
                       phi if phi_half is None else phi_half)
     k3, phi_s = stage(state + 0.5 * dt * k2, t + 0.5 * dt, phi_s)
     if opts.eps > 0.0:
-        phi_s = 2.0 * phi_s - phi
+        phi_s = tuple(2.0 * a - b for a, b in zip(phi_s, phi))
     k4, phi_s = stage(state + dt * k3, t + dt, phi_s)
     new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     t_new = t + dt
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan"), step_index))
     _guard_stage(new[0], floor, t_new, step_index)
-    norm_hi = np.max(_hs_norm_values(grid, new, GUARD_NORM_ORDER))
+    norm_hi = _hs_norm_values(grid, new, GUARD_NORM_ORDER).max()
     if norm_hi > opts.norm_ceiling:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
     return new, phi_s
@@ -324,6 +324,7 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     it serves as the first stage of the next step and is recorded with
     recorded states. From the second step on, stage 2 starts from the
     linear extrapolation of the last two states' potentials to its time.
+    Potentials ride along as (values, band coefficients) pairs.
     On blow-up the stacks are cut at the last record and returned with
     the event attached instead of propagating the error.
     """
@@ -356,7 +357,9 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
                 # any step spans a full dt
                 phi_half = None
                 if phi_before is not None:
-                    phi_half = phi + (0.5 * step_dt / dt) * (phi - phi_before)
+                    c = 0.5 * step_dt / dt
+                    phi_half = tuple(a + c * (a - b)
+                                     for a, b in zip(phi, phi_before))
                 if opts.eps > 0.0:
                     phi_before = phi
                 values, phi = _step_values(grid, values, t_prev, step_dt, opts,
@@ -368,7 +371,7 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
                 rows += 1
             phi = _potential(grid, values[0], opts, phi, t_now, i)
             if recorded and opts.eps > 0.0:
-                stacks[2, rows - 1] = phi
+                stacks[2, rows - 1] = phi[0]
                 phi_rows = rows
         except BlowUpError as err:
             blowup = err.event

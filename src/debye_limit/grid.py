@@ -17,7 +17,7 @@ Conventions
   Parseval sums count it twice and the mean and Nyquist modes once.
   The Nyquist mode has no signed partner: odd derivatives drop it.
 * The 2/3 rule keeps modes ``j <= n/3``.
-* Symbols and weights are built once per grid and order, on first use.
+* Symbols, weights and other per-grid tables are built once, on first use.
 * ``integrate`` is the trapezoid rule, which on a uniform periodic grid
   is just ``mean(values) * length`` and integrates every resolved
   Fourier mode exactly.
@@ -103,15 +103,17 @@ class Grid:
     def dx(self) -> float:
         return self.length / self.n_points
 
-    def _cached(self, key, build) -> np.ndarray:
-        # orders are capped where outside input enters (MAX_*_ORDER), so
-        # each grid caches at most a few dozen arrays
-        arr = self._cache.get(key)
-        if arr is None:
-            arr = build()
-            arr.flags.writeable = False
-            self._cache[key] = arr
-        return arr
+    def _cached(self, key, build):
+        # no key holds eps and orders are capped (MAX_*_ORDER), so a grid
+        # caches a few dozen values; arrays are frozen here, others freeze
+        # their own
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
+        return value
 
     def derivative_symbol(self, order: int) -> np.ndarray:
         """Half-spectrum symbol ``(i k)^order``, Nyquist dropped if odd."""

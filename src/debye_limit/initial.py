@@ -69,8 +69,11 @@ def random_smooth_fields(
     every resolution. Refinement studies depend on that.
     """
     coeffs = rng.standard_normal((count, max_mode, 2))
-    theta = (2.0 * np.pi * np.arange(1, max_mode + 1))[:, None] * grid.x / grid.length
-    cos, sin = np.cos(theta), np.sin(theta)
+
+    def table():  # built once per grid and max_mode
+        theta = (2.0 * np.pi * np.arange(1, max_mode + 1))[:, None] * grid.x / grid.length
+        return np.array((np.cos(theta), np.sin(theta)))
+    cos, sin = grid._cached(("trig", max_mode), table)
     values = np.zeros((count, grid.n_points))
     for m in range(1, max_mode + 1):
         a, b = coeffs[:, m - 1, :1], coeffs[:, m - 1, 1:]

@@ -90,6 +90,8 @@ def pb_residual(phi: Field, n: Field, eps: float) -> Field:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     grid = phi.grid
+    if n.grid != grid:
+        raise ValueError("phi and n must share a grid")
     d2_phi = _derivative_values(grid, phi.values, 2)
     return Field(grid, _dealias_values(
         grid, eps * d2_phi - np.exp(phi.values) + n.values))
@@ -100,39 +102,52 @@ class _Band:
 
     Band functions are carried as these coefficients. ``norm`` is the
     L2 norm of the function they represent (Parseval), so tolerances
-    mean the same thing as for the pointwise residual. ``eps_k2`` is
-    the symbol of ``-eps d^2/dx^2``.
+    mean the same thing as for the pointwise residual. Nothing here
+    depends on eps: each grid keeps one band in its cache, and a solve
+    forms the symbol ``eps * k2`` of ``-eps d^2/dx^2`` itself.
     """
 
-    def __init__(self, grid: Grid, eps: float):
+    def __init__(self, grid: Grid):
         self.n_points = grid.n_points
-        self.eps_k2 = eps * grid.k[grid.keep] ** 2
-        size = self.eps_k2.size
-        # every mode but the mean stands for itself and its conjugate
-        self.weight = np.full(size, 2.0)
+        self.k2 = grid.k[grid.keep] ** 2
+        self.k2_max = float(self.k2[-1])
+        # every mode but the mean stands for itself and its conjugate;
+        # complex-typed, so the weighted product needs no cast
+        self.weight = np.full(self.k2.size, 2.0 + 0.0j)
         self.weight[0] = 1.0
         self.scale = grid.length / grid.n_points**2
+        self.k2.flags.writeable = self.weight.flags.writeable = False
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(values)[: self.eps_k2.size]
+        return np.fft.rfft(values)[: self.k2.size]
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         return np.fft.irfft(coeffs, self.n_points)  # zero-pads the cut modes
+
+    def limited(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The band part of ``values`` as the pair (values, coefficients)."""
+        coeffs = self.project(values)
+        return self.values(coeffs), coeffs
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.vdot(a, self.weight * b).real)
 
     def norm(self, coeffs: np.ndarray) -> float:
-        return float(np.sqrt(self.dot(coeffs, coeffs) * self.scale))
+        return math.sqrt(self.dot(coeffs, coeffs) * self.scale)
 
 
-def _band_residual(band: _Band, phi_hat: np.ndarray, exp_phi: np.ndarray,
-                   n: np.ndarray) -> np.ndarray:
-    return band.project(n - exp_phi) - band.eps_k2 * phi_hat
+def _band(grid: Grid) -> _Band:
+    return grid._cached("band", lambda: _Band(grid))
 
 
-def _newton_step(band: _Band, exp_phi: np.ndarray, residual: np.ndarray,
-                 res_norm: float, tol: float) -> tuple[np.ndarray, int]:
+def _band_residual(band: _Band, eps_k2: np.ndarray, phi_hat: np.ndarray,
+                   exp_phi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return band.project(n - exp_phi) - eps_k2 * phi_hat
+
+
+def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
+                 residual: np.ndarray, res_norm: float,
+                 tol: float) -> tuple[np.ndarray, int]:
     """Solve P(-eps v'' + e^phi v) = F on the band by preconditioned CG.
 
     The operator is symmetric positive definite on the band, and the
@@ -142,7 +157,7 @@ def _newton_step(band: _Band, exp_phi: np.ndarray, residual: np.ndarray,
     at ``max(CG_RTOL * res_norm, CG_FLOOR * tol)``, ``tol`` being the
     Newton exit test.
     """
-    symbol = band.eps_k2 + float(np.mean(exp_phi))
+    symbol = eps_k2 + exp_phi.mean()
     target = max(CG_RTOL * res_norm, CG_FLOOR * tol)
     delta = np.zeros_like(residual)
     r = residual.copy()
@@ -150,7 +165,7 @@ def _newton_step(band: _Band, exp_phi: np.ndarray, residual: np.ndarray,
     p = z.copy()
     rz = band.dot(r, z)
     for count in range(1, CG_MAX_ITERS + 1):
-        ap = band.eps_k2 * p + band.project(exp_phi * band.values(p))
+        ap = eps_k2 * p + band.project(exp_phi * band.values(p))
         pap = band.dot(p, ap)
         if not pap > 0.0:  # the operator is positive; overflow can hide it
             raise PBConvergenceError("Newton linear solve broke down",
@@ -176,41 +191,43 @@ def _solve_phi_values(
     n: np.ndarray,
     eps: float,
     opts: PBSolveOptions,
-    phi_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, int, int]:
-    """Damped Newton-CG; returns (phi, residual, Newton and CG counts)."""
+    guess: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int]:
+    """Damped Newton-CG; returns (phi, residual, Newton and CG counts).
+
+    ``guess`` and ``phi`` are pairs (values, band coefficients), so a warm
+    start transforms nothing; the default guess is ln n on the band.
+    """
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    if np.min(n) <= 0.0:
-        raise ValueError(
-            f"density must be strictly positive, min(n) = {np.min(n):.3e}"
-        )
+    low = n.min()
+    if low <= 0.0:
+        raise ValueError(f"density must be strictly positive, min(n) = {low:.3e}")
+    band = _band(grid)
     # Python floats overflow to inf without a numpy warning; stop before
     # the band symbol eps*k^2 turns into inf or nan
-    k_max = float(grid.k[grid.keep][-1])
-    if not math.isfinite(float(eps) * k_max * k_max):
+    if not math.isfinite(float(eps) * band.k2_max):
         raise PBConvergenceError(
             f"eps = {eps:g} overflows the symbol eps*k^2", float("nan"))
-    band = _Band(grid, eps)
+    eps_k2 = eps * band.k2
     # the residual is dealiased, so modes above the cutoff are invisible
     # to Newton; keep every iterate inside the band or initializer tail
     # junk rides along into the answer untouched
-    phi_hat = band.project(np.log(n) if phi_init is None else phi_init)
-    phi = band.values(phi_hat)
+    phi, phi_hat = band.limited(np.log(n)) if guess is None else guess
     exp_phi = np.exp(phi)
-    residual = _band_residual(band, phi_hat, exp_phi, n)
+    residual = _band_residual(band, eps_k2, phi_hat, exp_phi, n)
     res_norm = band.norm(residual)
     linear_iters = 0
     for iteration in range(opts.max_newton_iters + 1):
         if res_norm <= opts.tol:
-            return phi, res_norm, iteration, linear_iters
+            return (phi, phi_hat), res_norm, iteration, linear_iters
         if iteration == opts.max_newton_iters:
             raise PBConvergenceError(
                 f"Newton did not reach tol={opts.tol:.1e} within "
                 f"{opts.max_newton_iters} iterations",
                 res_norm,
             )
-        delta, count = _newton_step(band, exp_phi, residual, res_norm,
+        delta, count = _newton_step(band, eps_k2, exp_phi, residual, res_norm,
                                     opts.tol)
         linear_iters += count
         lam = 1.0
@@ -218,7 +235,8 @@ def _solve_phi_values(
             trial_hat = phi_hat + lam * delta
             trial = band.values(trial_hat)
             trial_exp = np.exp(trial)
-            trial_residual = _band_residual(band, trial_hat, trial_exp, n)
+            trial_residual = _band_residual(band, eps_k2, trial_hat, trial_exp,
+                                            n)
             trial_norm = band.norm(trial_residual)
             if trial_norm < res_norm:
                 phi_hat, phi, exp_phi = trial_hat, trial, trial_exp
@@ -242,13 +260,18 @@ def solve_phi(
     """Solve eps*phi'' = exp(phi) - n by damped Newton-CG.
 
     The default initializer is the limit potential ln n, which is an
-    O(eps) guess for smooth positive densities. The residual norm of
+    O(eps) guess for smooth positive densities. A ``phi_init`` on the
+    grid of ``n`` is projected on the band first. The residual norm of
     the returned solution is at or below ``opts.tol``.
     """
     opts = opts or PBSolveOptions()
-    init = None if phi_init is None else phi_init.values
-    phi, res_norm, iters, linear = _solve_phi_values(n.grid, n.values, eps,
-                                                     opts, init)
+    guess = None
+    if phi_init is not None:
+        if phi_init.grid != n.grid:
+            raise ValueError("phi_init and n must share a grid")
+        guess = _band(n.grid).limited(phi_init.values)
+    (phi, _), res_norm, iters, linear = _solve_phi_values(n.grid, n.values,
+                                                          eps, opts, guess)
     return PBSolution(Field(n.grid, phi), res_norm, iters, linear)
 
 

@@ -451,6 +451,31 @@ def test_warm_solves_take_one_newton_step(pb_counts, eps, cg_max):
     assert sum(cg for _, cg in pb_counts) <= cg_max
 
 
+def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
+                                                             fft_calls):
+    # every guess a run passes, extrapolated or not, is a (values,
+    # coefficients) pair, so each one-step warm solve makes 3 + 2 k
+    # transform calls for its k CG iterations, not the 5 + 2 k of a
+    # projected guess
+    solves = []
+    real = flows._solve_phi_values
+
+    def counting(*args, **kwargs):
+        before = len(fft_calls)
+        out = real(*args, **kwargs)
+        solves.append((len(fft_calls) - before, out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(flows, "_solve_phi_values", counting)
+    grid = Grid(64)
+    ep, _ = paired_states(grid)
+    evolve(ep, RunOptions(dt=1e-3, t_end=0.0205, eps=1e-2, record_every=5))
+    assert len(solves) == 4 * 21 + 1
+    warm = solves[2:]  # past the cold solve and the first stage 2
+    assert all(newton == 1 and calls == 3 + 2 * cg
+               for calls, newton, cg in warm)
+
+
 def test_large_amplitude_run_ends_at_the_density_floor():
     # extrapolated guesses far from a steepening solution must not turn
     # the density-floor blow-up into a failed potential solve

@@ -10,7 +10,9 @@ out: ``wall_time_total`` and the rows' ``wall_time`` in the JSON report
 and the ``wall_time`` column of ``sweep_rows.csv``.
 
 A change that moves round-off beyond ``RTOL`` regenerates the goldens in
-a commit of its own and records the largest difference. To regenerate:
+a commit of its own and records the largest difference. To regenerate,
+printing each file's largest relative change against the copy it
+replaces and where that change is:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,6 +25,7 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -151,11 +154,61 @@ def test_parallel_sweep_matches_golden(parallel_outputs, name):
     _compare(parallel_outputs, name)
 
 
+def _largest_change(got, want, path=""):
+    """``(relative change, path, want, got)`` of the largest change.
+
+    Numbers compare like ``_close``; any other difference, in text or
+    in structure, counts as an infinite change.
+    """
+    if isinstance(want, (dict, list)):
+        if isinstance(want, dict):
+            keys = list(want)
+            same = isinstance(got, dict) and set(got) == set(want)
+        else:
+            keys = range(len(want))
+            same = isinstance(got, list) and len(got) == len(want)
+        if not same:
+            return math.inf, f"{path} (structure)", None, None
+        return max((_largest_change(got[k], want[k], f"{path}/{k}")
+                    for k in keys), key=lambda change: change[0],
+                   default=(0.0, path, None, None))
+    if isinstance(got, float) and isinstance(want, float):
+        if math.isnan(got) or math.isnan(want):
+            rel = 0.0 if math.isnan(got) and math.isnan(want) else math.inf
+        else:
+            scale = max(abs(got), abs(want))
+            rel = abs(got - want) / scale if scale > 0.0 else 0.0
+        return rel, path, want, got
+    return (0.0 if got == want else math.inf), path, want, got
+
+
+def _change_report(name: str, new_dir: Path) -> str:
+    """One line: the largest relative change of a regenerated file."""
+    if not (GOLDEN / name).exists():
+        return f"{name}: new file"
+    got, want = _load(name, new_dir), _load(name, GOLDEN)
+    if isinstance(want, str):
+        if got == want:
+            return f"{name}: unchanged"
+        line = next(i for i, pair in enumerate(zip_longest(
+            got.splitlines(), want.splitlines()), 1) if pair[0] != pair[1])
+        return f"{name}: text differs from line {line}"
+    if name.endswith(".csv"):  # name each cell by its row and column
+        got, want = ([dict(zip(header, row)) for row in rows]
+                     for header, *rows in (got, want))
+    change, path, old, new = _largest_change(got, want)
+    if change == 0.0:
+        return f"{name}: unchanged"
+    return (f"{name}: largest relative change {change:.2g} at {path} "
+            f"({old!r} -> {new!r})")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _generate(Path(tmp))
         GOLDEN.mkdir(exist_ok=True)
         for name in SWEEP_FILES + ["sweep_stdout.txt"] + CHECK_FILES:
+            print(_change_report(name, Path(tmp)))
             shutil.copy(os.path.join(tmp, name), GOLDEN / name)
     print(f"wrote {len(SWEEP_FILES) + 1 + len(CHECK_FILES)} files to {GOLDEN}",
           file=sys.stderr)

@@ -15,7 +15,10 @@ from debye_limit.grid import (
     l2_norm,
     max_abs,
 )
-from debye_limit.initial import random_smooth_field
+from debye_limit.energy import kato_ponce_sample
+from debye_limit.flows import EPState, RunOptions, evolve
+from debye_limit.initial import random_smooth_field, random_smooth_fields
+from debye_limit.poisson import solve_phi
 
 
 def fd6_derivative(values, dx):
@@ -190,3 +193,57 @@ def test_field_values_are_immutable():
     f = Field(grid, np.zeros(32))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+# ------------------------------------------------------------------ caches
+
+
+def _kp_battery_bits(grid, seed, max_mode=8):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        stack = random_smooth_fields(grid, rng, 2, max_mode=max_mode)
+        f, g = (Field(grid, row) for row in stack)
+        out.append(stack)
+        out.extend(np.array([s.lhs, s.rhs, s.ratio])
+                   for s in kato_ponce_sample(f, g, (1, 2, 3)))
+    return out
+
+
+def test_warm_caches_give_the_bits_of_a_fresh_grid():
+    warm = Grid(64)
+    # fills the 2x grid and a trig table of another size
+    _kp_battery_bits(warm, 0, max_mode=5)
+    for seed in (1, 2):
+        got = _kp_battery_bits(warm, seed)
+        want = _kp_battery_bits(Grid(64), seed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _cached_arrays(grid):
+    """Every array a grid holds or caches, through cached grids and bands."""
+    arrays = [grid.x, grid.k, grid.keep]
+    for value in grid._cache.values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, Grid):
+            arrays.extend(_cached_arrays(value))
+        else:
+            arrays.extend(v for v in vars(value).values()
+                          if isinstance(v, np.ndarray))
+    return arrays
+
+
+def test_cached_arrays_are_read_only():
+    grid = Grid(64)
+    _kp_battery_bits(grid, 0)
+    n = Field.from_function(grid, lambda x: 1.0 + 0.1 * np.sin(2 * np.pi * x))
+    solve_phi(n, 1e-2)
+    hs_norm(n, 2)
+    evolve(EPState(0.0, n, Field(grid, np.zeros(64))),
+           RunOptions(dt=1e-3, t_end=2e-3, eps=1e-2))
+    kinds = {type(v) for v in grid._cache.values()}
+    assert len(kinds) >= 3  # arrays, the 2x grid and the solver's band
+    arrays = _cached_arrays(grid)
+    assert len(arrays) > 10
+    assert not any(a.flags.writeable for a in arrays)

@@ -257,3 +257,49 @@ def test_cg_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(poisson, "CG_MAX_ITERS", 1)
     with pytest.raises(PBConvergenceError, match="CG"):
         solve_phi(n, 1e-2)
+
+
+def test_solve_phi_rejects_a_guess_on_another_grid():
+    # a 128-point guess would be projected with the wrong scale
+    grid = Grid(64)
+    n = Field.from_function(grid, lambda x: 1.0 + 0.1 * np.sin(2 * np.pi * x))
+    guess = Field.from_function(Grid(128), lambda x: 0.1 * np.sin(2 * np.pi * x))
+    with pytest.raises(ValueError, match="must share a grid"):
+        solve_phi(n, 1e-2, phi_init=guess)
+
+
+def test_pb_residual_rejects_a_density_on_another_grid():
+    # same size, other length: the residual would use phi's wavenumbers
+    phi = Field(Grid(64), np.zeros(64))
+    n = Field(Grid(64, length=2.0), np.ones(64))
+    with pytest.raises(ValueError, match="must share a grid"):
+        pb_residual(phi, n, 1e-2)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_warm_solve_transform_calls(fft_calls, eps):
+    # from a carried (values, band coefficients) guess a solve transforms
+    # once for its first residual, twice per CG iteration and twice for
+    # the accepted trial: 3 + 2 k calls for one Newton step of k CG
+    # iterations, where a projected guess would cost 5 + 2 k
+    grid = Grid(64)
+    opts = PBSolveOptions()
+    wave = np.sin(2 * np.pi * grid.x)
+    n = 1.0 + 0.1 * wave
+    phi = poisson._solve_phi_values(grid, n, eps, opts)[0]
+    fft_calls.clear()
+    _, _, newton, cg = poisson._solve_phi_values(grid, n * (1.0 + 1e-7 * wave),
+                                                 eps, opts, phi)
+    assert newton == 1
+    assert len(fft_calls) == 3 + 2 * cg
+
+
+def test_band_cache_stays_fixed_across_eps():
+    # the band data carries no eps, so a solve at a new eps adds nothing
+    grid = Grid(64)
+    n = Field.from_function(grid, lambda x: 1.0 + 0.1 * np.sin(2 * np.pi * x))
+    sizes = []
+    for eps in np.geomspace(1e-1, 1e-5, 20):
+        solve_phi(n, eps)
+        sizes.append(len(grid._cache))
+    assert sizes == [sizes[0]] * 20
