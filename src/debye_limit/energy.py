@@ -181,9 +181,9 @@ def gronwall_monitor(sups, s: int, bound_factor: float = 2.0,
     """Uniform-boundedness verdict for the combined triple norm.
 
     ``sups`` holds one ``(eps, sup-in-time combined H^s norm)`` pair per
-    sweep member. PASS when every sup stays within ``bound_factor``
-    times the value at the largest eps; INCONCLUSIVE when a member blew
-    up before t_end.
+    sweep member; the sweep reads its elliptic constants the same way.
+    PASS when every sup stays within ``bound_factor`` times the value at
+    the largest eps; INCONCLUSIVE when a member blew up before t_end.
     """
     sups = tuple(sups)
     if not sups:

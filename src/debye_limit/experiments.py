@@ -355,18 +355,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         verdicts[f"gronwall_s{s}"] = report.verdict
 
     for k in spec.s_list:
-        if any_blowup:
-            verdicts[f"elliptic_k{k}"] = "INCONCLUSIVE"
-            continue
-        ref = max(rows, key=lambda row: row["eps"])["elliptic"][f"k{k}"]
-        ok = True
-        for row in rows:
-            fam = row["elliptic"][f"k{k}"]
-            for side in ("density", "potential"):
-                bound = ELLIPTIC_FACTOR * ref[side]
-                if not (fam[side] <= bound or (ref[side] == 0.0 and fam[side] == 0.0)):
-                    ok = False
-        verdicts[f"elliptic_k{k}"] = "PASS" if ok else "FAIL"
+        # PASS only when both families pass; INCONCLUSIVE after a blow-up
+        sides = set()
+        for side in ("density", "potential"):
+            pairs = [(row["eps"], row["elliptic"][f"k{k}"][side]) for row in rows]
+            sides.add(gronwall_monitor(pairs, k, ELLIPTIC_FACTOR, any_blowup).verdict)
+        verdicts[f"elliptic_k{k}"] = "FAIL" if "FAIL" in sides else sides.pop()
 
     spec_echo = {
         "eps_list": list(spec.eps_list),

@@ -352,9 +352,9 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
         try:
             if i > 0:
                 step_dt = dt if i <= n_full else tail
-                t_prev = t0 + (i - 1) * dt if i <= n_full else t0 + n_full * dt
-                # only the last step can be short, so the step before
-                # any step spans a full dt
+                # only the last step can be short, so every step starts at
+                # a whole number of dt and the step before it spans a full dt
+                t_prev = t0 + (i - 1) * dt
                 phi_half = None
                 if phi_before is not None:
                     c = 0.5 * step_dt / dt

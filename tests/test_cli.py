@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import debye_limit
-from debye_limit import __version__
+from debye_limit import __version__, cli
 from debye_limit.cli import main
 
 
@@ -20,12 +20,13 @@ def _fast_sim_args(out_dir, extra=()):
             "--eps", "1e-2", "--out", str(out_dir), *extra]
 
 
-def _run_cli(argv):
+def _run_cli(argv, cwd=None):
     """The CLI in a fresh interpreter, so stderr shows any traceback."""
     src = os.path.dirname(os.path.dirname(debye_limit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "debye_limit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          cwd=cwd)
 
 
 def test_version_prints_and_exits_zero(capsys):
@@ -463,12 +464,105 @@ def test_each_potential_residual_formed_once_per_pass(tmp_path, monkeypatch,
     assert rows == [len(rems.t) for rems in series] and len(rows) == 3
 
 
+# ------------------------------------------------------- flag table
+
+_SHARED = {"--config": "none", "--n-amp": "0.1", "--grid": "256",
+           "--out": "$DEBYE_LIMIT_OUT or '.'"}
+# each subcommand's flags, with the default its help names
+_HELP_DEFAULTS = {
+    "simulate": {**_SHARED, "--eps": "0.01", "--flow": "ep", "--t-end": "0.5",
+                 "--dt": "auto", "--s": "2"},
+    "sweep": {**_SHARED, "--t-end": "0.5", "--dt": "auto", "--jobs": "1",
+              "--seed": "0"},
+    "check": {**_SHARED, "--eps": "0.01", "--t-end": "0.03", "--dt": "0.00025",
+              "--seed": "0"},
+    "version": {},
+}
+_FLAG_VALUES = {"--config": "conf.ini", "--eps": "1e-2", "--flow": "ep",
+                "--grid": "64", "--t-end": "0.01", "--dt": "1e-3", "--s": "2",
+                "--n-amp": "0.1", "--out": ".", "--jobs": "1", "--seed": "0"}
+_REMOVED_SLOTS = [(command, flag) for command, flags in _HELP_DEFAULTS.items()
+                  for flag in _FLAG_VALUES if flag not in flags]
+
+
+@pytest.mark.parametrize("command", list(_HELP_DEFAULTS))
+def test_help_lists_exactly_the_command_flags(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        words = line.split()
+        if words and words[0].startswith("--"):
+            listed[words[0]] = line.rsplit("(default: ", 1)[1].rstrip(")")
+    assert listed == _HELP_DEFAULTS[command]
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_SLOTS,
+                         ids=[f"{c}{f}" for c, f in _REMOVED_SLOTS])
+def test_flag_a_command_does_not_read_exits_two(tmp_path, command, flag):
+    # in tmp_path: a command that ran after all writes there
+    proc = _run_cli([command, flag, _FLAG_VALUES[flag]], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: ")
+    assert f"unrecognized arguments: {flag}" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    code = main(["sweep", f"--jobs={jobs}", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t_end, records", [("0", 1), ("3e-3", 4), ("4e-3", 5)])
+def test_check_counts_its_records_before_any_run(tmp_path, monkeypatch, capsys,
+                                                  t_end, records):
+    trajectories = []
+    _recording(monkeypatch, cli, "evolve", trajectories)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
+    code = main(["check", "--t-end", t_end, "--config", str(conf),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if records < 5:
+        assert code == 2
+        assert f"at least 5 recorded states, got {records};" in err
+        assert trajectories == []
+    else:
+        assert code in (0, 4)
+        assert [len(traj.t) for traj in trajectories] == [records] * 2
+
+
+def test_kato_ponce_repeat_runs_on_the_battery_grid(tmp_path, monkeypatch, capsys):
+    grids = []
+    real = cli._kp_battery
+
+    def battery(grid, *args):
+        grids.append(grid)
+        return real(grid, *args)
+
+    monkeypatch.setattr(cli, "_kp_battery", battery)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
+    assert main(["check", "--config", str(conf), "--out", str(tmp_path)]) in (0, 4)
+    assert "kato-ponce reproducible = 1.000e+00" in capsys.readouterr().out
+    base, again, fine = grids
+    assert again is base and base.n_points == SMALL_CHECK_KEYS["kp_grid"]
+    assert fine.n_points == 2 * base.n_points
+
+
 # --------------------------------------------------- exit-code contract
 
 
-# Each flag draws a value that should run. Up to two flags or config
-# keys then take an edge value: one to be rejected (2), one that ends
-# the run (3), or one that only some commands accept.
+# Each flag the command takes draws a value that should run. Up to two
+# of its flags or any config keys then take an edge value: one to be
+# rejected (2), one that ends the run (3), or one that only some commands
+# accept. A flag the command does not take is tested by
+# test_flag_a_command_does_not_read_exits_two instead.
 _VALID_FLAGS = {
     "--grid": ("32", "64"),
     "--eps": ("1e-1", "1e-2", "1e-12"),
@@ -500,18 +594,22 @@ _EDGES = (
 @st.composite
 def _cli_case(draw):
     command = draw(st.sampled_from(("simulate", "sweep", "check")))
+    takes = _HELP_DEFAULTS[command]
     t_end = draw(st.sampled_from(("2e-3", "1e-3", "1e-4", "0")))
-    flags = {"--t-end": t_end, "--jobs": "1"}
+    flags = {"--t-end": t_end}
+    if "--jobs" in takes:
+        flags["--jobs"] = "1"
     # a tiny dt is a long run, not a breach of the contract
     flags["--dt"] = draw(st.one_of(
         st.just("auto"),
         st.integers(1, 20).map(lambda k: repr(float(t_end) / k)),
         st.floats(1.0 / 20.0, 1.0).map(lambda f: repr(f * float(t_end)))))
     for flag, values in _VALID_FLAGS.items():
-        if draw(st.booleans()):
+        if flag in takes and draw(st.booleans()):
             flags[flag] = draw(st.sampled_from(values))
     config = {"check": dict(SMALL_CHECK_KEYS)}
-    for edge in draw(st.lists(st.sampled_from(_EDGES), max_size=2)):
+    edges = [edge for edge in _EDGES if len(edge) == 3 or edge[0] in takes]
+    for edge in draw(st.lists(st.sampled_from(edges), max_size=2)):
         if len(edge) == 2:
             flags[edge[0]] = edge[1]
         else:
@@ -524,13 +622,12 @@ def _cli_case(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cli_case())
 def test_exit_code_contract_property(tmp_path_factory, case):
-    # every flag and config value ends in 0, 2, 3 or 4: nothing escapes
+    # every flag and config value ends in 0, 2, 3 or 4: nothing escapes.
+    # Each drawn flag is one its command takes, in a well-formed value,
+    # so argparse accepts every case and none ends in a SystemExit
     argv, config = case
     out = tmp_path_factory.mktemp("contract")
     conf = out / "conf.ini"
     conf.write_text(_ini(config))
-    try:
-        code = main([*argv, "--config", str(conf), "--out", str(out)])
-    except SystemExit as exc:  # argparse rejects a malformed flag
-        code = exc.code
+    code = main([*argv, "--config", str(conf), "--out", str(out)])
     assert code in (0, 2, 3, 4), (argv, config)
