@@ -22,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, default_config, load_config_file, merge_config
+from .config import (SCHEMA, ConfigError, default_config, load_config_file,
+                     merge_config, parse_value)
 from .energy import energy_snapshot, identity_2_12_check, kato_ponce_sample, write_ledger_csv
 from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_json
 from .flows import (
@@ -65,30 +66,31 @@ def _flag_help(text: str, default) -> str:
 # One row per flag: its argparse keywords, its help text and, for each
 # subcommand that takes it, the config (section, key) it overrides, or
 # None for a flag the command reads itself (whose help names its
-# default). A subcommand takes only the flags whose rows name it.
+# default). A subcommand takes only the flags whose rows name it. A flag
+# with a key is parsed as that key's kind, so it fails as the key would.
 FLAGS = (
     ("--config", dict(metavar="PATH"),
      _flag_help("config file ([section] key = value)", "none"),
      dict.fromkeys(_RUN_COMMANDS)),
-    ("--eps", dict(type=float), "Debye parameter",
+    ("--eps", {}, "Debye parameter",
      {"simulate": ("run", "eps"), "check": ("check", "eps")}),
-    ("--flow", dict(choices=("ep", "limit")), "which flow to simulate",
+    ("--flow", {}, "which flow to simulate, 'ep' or 'limit'",
      {"simulate": ("run", "flow")}),
-    ("--grid", dict(type=int, metavar="N"), "grid points (power of two)",
+    ("--grid", dict(metavar="N"), "grid points (power of two)",
      _by_command("grid", "n_points")),
-    ("--t-end", dict(type=float, metavar="T"), "final time",
+    ("--t-end", dict(metavar="T"), "final time",
      _by_command("run", "t_end")),
-    ("--dt", dict(metavar="DT"), "time step, or 'auto'", _by_command("run", "dt")),
-    ("--s", dict(type=int, metavar="S"), "Sobolev order for exported norms",
+    ("--dt", dict(metavar="DT"), "time step", _by_command("run", "dt")),
+    ("--s", dict(metavar="S"), "Sobolev order for exported norms",
      {"simulate": ("run", "s")}),
-    ("--n-amp", dict(type=float, metavar="A"), "initial density perturbation amplitude",
+    ("--n-amp", dict(metavar="A"), "initial density perturbation amplitude",
      dict.fromkeys(_RUN_COMMANDS, ("init", "n_amp"))),
     ("--out", dict(metavar="DIR"),
      _flag_help("output directory", "$DEBYE_LIMIT_OUT or '.'"),
      dict.fromkeys(_RUN_COMMANDS)),
     ("--jobs", dict(type=int, metavar="N", default=1),
      _flag_help("parallel workers for sweeps", 1), {"sweep": None}),
-    ("--seed", dict(type=int, metavar="K"), "seed for randomized batteries",
+    ("--seed", dict(metavar="K"), "seed for randomized batteries",
      {"sweep": ("sweep", "seed"), "check": ("check", "seed")}),
 )
 
@@ -118,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
             if targets[name] is not None:
                 section, key = targets[name]
                 default = _D[section][key]
+                if SCHEMA[section][key] == "float_or_auto":
+                    text += ", or 'auto'"
                 text = _flag_help(text, "auto" if default is None else default)
             sp.add_argument(flag, help=text, **kwargs)
     return parser
@@ -129,25 +133,13 @@ def _effective_config(args) -> dict:
         cfg = merge_config(cfg, load_config_file(args.config))
     for flag, _, _, targets in FLAGS:
         target = targets.get(args.command)
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if target is None or value is None:
+        raw = getattr(args, flag[2:].replace("-", "_"), None)
+        if target is None or raw is None:
             continue
-        if flag == "--dt":
-            value = _parse_dt(value)
-            if value is None and args.command == "check":
-                raise ConfigError("check needs an explicit --dt, not 'auto'")
         section, key = target
-        cfg[section][key] = value
+        cfg[section][key] = parse_value(raw, SCHEMA[section][key],
+                                        f"{flag} ([{section}] {key})")
     return cfg
-
-
-def _parse_dt(raw):
-    if raw.lower() == "auto":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"--dt expects a number or 'auto', got {raw!r}")
 
 
 def _out_dir(args, cfg) -> str:
@@ -158,17 +150,17 @@ def _out_dir(args, cfg) -> str:
     return os.environ.get("DEBYE_LIMIT_OUT", ".")
 
 
-def _run_options(cfg, eps: float, record_every=None) -> RunOptions:
-    run = cfg["run"]
+def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions:
+    """dt, t_end and record_every from ``section``, guards from [run], solver [pb]."""
+    own, run = cfg[section], cfg["run"]
     return RunOptions(
-        dt=run["dt"],
-        t_end=run["t_end"],
+        dt=own["dt"],
+        t_end=own["t_end"],
         eps=eps,
         density_floor=run["density_floor"],
         norm_ceiling=run["norm_ceiling"],
         pb=PBSolveOptions(**cfg["pb"]),
-        record_every=record_every if record_every is not None
-        else run["record_every"],
+        record_every=own["record_every"] if record_every is None else record_every,
     )
 
 
@@ -186,7 +178,7 @@ def cmd_simulate(cfg, args) -> int:
     try:
         grid = Grid(cfg["grid"]["n_points"])
         init = InitParams(**cfg["init"])
-        opts = _run_options(cfg, eps)
+        opts = _run_options(cfg, "run", eps)
     except ValueError as exc:
         raise ConfigError(str(exc))
     n0, u0 = make_initial(init, grid)
@@ -216,7 +208,7 @@ def cmd_sweep(cfg, args) -> int:
         spec = SweepSpec(
             eps_list=tuple(cfg["sweep"]["eps_list"]),
             n_points=cfg["grid"]["n_points"],
-            run=_run_options(cfg, eps=1.0,
+            run=_run_options(cfg, "run", eps=1.0,
                              record_every=cfg["sweep"]["record_every"]),
             init=InitParams(**cfg["init"]),
             s_list=tuple(cfg["sweep"]["s_list"]),
@@ -285,9 +277,7 @@ def cmd_check(cfg, args) -> int:
         kp_grid = Grid(c["kp_grid"])  # the Kato-Ponce battery's grid
         _check_order(c["gamma"], MAX_DERIVATIVE_ORDER, "[check] gamma")
         init = InitParams(**cfg["init"])
-        pb = PBSolveOptions(**cfg["pb"])
-        opts = RunOptions(dt=c["dt"], t_end=c["t_end"], eps=c["eps"], pb=pb,
-                          record_every=c["record_every"])
+        opts = _run_options(cfg, "check", c["eps"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     # the sampler is alias-free only for fields below the grid's Nyquist mode

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 
-__all__ = ["ConfigError", "default_config", "load_config_file", "merge_config"]
+__all__ = ["ConfigError", "default_config", "load_config_file", "merge_config",
+           "parse_value"]
 
 
 class ConfigError(Exception):
@@ -106,26 +107,21 @@ def _find_position(text: str, section: str, key: str | None) -> str:
     return "unknown position"
 
 
-def _parse_value(raw: str, kind: str, where: str):
-    raw = raw.strip()
+_SCALAR_PARSERS = {
+    "float": float, "int": int, "str": str,
+    "float_or_auto": lambda raw: None if raw.lower() == "auto" else float(raw),
+}
+
+
+def parse_value(raw: str, kind: str, where: str):
+    """``raw`` as a ``SCHEMA`` kind, or a :class:`ConfigError` naming ``where``."""
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "str":
-            return raw
-        if kind == "float_or_auto":
-            if raw.lower() == "auto":
-                return None
-            return float(raw)
-        if kind == "float_list":
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        if kind == "int_list":
-            return [int(tok) for tok in raw.replace(",", " ").split()]
+        if kind.endswith("_list"):
+            parse = _SCALAR_PARSERS[kind.removesuffix("_list")]
+            return [parse(tok) for tok in raw.replace(",", " ").split()]
+        return _SCALAR_PARSERS[kind](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {where}: {exc}")
-    raise AssertionError(f"unknown schema kind {kind}")
 
 
 def load_config_file(path) -> dict:
@@ -160,7 +156,7 @@ def load_config_file(path) -> dict:
                 )
             where = (f"[{section}] {key} in {path} "
                      f"({_find_position(text, section, key)})")
-            out[section][key] = _parse_value(raw, SCHEMA[section][key], where)
+            out[section][key] = parse_value(raw, SCHEMA[section][key], where)
     return out
 
 

@@ -17,6 +17,7 @@ reproduce bit-identical numbers (timing fields aside).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -28,7 +29,6 @@ from .flows import (
     EPState,
     LimitState,
     RunOptions,
-    default_dt,
     _quasineutral_values,
     evolve,
 )
@@ -263,16 +263,11 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
                         residuals=remainder_residual(rems))
 
 
-def _run_member(spec: SweepSpec, eps: float, dt: float, lim_traj) -> MemberResult:
-    grid = Grid(spec.n_points)
-    n0, u0 = make_initial(spec.init, grid)
-    opts = replace(spec.run, eps=eps, dt=dt)
-    ep_traj = evolve(EPState(0.0, n0, u0), opts)
+def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
+    """The full flow at ``eps`` from the limit run's data, at its dt."""
+    opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
+    ep_traj = evolve(EPState(initial.t, initial.n, initial.u), opts)
     return _member_diagnostics(spec, eps, ep_traj, lim_traj)
-
-
-def _member_worker(args):
-    return _run_member(*args)
 
 
 def _fit_with_exclusion(pairs) -> dict | None:
@@ -302,26 +297,17 @@ def _fit_with_exclusion(pairs) -> dict | None:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Run the paired flows across the eps list and assemble the report."""
     t_begin = time.perf_counter()
-    grid = Grid(spec.n_points)
-    n0, u0 = make_initial(spec.init, grid)
-    initial = LimitState(0.0, n0, u0)
-    dt = spec.run.dt
-    if dt is None:
-        # like simulate, a run shorter than one auto step takes one short step
-        dt = default_dt(initial)
-        if spec.run.t_end > 0.0:
-            dt = min(dt, spec.run.t_end)
-
-    lim_traj = evolve(initial, replace(spec.run, eps=0.0, dt=dt))
+    initial = LimitState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
+    lim_traj = evolve(initial, replace(spec.run, eps=0.0))
     limit_status = "OK" if lim_traj.blowup is None else "BLOWUP"
 
+    member = functools.partial(_run_member, spec, initial, lim_traj)
     if jobs > 1 and len(spec.eps_list) > 1:
-        args = [(spec, eps, dt, lim_traj) for eps in spec.eps_list]
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(spec.eps_list))) as pool:
-            members = list(pool.map(_member_worker, args))
+            members = list(pool.map(member, spec.eps_list))
     else:
-        members = [_run_member(spec, eps, dt, lim_traj) for eps in spec.eps_list]
+        members = [member(eps) for eps in spec.eps_list]
 
     rows = [m.row for m in members]
     fits: dict = {}
@@ -375,7 +361,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     }
     return SweepReport(
         spec=spec_echo,
-        dt=dt,
+        dt=lim_traj.dt,
         limit_status=limit_status,
         rows=rows,
         fits=fits,

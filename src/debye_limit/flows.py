@@ -330,8 +330,12 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     """
     t_start = time.perf_counter()
     grid = state.grid
-    dt = opts.dt if opts.dt is not None else default_dt(state)
-    n_full, tail = _count_steps(opts.t_end - state.t, dt)
+    span = opts.t_end - state.t
+    dt = opts.dt
+    if dt is None:
+        # a run shorter than one auto step takes one step of its span
+        dt = min(default_dt(state), span) if span > 0.0 else default_dt(state)
+    n_full, tail = _count_steps(span, dt)
     total_steps = n_full + (1 if tail > 0.0 else 0)
     records = -(-total_steps // opts.record_every) + 1
     try:

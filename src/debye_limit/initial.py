@@ -24,7 +24,7 @@ class InitParams:
     """Parameters of the sinusoidal initial perturbation.
 
     ``abs(n_amp) < n_base`` keeps the initial density uniformly positive,
-    which every solver stage downstream relies on.
+    which every solver stage downstream relies on. Every float is finite.
     """
 
     n_base: float = 1.0
@@ -43,6 +43,9 @@ class InitParams:
             )
         if not (isinstance(self.mode, (int, np.integer)) and self.mode >= 1):
             raise ValueError(f"mode must be a positive integer, got {self.mode}")
+        finite = np.isfinite((self.n_base, self.n_amp, self.u_amp, self.phase_u))
+        if not finite.all():
+            raise ValueError(f"initial data must be finite, got {self}")
 
 
 def make_initial(params: InitParams, grid: Grid) -> tuple[Field, Field]:

@@ -142,13 +142,23 @@ def test_bad_config_exits_two(tmp_path, capsys):
 def test_bad_dt_exits_two(tmp_path, capsys):
     code = main(["simulate", "--dt", "soon", "--out", str(tmp_path)])
     assert code == 2
-    assert "--dt expects" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--dt ([run] dt)" in err and "'soon'" in err
 
 
 def test_check_rejects_auto_dt(tmp_path, capsys):
+    # [check] dt is a plain float key, so the flag takes no 'auto' either
     code = main(["check", "--dt", "auto", "--out", str(tmp_path)])
     assert code == 2
-    assert "explicit --dt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--dt ([check] dt)" in err and "'auto'" in err
+
+
+def test_simulate_prints_the_step_of_a_run_below_one_auto_step(tmp_path, capsys):
+    code = main(["simulate", "--grid", "32", "--t-end", "1e-4",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "dt=0.0001 steps to t=0.0001" in capsys.readouterr().out
 
 
 def test_eps_zero_needs_limit_flow(tmp_path, capsys):
@@ -201,6 +211,11 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
                  None, (2,), id="sweep-dt-tiny"),
     pytest.param(["check", "--t-end", "1e-3", "--dt", "1e-320"], None, (2,),
                  id="check-dt-tiny"),
+    # non-finite initial data passed InitParams and failed in the field check
+    *[pytest.param([command], f"[init]\n{key} = {value}\n", (2,),
+                   id=f"{command}-{key}-{value}")
+      for command in ("simulate", "sweep", "check")
+      for key, value in (("u_amp", "nan"), ("n_base", "inf"), ("phase_u", "inf"))],
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:
@@ -499,6 +514,60 @@ def test_help_lists_exactly_the_command_flags(monkeypatch, capsys, command):
     assert listed == _HELP_DEFAULTS[command]
 
 
+@pytest.mark.parametrize("command, offers", [("simulate", True), ("sweep", True),
+                                             ("check", False)])
+def test_dt_help_offers_auto_only_where_its_key_takes_it(monkeypatch, capsys,
+                                                         command, offers):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.split()[:1] == ["--dt"]]
+    assert ("or 'auto'" in line) == offers
+
+
+# per flag, a value that does not parse as its key's kind and, where
+# every command taking the flag rejects one, a value out of range
+_BAD_VALUES = {"--dt": ("soon", "0"), "--grid": ("1.5", "33"),
+               "--eps": ("tiny", "-1"), "--seed": ("7.5",),
+               "--n-amp": ("big", "1.5")}
+_FLAG_KEYS = {flag: targets for flag, _, _, targets in cli.FLAGS}
+_BAD_CASES = [(command, flag, raw) for flag, values in _BAD_VALUES.items()
+              for command in _FLAG_KEYS[flag] for raw in values]
+
+
+@pytest.mark.parametrize("command, flag, raw", _BAD_CASES,
+                         ids=[f"{c}{f}={r}" for c, f, r in _BAD_CASES])
+def test_flag_and_its_key_reject_a_value_alike(tmp_path, capsys, command, flag,
+                                               raw):
+    section, key = _FLAG_KEYS[flag][command]
+    assert main([command, f"{flag}={raw}", "--out", str(tmp_path)]) == 2
+    flag_err = capsys.readouterr().err
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+    key_err = capsys.readouterr().err
+    if "bad value" in key_err:
+        # each names where the value came from, then the same reason
+        assert flag_err.startswith(f"error: bad value for {flag} ([{section}] {key}): ")
+        assert key_err.startswith(f"error: bad value for [{section}] {key} in {conf} ")
+        reason = flag_err.split("): ", 1)[1]
+        assert repr(raw) in reason and reason == key_err.split("): ", 1)[1]
+    else:
+        assert flag_err == key_err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "check"])
+def test_run_guards_apply_to_every_command(tmp_path, capsys, command):
+    # [run] density_floor and norm_ceiling guard the runs of all three
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"grid": {"n_points": 32}, "run": {"norm_ceiling": 1e-9},
+                          "check": SMALL_CHECK_KEYS}))
+    short = [] if command == "check" else ["--t-end", "1e-3"]
+    assert main([command, *short, "--config", str(conf), "--out", str(tmp_path)]) == 3
+
+
 @pytest.mark.parametrize("command, flag", _REMOVED_SLOTS,
                          ids=[f"{c}{f}" for c, f in _REMOVED_SLOTS])
 def test_flag_a_command_does_not_read_exits_two(tmp_path, command, flag):
@@ -581,6 +650,7 @@ _EDGES = (
     ("--seed", "-1"),
     ("run", "record_every", "0"), ("run", "norm_ceiling", "1e-3"),
     ("pb", "max_newton_iters", "0"), ("pb", "max_newton_iters", "1"),
+    ("init", "u_amp", "nan"), ("init", "n_base", "inf"), ("init", "phase_u", "inf"),
     ("sweep", "eps_list", "1e-2 nan"), ("sweep", "eps_list", "inf 1e-2"),
     ("sweep", "eps_list", "1e-2 -1"), ("sweep", "eps_list", "1e-2 1e-300"),
     ("sweep", "s_list", "0 9"),

@@ -373,6 +373,16 @@ def test_default_dt_formula():
     assert default_dt(ep) == pytest.approx(want, rel=1e-15)
 
 
+def test_auto_dt_is_clamped_to_a_shorter_run():
+    # a run shorter than one auto step takes one step of its whole span
+    grid = Grid(32)
+    _, lim = paired_states(grid)
+    t_end = 0.25 * default_dt(lim)
+    traj = evolve(lim, RunOptions(t_end=t_end, eps=0.0))
+    assert traj.dt == t_end and list(traj.t) == [0.0, t_end]
+    assert evolve(lim, RunOptions(t_end=0.0, eps=0.0)).dt == default_dt(lim)
+
+
 def test_quasineutral_residual_tracks_eps():
     grid = Grid(64)
     ep, _ = paired_states(grid)
