@@ -200,26 +200,44 @@ def gronwall_monitor(sups, s: int, bound_factor: float = 2.0,
     return GronwallReport(s, bound_factor, ref_eps, ref_value, sups, verdict)
 
 
-def _upsample(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Spectral interpolation of a field or stack onto the 2x finer grid.
-
-    Exact for band-limited data; the coarse Nyquist coefficient is split
-    between its two images on the fine grid.
-    """
-    n = grid.n_points
-    rhat = np.fft.rfft(values)
-    fine = np.zeros(rhat.shape[:-1] + (n + 1,), dtype=complex)
-    fine[..., : n // 2 + 1] = rhat
-    fine[..., n // 2] *= 0.5
-    return np.fft.irfft(fine, n=2 * n) * 2
-
-
 @dataclass(frozen=True)
 class KPSample:
     k: int
     lhs: float
     rhs: float
     ratio: float
+
+
+def _kato_ponce_rows(grid: Grid, f: np.ndarray, g: np.ndarray,
+                     orders: tuple) -> list[tuple[KPSample, ...]]:
+    """The samples of each pair of rows of the ``(P, N)`` stacks ``f``,
+    ``g``, with the bits of its one-pair sample. Pairs and orders share
+    one upsampling of (f, g), one forward transform of (fg, g, f) and
+    one inverse of every derivative the orders use."""
+    # the 2x grid and its symbols are built once per coarse grid
+    fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points, grid.length))
+    # exact interpolation of band-limited data; Nyquist splits between its images
+    n = grid.n_points
+    fine = np.zeros((2, len(f), n + 1), dtype=complex)
+    fine[..., : n // 2 + 1] = np.fft.rfft(np.array((f, g)))
+    fine[..., n // 2] *= 0.5
+    fv, gv = np.fft.irfft(fine, n=2 * n) * 2
+    hats = np.fft.rfft(np.array((fv * gv, gv, fv)))
+    # d[a - 1] holds (d^a(fg), d^a g, d^a f) for a = 1..max(orders)
+    d = np.fft.irfft(np.array([fine_grid.derivative_symbol(a) * hats
+                              for a in range(1, max(orders) + 1)]),
+                     fine_grid.n_points)
+    dg = np.concatenate((gv[None], d[:, 1]))  # d^a g for a = 0..max(orders)
+    df_max = np.max(np.abs(d[0, 2]), axis=-1)
+    g_max = np.max(np.abs(gv), axis=-1)
+    # one (order, pair) row in each of the three stacked L2 norms
+    k1 = np.array(orders) - 1
+    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1])
+    rhs = (df_max * _l2_values(fine_grid, dg[k1])
+           + _l2_values(fine_grid, d[k1, 2]) * g_max)
+    return [tuple(KPSample(k, lhs_k, float(rhs_k), lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
+                  for k, lhs_k, rhs_k in zip(orders, lhs_p, rhs_p))
+            for lhs_p, rhs_p in zip(lhs.T, rhs.T)]
 
 
 def kato_ponce_sample(f: Field, g: Field,
@@ -229,36 +247,16 @@ def kato_ponce_sample(f: Field, g: Field,
     lhs = ||d^k(fg) - f d^k g||_L2 evaluated on a 2x oversampled grid
     (the product of two resolved fields is then alias-free); rhs is the
     product-rule majorant max|f_x| * ||d^(k-1) g|| + ||d^k f|| * max|g|
-    built from homogeneous top-derivative norms. The orders share their
-    transforms: one upsampling of (f, g), one forward transform of
-    (f, g, fg) and one inverse of every derivative the orders use.
+    built from homogeneous top-derivative norms.
     """
     orders = tuple(orders)
     if not orders or not all(isinstance(k, (int, np.integer))
                              and 1 <= k <= MAX_DERIVATIVE_ORDER for k in orders):
         raise ValueError(f"commutator orders must be integers in "
                          f"1..{MAX_DERIVATIVE_ORDER}, got {orders}")
-    grid = f.grid
-    if g.grid != grid:
+    if g.grid != f.grid:
         raise ValueError("f and g must share a grid")
-    # the 2x grid and its symbols are built once per coarse grid
-    fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points, grid.length))
-    fv, gv = _upsample(grid, np.array((f.values, g.values)))
-    hats = np.fft.rfft(np.array((fv * gv, gv, fv)))
-    # d[a - 1] holds (d^a(fg), d^a g, d^a f) for a = 1..max(orders)
-    d = np.fft.irfft(np.array([fine_grid.derivative_symbol(a) * hats
-                              for a in range(1, max(orders) + 1)]),
-                     fine_grid.n_points)
-    dg = np.concatenate((gv[None], d[:, 1]))  # d^a g for a = 0..max(orders)
-    df_max, g_max = np.max(np.abs(d[0, 2])), np.max(np.abs(gv))
-    # one row per order in each of the three stacked L2 norms
-    k1 = np.array(orders) - 1
-    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1])
-    rhs = (df_max * _l2_values(fine_grid, dg[k1])
-           + _l2_values(fine_grid, d[k1, 2]) * g_max)
-    return tuple(KPSample(k, lhs_k, float(rhs_k),
-                          lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
-                 for k, lhs_k, rhs_k in zip(orders, lhs, rhs))
+    return _kato_ponce_rows(f.grid, f.values[None], g.values[None], orders)[0]
 
 
 def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:

@@ -22,6 +22,7 @@ explodes, and ``evolve`` returns whatever was recorded up to the event.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +52,8 @@ __all__ = [
 
 # Sobolev order of the blow-up norm monitor.
 GUARD_NORM_ORDER = 2
+# Full steps of stage-potential history that evolve extrapolates from.
+HISTORY_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -245,38 +248,33 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
 
 def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
                  opts: RunOptions, step_index: int,
-                 phi: tuple | None = None, phi_half: tuple | None = None):
+                 phi: tuple | None = None, ahead: tuple | None = None):
     """One RK4 step from the ``(2, N)`` stack (n, u) with potential ``phi``
     (solved if None).
 
-    Potentials are the pairs of :func:`_potential`. For ``eps > 0`` each
-    stage's Newton solve starts from a guess of its potential. Stage 2
-    starts from ``phi_half``, a guess for the potential at ``t + dt/2``
-    (``phi`` if None), and stage 3 from stage 2's potential. Stage 4
-    starts from ``2 phi_3 - phi``, since its density is
-    ``n + 2 (n_3 - n) + O(dt^2)``. Returns the new stack and the last
-    stage's potential, which is a close guess for the potential of the
-    new state.
+    Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
+    starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
+    from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). Returns
+    the new stack and the potentials of stages 2-4; the last is a close
+    guess for the potential of the new state.
     """
     floor = opts.density_floor
+    stages = []
 
-    def stage(s, t_stage, guess):
+    def stage(s, t_stage):
         _guard_stage(s[0], floor, t_stage, step_index)
-        phi_stage = _potential(grid, s[0], opts, guess, t_stage, step_index)
-        return _rhs_values(grid, *s, phi_stage[0]), phi_stage
+        guess = phi if ahead is None else tuple(a + d[len(stages)]
+                                                for a, d in zip(phi, ahead))
+        stages.append(_potential(grid, s[0], opts, guess, t_stage, step_index))
+        return _rhs_values(grid, *s, stages[-1][0])
 
     _guard_stage(state[0], floor, t, step_index)
     if phi is None:
         phi = _potential(grid, state[0], opts, None, t, step_index)
     k1 = _rhs_values(grid, *state, phi[0])
-    # one name for the stage potentials, so each is freed once it has
-    # served as the next stage's guess
-    k2, phi_s = stage(state + 0.5 * dt * k1, t + 0.5 * dt,
-                      phi if phi_half is None else phi_half)
-    k3, phi_s = stage(state + 0.5 * dt * k2, t + 0.5 * dt, phi_s)
-    if opts.eps > 0.0:
-        phi_s = tuple(2.0 * a - b for a, b in zip(phi_s, phi))
-    k4, phi_s = stage(state + dt * k3, t + dt, phi_s)
+    k2 = stage(state + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = stage(state + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = stage(state + dt * k3, t + dt)
     new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     t_new = t + dt
@@ -286,7 +284,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     norm_hi = _hs_norm_values(grid, new, GUARD_NORM_ORDER).max()
     if norm_hi > opts.norm_ceiling:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
-    return new, phi_s
+    return new, stages
 
 
 def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
@@ -303,6 +301,12 @@ def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
         step_index=0)
     return replace(state, t=state.t + dt, n=Field(grid, new_n),
                    u=Field(grid, new_u))
+
+
+def _extrapolation_weights(count: int) -> np.ndarray:
+    """Weights, newest value first, that carry a sequence one step on; exact
+    for polynomials of degree < count, whose count-th backward difference is 0."""
+    return np.array([(-1) ** m * math.comb(count, m + 1) for m in range(count)], float)
 
 
 def _count_steps(span: float, dt: float) -> tuple[int, float]:
@@ -322,9 +326,12 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     not fit). For ``eps > 0`` the potential of every state is solved
     once, warm-started from the last stage of the step that reached it;
     it serves as the first stage of the next step and is recorded with
-    recorded states. From the second step on, stage 2 starts from the
-    linear extrapolation of the last two states' potentials to its time.
-    Potentials ride along as (values, band coefficients) pairs.
+    recorded states. Stage j = 2, 3, 4 starts from it plus the
+    extrapolation of its own last ``HISTORY_ORDER`` full-step differences
+    ``phi_j - phi``, smooth in the step index at fixed dt. The state's
+    potential is not extrapolated: one Newton step from stage 4's keeps
+    it near round-off, not just under ``tol``. Potentials ride along as
+    (values, band coefficients) pairs.
     On blow-up the stacks are cut at the last record and returned with
     the event attached instead of propagating the error.
     """
@@ -349,25 +356,24 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     values = np.array((state.n.values, state.u.values))
     t0 = state.t
     phi = None
-    phi_before = None  # potential of the state before; eps > 0 only
+    history = []  # the last steps' stage differences, newest first
     blowup = None
     rows = phi_rows = 0
     for i in range(total_steps + 1):
         try:
             if i > 0:
                 step_dt = dt if i <= n_full else tail
-                # only the last step can be short, so every step starts at
-                # a whole number of dt and the step before it spans a full dt
-                t_prev = t0 + (i - 1) * dt
-                phi_half = None
-                if phi_before is not None:
-                    c = 0.5 * step_dt / dt
-                    phi_half = tuple(a + c * (a - b)
-                                     for a, b in zip(phi, phi_before))
+                # a difference is O(dt), so the short last step scales it
+                weights = (step_dt / dt) * _extrapolation_weights(len(history))
+                ahead = tuple(sum(w * h[part] for w, h in zip(weights, history))
+                              for part in (0, 1)) if history else None
+                # only the last step is short: each starts at a whole number of dt
+                values, stages = _step_values(grid, values, t0 + (i - 1) * dt,
+                                              step_dt, opts, i, phi, ahead)
                 if opts.eps > 0.0:
-                    phi_before = phi
-                values, phi = _step_values(grid, values, t_prev, step_dt, opts,
-                                           i, phi, phi_half)
+                    diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
+                    history = [diffs, *history[:HISTORY_ORDER - 1]]
+                phi = stages[-1]
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 import debye_limit
 from debye_limit import __version__, cli
 from debye_limit.cli import main
+from debye_limit.energy import kato_ponce_sample
+from debye_limit.grid import Field, Grid
+from debye_limit.initial import random_smooth_fields
 
 
 def _fast_sim_args(out_dir, extra=()):
@@ -216,6 +219,11 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
                    id=f"{command}-{key}-{value}")
       for command in ("simulate", "sweep", "check")
       for key, value in (("u_amp", "nan"), ("n_base", "inf"), ("phase_u", "inf"))],
+    # a finite but huge velocity overflows in the first step and in the
+    # record norms: the guards end the run, and numpy must not warn
+    pytest.param(["check"], "[init]\nu_amp = 1e308\n", (3,), id="check-u_amp-1e308"),
+    pytest.param(["simulate", "--dt", "1e-4"], "[init]\nu_amp = 1e308\n", (3,),
+                 id="simulate-u_amp-1e308"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:
@@ -622,6 +630,21 @@ def test_kato_ponce_repeat_runs_on_the_battery_grid(tmp_path, monkeypatch, capsy
     base, again, fine = grids
     assert again is base and base.n_points == SMALL_CHECK_KEYS["kp_grid"]
     assert fine.n_points == 2 * base.n_points
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+def test_kato_ponce_battery_does_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of any size draw the stream like one draw of 2 per pair and
+    # sample each pair as the one-pair sampler does; 10 pairs leave a
+    # partial last block at size 3
+    grid = Grid(64)
+    rng = np.random.default_rng(4)
+    expected = []
+    for _ in range(10):
+        f, g = random_smooth_fields(grid, rng, 2, max_mode=6)
+        expected.append(kato_ponce_sample(Field(grid, f), Field(grid, g), (1, 2, 3)))
+    monkeypatch.setattr(cli, "KP_BLOCK", block)
+    assert cli._kp_battery(grid, 4, 10, 6) == expected
 
 
 # --------------------------------------------------- exit-code contract

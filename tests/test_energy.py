@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from debye_limit.energy import (
+    _kato_ponce_rows,
     energy_snapshot,
     gronwall_monitor,
     identity_2_12_check,
@@ -12,7 +13,8 @@ from debye_limit.energy import (
 )
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, l2_norm
-from debye_limit.initial import InitParams, make_initial, random_smooth_field
+from debye_limit.initial import (InitParams, make_initial, random_smooth_field,
+                                 random_smooth_fields)
 from debye_limit.remainder import Remainder, remainder_series, triple_norm
 
 
@@ -247,6 +249,17 @@ def test_kato_ponce_bitwise_reproducible():
             sink.extend(kato_ponce_sample(f, g, (2,)))
     for a, b in zip(first, second):
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.ratio == b.ratio
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3), (3, 1)])
+def test_kato_ponce_block_rows_match_single_pairs(orders):
+    # a stacked block of pairs gives each pair the bits of its own sample
+    grid = Grid(128)
+    fields = random_smooth_fields(grid, np.random.default_rng(9), 10, max_mode=8)
+    rows = _kato_ponce_rows(grid, fields[0::2], fields[1::2], orders)
+    assert len(rows) == 5
+    for row, f, g in zip(rows, fields[0::2], fields[1::2]):
+        assert row == kato_ponce_sample(Field(grid, f), Field(grid, g), orders)
 
 
 def test_kato_ponce_resolution_insensitive():

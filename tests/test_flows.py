@@ -440,33 +440,88 @@ def test_one_potential_solve_per_stage(monkeypatch):
         assert len(calls) == 4 * steps + 1
 
 
-# 20 steps of 1e-3 and a tail step of 5e-4: the tail's stage 2
-# extrapolates across two step sizes. CG totals at the pre-extrapolation
-# solver (warm starts from the previous stage, CG to 1e-10 relative)
-# were 772 and 1024.
-@pytest.mark.parametrize("eps, cg_max", [(1e-2, 400), (1e-4, 520)])
-def test_warm_solves_take_one_newton_step(pb_counts, eps, cg_max):
-    # solves run in the order initial state, then per step stages 2-4
-    # and the new state; only the cold initial solve and the first
-    # step's stage 2, which has no history to extrapolate, take more
+@pytest.mark.parametrize("count", range(1, 7))
+def test_extrapolation_weights_reproduce_polynomials(count):
+    # the weights carry the last count values of a polynomial sequence
+    # one step ahead exactly up to degree count - 1, and no further
+    weights = flows._extrapolation_weights(count)
+    rng = np.random.default_rng(count)
+    back = -np.arange(1.0, count + 1)  # the history, newest first
+    for degree in range(count + 1):
+        poly = np.polynomial.Polynomial(rng.integers(-9, 10, degree + 1))
+        predicted = weights @ poly(back)
+        if degree < count:
+            assert predicted == poly(0.0)
+        elif poly.coef[-1] != 0:
+            assert predicted != poly(0.0)
+    assert np.abs(weights).sum() == 2 ** count - 1
+
+
+def _warm_run(eps, n_amp=0.1):
+    # 20 steps of 1e-3 and a tail step of 5e-4 at N = 64; solves run in
+    # the order initial state, then per step stages 2-4 and the new state
     grid = Grid(64)
-    ep, _ = paired_states(grid)
-    steps = 21
-    traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.0205, eps=eps,
-                                 record_every=5))
+    ep, _ = paired_states(grid, InitParams(n_amp=n_amp))
+    traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.0205, eps=eps, record_every=5))
     assert traj.blowup is None
+
+
+# CG totals with the previous hand-made stage guesses (linear in time
+# for stage 2, stage 2's potential for stage 3, 2 phi_3 - phi for stage
+# 4) were 374 and 481; the cg_max bounds are those totals. At eps = 1e-4
+# the potential rings at the plasma frequency 1 / sqrt(eps) = 100, so
+# with omega dt = 0.1 the 4-step history leaves every guess above tol in
+# this short run and its gain shows in CG alone.
+@pytest.mark.parametrize("eps, cg_max, min_zero_steps", [(1e-2, 374, 1),
+                                                          (1e-4, 481, 0)])
+def test_stage_history_cuts_warm_solve_work(pb_counts, eps, cg_max, min_zero_steps):
+    _warm_run(eps)
+    steps = 21
     assert len(pb_counts) == 4 * steps + 1
     newton = [count for count, _ in pb_counts]
-    assert newton[2:] == [1] * (len(newton) - 2)
+    # once a full history of HISTORY_ORDER steps exists, no solve takes
+    # more than one Newton step, the short tail step included
+    full = 1 + 4 * flows.HISTORY_ORDER
+    assert max(newton[full:]) == 1
+    assert newton.count(0) >= min_zero_steps
     assert sum(cg for _, cg in pb_counts) <= cg_max
+
+
+def test_stage_history_at_large_amplitude(pb_counts):
+    # with the hand-made stage guesses stages 2 and 3 took two Newton
+    # steps in every step here: 129 Newton steps and 1,483 CG iterations
+    _warm_run(1e-4, n_amp=0.6)
+    newton = [count for count, _ in pb_counts]
+    # the short tail step (the last 4 solves) scales the full-step
+    # differences to its size, which is exact to first order only
+    assert max(newton[1 + 4 * flows.HISTORY_ORDER:-4]) == 1
+    assert sum(newton) <= 100
+    assert sum(cg for _, cg in pb_counts) <= 1000
+
+
+def test_stage_history_changes_work_not_results():
+    # the public step() has no history, so every stage starts from the
+    # state's potential; both paths solve each stage to tol, and the
+    # states they reach agree to the Newton tolerance (about 1e-15 here)
+    grid = Grid(64)
+    ep, _ = paired_states(grid, InitParams(n_amp=0.3))
+    opts = RunOptions(dt=1e-3, t_end=0.0205, eps=1e-3, record_every=5)
+    traj = evolve(ep, opts)
+    state = ep
+    for dt in [1e-3] * 20 + [5e-4]:
+        state = step(state, opts, dt)
+    assert state.t == pytest.approx(traj.t[-1])
+    assert np.max(np.abs(state.n.values - traj.n[-1])) <= 1e-12
+    assert np.max(np.abs(state.u.values - traj.u[-1])) <= 1e-12
 
 
 def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
                                                              fft_calls):
     # every guess a run passes, extrapolated or not, is a (values,
-    # coefficients) pair, so each one-step warm solve makes 3 + 2 k
-    # transform calls for its k CG iterations, not the 5 + 2 k of a
-    # projected guess
+    # coefficients) pair, so a warm solve transforms no guess: one that
+    # takes no Newton step makes 1 transform call (its residual), and
+    # one that takes one step 3 + 2 k for its k CG iterations, not the
+    # 5 + 2 k of a projected guess
     solves = []
     real = flows._solve_phi_values
 
@@ -477,12 +532,11 @@ def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
         return out
 
     monkeypatch.setattr(flows, "_solve_phi_values", counting)
-    grid = Grid(64)
-    ep, _ = paired_states(grid)
-    evolve(ep, RunOptions(dt=1e-3, t_end=0.0205, eps=1e-2, record_every=5))
+    _warm_run(1e-2)
     assert len(solves) == 4 * 21 + 1
-    warm = solves[2:]  # past the cold solve and the first stage 2
-    assert all(newton == 1 and calls == 3 + 2 * cg
+    warm = solves[1 + 4 * flows.HISTORY_ORDER:]
+    assert {newton for _, newton, _ in warm} == {0, 1}
+    assert all(calls == (1 if newton == 0 else 3 + 2 * cg)
                for calls, newton, cg in warm)
 
 
