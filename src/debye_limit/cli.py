@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import (SCHEMA, ConfigError, default_config, load_config_file,
                      merge_config, parse_value)
-from .energy import _kato_ponce_rows, energy_snapshot, identity_2_12_check, write_ledger_csv
+from .energy import energy_snapshot, identity_2_12_check, kato_ponce_sample, write_ledger_csv
 from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_json
 from .flows import (
     EPState,
@@ -248,14 +248,13 @@ def cmd_sweep(cfg, args) -> int:
 
 
 def _kp_battery(grid: Grid, seed: int, pairs: int, max_mode: int) -> list:
-    """The Kato-Ponce samples of ``pairs`` seeded field pairs, a tuple per pair."""
     rng = np.random.default_rng(seed)
     rows = []
     for start in range(0, pairs, KP_BLOCK):
         # rows 2i and 2i + 1 are pair i, as in one draw of 2 per pair
         fields = random_smooth_fields(grid, rng, 2 * min(KP_BLOCK, pairs - start),
                                       max_mode=max_mode)
-        rows += _kato_ponce_rows(grid, fields[0::2], fields[1::2], (1, 2, 3))
+        rows += kato_ponce_sample(fields[0::2], fields[1::2], (1, 2, 3), grid)
     return rows
 
 
@@ -363,10 +362,7 @@ def main(argv=None) -> int:
             print(__version__)
             return 0
         run = {"simulate": cmd_simulate, "sweep": cmd_sweep, "check": cmd_check}
-        # the guards end a run whose huge state overflows (exit 3); numpy's
-        # warnings would only repeat that. Forked sweep workers inherit it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run[args.command](_effective_config(args), args)
+        return run[args.command](_effective_config(args), args)
     except (ConfigError, RecordAllocationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -208,12 +208,32 @@ class KPSample:
     ratio: float
 
 
-def _kato_ponce_rows(grid: Grid, f: np.ndarray, g: np.ndarray,
-                     orders: tuple) -> list[tuple[KPSample, ...]]:
-    """The samples of each pair of rows of the ``(P, N)`` stacks ``f``,
-    ``g``, with the bits of its one-pair sample. Pairs and orders share
+def kato_ponce_sample(f, g, orders=(1, 2, 3), grid: Grid | None = None):
+    """Commutator-estimate samples, one per order k, of a field pair or
+    of a block of pairs: Fields ``f``, ``g`` give one tuple of samples,
+    ``(P, N)`` stacks on ``grid`` a list of P tuples, each with the bits
+    of its one-pair sample.
+
+    lhs = ||d^k(fg) - f d^k g||_L2 evaluated on a 2x oversampled grid
+    (the product of two resolved fields is then alias-free); rhs is the
+    product-rule majorant max|f_x| * ||d^(k-1) g|| + ||d^k f|| * max|g|
+    built from homogeneous top-derivative norms. Pairs and orders share
     one upsampling of (f, g), one forward transform of (fg, g, f) and
-    one inverse of every derivative the orders use."""
+    one inverse of every derivative the orders use.
+    """
+    orders = tuple(orders)
+    if not orders or not all(isinstance(k, (int, np.integer))
+                             and 1 <= k <= MAX_DERIVATIVE_ORDER for k in orders):
+        raise ValueError(f"commutator orders must be integers in "
+                         f"1..{MAX_DERIVATIVE_ORDER}, got {orders}")
+    one = grid is None
+    if one:
+        if g.grid != f.grid:
+            raise ValueError("f and g must share a grid")
+        grid, f, g = f.grid, f.values[None], g.values[None]
+    elif np.ndim(f) != 2 or np.shape(g) != np.shape(f) or np.shape(f)[1] != grid.n_points:
+        raise ValueError(f"blocks must be two (P, {grid.n_points}) stacks, "
+                         f"got {np.shape(f)} and {np.shape(g)}")
     # the 2x grid and its symbols are built once per coarse grid
     fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points, grid.length))
     # exact interpolation of band-limited data; Nyquist splits between its images
@@ -235,28 +255,10 @@ def _kato_ponce_rows(grid: Grid, f: np.ndarray, g: np.ndarray,
     lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1])
     rhs = (df_max * _l2_values(fine_grid, dg[k1])
            + _l2_values(fine_grid, d[k1, 2]) * g_max)
-    return [tuple(KPSample(k, lhs_k, float(rhs_k), lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
+    rows = [tuple(KPSample(k, lhs_k, float(rhs_k), lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
                   for k, lhs_k, rhs_k in zip(orders, lhs_p, rhs_p))
             for lhs_p, rhs_p in zip(lhs.T, rhs.T)]
-
-
-def kato_ponce_sample(f: Field, g: Field,
-                      orders=(1, 2, 3)) -> tuple[KPSample, ...]:
-    """Commutator-estimate samples of one field pair, one per order k.
-
-    lhs = ||d^k(fg) - f d^k g||_L2 evaluated on a 2x oversampled grid
-    (the product of two resolved fields is then alias-free); rhs is the
-    product-rule majorant max|f_x| * ||d^(k-1) g|| + ||d^k f|| * max|g|
-    built from homogeneous top-derivative norms.
-    """
-    orders = tuple(orders)
-    if not orders or not all(isinstance(k, (int, np.integer))
-                             and 1 <= k <= MAX_DERIVATIVE_ORDER for k in orders):
-        raise ValueError(f"commutator orders must be integers in "
-                         f"1..{MAX_DERIVATIVE_ORDER}, got {orders}")
-    if g.grid != f.grid:
-        raise ValueError("f and g must share a grid")
-    return _kato_ponce_rows(f.grid, f.values[None], g.values[None], orders)[0]
+    return rows[0] if one else rows
 
 
 def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:

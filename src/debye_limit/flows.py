@@ -199,8 +199,9 @@ def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray,
     2/3 rule actually applies to every product.
     """
     symbol = grid._cached("flux", lambda: -(grid.keep * grid.derivative_symbol(1)))
-    flux_hat = np.fft.rfft(np.array((n * u, 0.5 * u * u + phi)))
-    return np.fft.irfft(symbol * flux_hat, grid.n_points)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards end a huge run
+        flux_hat = np.fft.rfft(np.array((n * u, 0.5 * u * u + phi)))
+        return np.fft.irfft(symbol * flux_hat, grid.n_points)
 
 
 def rhs_ep(state: EPState, eps: float,
@@ -255,8 +256,8 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
     starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
     from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). Returns
-    the new stack and the potentials of stages 2-4; the last is a close
-    guess for the potential of the new state.
+    the new stack and the stage potentials (stage 4's alone for eps = 0);
+    the last is a close guess for the potential of the new state.
     """
     floor = opts.density_floor
     stages = []
@@ -265,6 +266,8 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
         _guard_stage(s[0], floor, t_stage, step_index)
         guess = phi if ahead is None else tuple(a + d[len(stages)]
                                                 for a, d in zip(phi, ahead))
+        if opts.eps == 0.0:
+            stages.clear()  # the limit flow reads only the last one
         stages.append(_potential(grid, s[0], opts, guess, t_stage, step_index))
         return _rhs_values(grid, *s, stages[-1][0])
 
@@ -415,7 +418,8 @@ def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
             gap = _quasineutral_values(grid, n, traj.phi[i])
         else:
             gap = float("nan")  # the potential solve failed here
-        norm_n, norm_u = _hs_norm_values(grid, np.array((n, u)), s)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge state ended its run
+            norm_n, norm_u = _hs_norm_values(grid, np.array((n, u)), s)
         rows.append((t, norm_n, norm_u, _integral_values(grid, n), np.min(n),
                      np.max(n), gap))
     write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",

@@ -224,6 +224,9 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
     pytest.param(["check"], "[init]\nu_amp = 1e308\n", (3,), id="check-u_amp-1e308"),
     pytest.param(["simulate", "--dt", "1e-4"], "[init]\nu_amp = 1e308\n", (3,),
                  id="simulate-u_amp-1e308"),
+    pytest.param(["sweep", "--grid", "32", "--t-end", "1e-3", "--dt", "1e-4",
+                  "--jobs", "2"], "[init]\nu_amp = 1e308\n", (3,),
+                 id="sweep-jobs-2-u_amp-1e308"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, argv, config, codes):
     if config is not None:

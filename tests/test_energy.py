@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from debye_limit.energy import (
-    _kato_ponce_rows,
     energy_snapshot,
     gronwall_monitor,
     identity_2_12_check,
@@ -256,7 +255,7 @@ def test_kato_ponce_block_rows_match_single_pairs(orders):
     # a stacked block of pairs gives each pair the bits of its own sample
     grid = Grid(128)
     fields = random_smooth_fields(grid, np.random.default_rng(9), 10, max_mode=8)
-    rows = _kato_ponce_rows(grid, fields[0::2], fields[1::2], orders)
+    rows = kato_ponce_sample(fields[0::2], fields[1::2], orders, grid)
     assert len(rows) == 5
     for row, f, g in zip(rows, fields[0::2], fields[1::2]):
         assert row == kato_ponce_sample(Field(grid, f), Field(grid, g), orders)
@@ -287,6 +286,11 @@ def test_kato_ponce_validation():
     other = random_smooth_field(Grid(64), rng, max_mode=4)
     with pytest.raises(ValueError, match="share a grid"):
         kato_ponce_sample(f, other, (2,))
+    block = np.array((f.values, g.values))
+    with pytest.raises(ValueError, match="stacks"):
+        kato_ponce_sample(block, block[:1], (2,), grid)
+    with pytest.raises(ValueError, match="stacks"):
+        kato_ponce_sample(block, block, (2,), Grid(64))
 
 
 def _upsample_one(grid, values):
