@@ -266,9 +266,9 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
         _guard_stage(s[0], floor, t_stage, step_index)
         guess = phi if ahead is None else tuple(a + d[len(stages)]
                                                 for a, d in zip(phi, ahead))
-        if opts.eps == 0.0:
-            stages.clear()  # the limit flow reads only the last one
         stages.append(_potential(grid, s[0], opts, guess, t_stage, step_index))
+        if opts.eps == 0.0:
+            del stages[:-1]  # the limit flow reads only the last one
         return _rhs_values(grid, *s, stages[-1][0])
 
     _guard_stage(state[0], floor, t, step_index)
@@ -376,7 +376,7 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
                 if opts.eps > 0.0:
                     diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
                     history = [diffs, *history[:HISTORY_ORDER - 1]]
-                phi = stages[-1]
+                phi = stages.pop()  # freed when the state's potential replaces it
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:
