@@ -147,18 +147,19 @@ class BlowUpError(RuntimeError):
 
 
 class RecordAllocationError(MemoryError):
-    """The record stacks of a run do not fit in memory."""
+    """The record stacks of a run do not fit in memory, or its steps overflow."""
 
 
 @dataclass
 class Trajectory:
     """Records of one run: times ``t`` ``(R,)`` and stacks ``n``, ``u`` ``(R, N)``.
 
-    ``phi`` stacks the recorded potentials row by row when ``eps > 0``
-    and is None for limit-flow runs. ``blowup`` is set when the run ended
-    early; when a ``pb_divergence`` hit the solve for a recorded state,
-    that last row has no potential and ``phi`` is one row shorter. The
-    stacks are read-only, since consumers share them as views.
+    ``h2_norms`` ``(R, 2)`` holds the guards' (n, u) ``H^2`` norms of each
+    record. ``phi`` stacks the recorded potentials when ``eps > 0`` and is
+    None for limit-flow runs. ``blowup`` is set when the run ended early;
+    when a ``pb_divergence`` hit the solve for a recorded state, that last
+    row has no potential and ``phi`` is one row shorter. The stacks are
+    read-only, since consumers share them as views.
     """
 
     eps: float
@@ -168,6 +169,7 @@ class Trajectory:
     n: np.ndarray
     u: np.ndarray
     phi: np.ndarray | None
+    h2_norms: np.ndarray
     blowup: BlowUpEvent | None = None
     wall_time: float = 0.0
 
@@ -185,13 +187,13 @@ def default_dt(state: EPState) -> float:
     return 0.25 * state.grid.dx / (umax + 1.5)
 
 
-def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray,
-                phi: np.ndarray) -> np.ndarray:
-    """The ``(2, N)`` stack (dn, du) = -((n u)_x, (u^2/2 + phi)_x), dealiased.
+def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray, phi: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """(dn, du) = -((n u)_x, (u^2/2 + phi)_x), dealiased, into ``out`` ``(2, N)``.
 
-    One masked derivative of the two fluxes: 2 transform calls, since a
-    stacked transform gives each row the bits of a single one. The
-    potential is dealiased with u^2/2: phi comes from a pointwise
+    One masked derivative of the two fluxes, formed in ``out``: 2 transform
+    calls, since a stacked transform gives each row the bits of a single
+    one. The potential is dealiased with u^2/2: phi comes from a pointwise
     exponential (or log), so it carries energy above the cutoff, and
     feeding that into u opens a resonant alias loop at the boundary mode
     of the full flow (flat dispersion at high k makes neighbours
@@ -200,8 +202,13 @@ def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray,
     """
     symbol = grid._cached("flux", lambda: -(grid.keep * grid.derivative_symbol(1)))
     with np.errstate(over="ignore", invalid="ignore"):  # the guards end a huge run
-        flux_hat = np.fft.rfft(np.array((n * u, 0.5 * u * u + phi)))
-        return np.fft.irfft(symbol * flux_hat, grid.n_points)
+        np.multiply(n, u, out=out[0])
+        np.multiply(0.5, u, out=out[1])
+        out[1] *= u
+        out[1] += phi
+        flux_hat = np.fft.rfft(out)
+        out[...] = np.fft.irfft(np.multiply(flux_hat, symbol, out=flux_hat), grid.n_points)
+    return out
 
 
 def rhs_ep(state: EPState, eps: float,
@@ -211,15 +218,15 @@ def rhs_ep(state: EPState, eps: float,
         raise ValueError(f"the full flow needs eps > 0, got {eps}")
     grid, n = state.grid, state.n.values
     phi = _solve_phi_values(grid, n, eps, pb or PBSolveOptions())[0][0]
-    dn, du = _rhs_values(grid, n, state.u.values, phi)
+    dn, du = _rhs_values(grid, n, state.u.values, phi, np.empty((2, len(n))))
     return Field(grid, dn), Field(grid, du)
 
 
 def rhs_limit(state: EPState) -> tuple[Field, Field]:
     """Time derivative (dn, du) of the quasineutral limit flow."""
-    n = state.n.values
-    dn, du = _rhs_values(state.grid, n, state.u.values, np.log(n))
-    return Field(state.grid, dn), Field(state.grid, du)
+    grid, n = state.grid, state.n.values
+    dn, du = _rhs_values(grid, n, state.u.values, np.log(n), np.empty((2, len(n))))
+    return Field(grid, dn), Field(grid, du)
 
 
 def _guard_stage(n: np.ndarray, floor: float, t: float, step_index: int):
@@ -248,46 +255,55 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
 
 
 def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
-                 opts: RunOptions, step_index: int,
-                 phi: tuple | None = None, ahead: tuple | None = None):
-    """One RK4 step from the ``(2, N)`` stack (n, u) with potential ``phi``
-    (solved if None).
+                 opts: RunOptions, step_index: int, phi: tuple | None = None,
+                 ahead: tuple | None = None, work: np.ndarray | None = None):
+    """One RK4 step that advances the ``(2, N)`` stack (n, u) in place, from
+    potential ``phi`` (solved if None).
 
     Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
     starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
-    from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). Returns
-    the new stack and the stage potentials (stage 4's alone for eps = 0);
-    the last is a close guess for the potential of the new state.
+    from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). ``work``,
+    ``(5, 2, N)`` (allocated if None), holds k1..k4 and the stage state;
+    every sum runs in the textbook operation order. Returns the stack, the
+    stage potentials (stage 4's alone for eps = 0; the last is a close
+    guess for the new state's) and the guard's ``(2,)`` ``H^2`` norms.
     """
     floor = opts.density_floor
     stages = []
+    *ks, s = np.empty((5, *state.shape)) if work is None else work
 
-    def stage(s, t_stage):
+    def stage(j, c, t_stage):  # k_j from state + c k_{j-1}
+        np.add(np.multiply(ks[j - 2], c, out=s), state, out=s)
         _guard_stage(s[0], floor, t_stage, step_index)
         guess = phi if ahead is None else tuple(a + d[len(stages)]
                                                 for a, d in zip(phi, ahead))
         stages.append(_potential(grid, s[0], opts, guess, t_stage, step_index))
         if opts.eps == 0.0:
             del stages[:-1]  # the limit flow reads only the last one
-        return _rhs_values(grid, *s, stages[-1][0])
+        _rhs_values(grid, *s, stages[-1][0], ks[j - 1])
 
     _guard_stage(state[0], floor, t, step_index)
     if phi is None:
         phi = _potential(grid, state[0], opts, None, t, step_index)
-    k1 = _rhs_values(grid, *state, phi[0])
-    k2 = stage(state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = stage(state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = stage(state + dt * k3, t + dt)
-    new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _rhs_values(grid, *state, phi[0], ks[0])
+    stage(2, 0.5 * dt, t + 0.5 * dt)
+    stage(3, 0.5 * dt, t + 0.5 * dt)
+    stage(4, dt, t + dt)
+    change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
+    change += ks[0]
+    change += np.multiply(ks[2], 2.0, out=ks[2])
+    change += ks[3]
+    change *= dt / 6.0
+    new = np.add(state, change, out=state)
 
     t_new = t + dt
     if not np.isfinite(new).all():
         raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan"), step_index))
     _guard_stage(new[0], floor, t_new, step_index)
-    norm_hi = _hs_norm_values(grid, new, GUARD_NORM_ORDER).max()
-    if norm_hi > opts.norm_ceiling:
-        raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norm_hi, step_index))
-    return new, stages
+    norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
+    if norms.max() > opts.norm_ceiling:
+        raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max(), step_index))
+    return new, stages, norms
 
 
 def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
@@ -299,7 +315,7 @@ def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
     if dt is None:
         dt = opts.dt if opts.dt is not None else default_dt(state)
     grid = state.grid
-    (new_n, new_u), _ = _step_values(
+    (new_n, new_u), _, _ = _step_values(
         grid, np.array((state.n.values, state.u.values)), state.t, dt, opts,
         step_index=0)
     return replace(state, t=state.t + dt, n=Field(grid, new_n),
@@ -326,15 +342,16 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
 
     The initial and final states are always recorded, into stacks sized
     for the whole run up front (:class:`RecordAllocationError` if they do
-    not fit). For ``eps > 0`` the potential of every state is solved
-    once, warm-started from the last stage of the step that reached it;
-    it serves as the first stage of the next step and is recorded with
-    recorded states. Stage j = 2, 3, 4 starts from it plus the
-    extrapolation of its own last ``HISTORY_ORDER`` full-step differences
-    ``phi_j - phi``, smooth in the step index at fixed dt. The state's
-    potential is not extrapolated: one Newton step from stage 4's keeps
-    it near round-off, not just under ``tol``. Potentials ride along as
-    (values, band coefficients) pairs.
+    not fit), with the ``H^2`` norms of the step guards. The steps advance
+    one state in place, with work arrays allocated once per run. For
+    ``eps > 0`` the potential of every state is solved once, warm-started
+    from the last stage of the step that reached it; it serves as the
+    first stage of the next step and is recorded with recorded states.
+    Stage j = 2, 3, 4 starts from it plus the extrapolation of its own last
+    ``HISTORY_ORDER`` full-step differences ``phi_j - phi``, smooth in the
+    step index at fixed dt. The state's potential is not extrapolated: one
+    Newton step from stage 4's keeps it near round-off, not just under
+    ``tol``. Potentials ride along as (values, band coefficients) pairs.
     On blow-up the stacks are cut at the last record and returned with
     the event attached instead of propagating the error.
     """
@@ -345,18 +362,24 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
     if dt is None:
         # a run shorter than one auto step takes one step of its span
         dt = min(default_dt(state), span) if span > 0.0 else default_dt(state)
+        if not np.isfinite(span / dt):  # RunOptions' rule for a given dt
+            raise RecordAllocationError(f"t_end / dt overflows at the auto dt = {dt:g}")
     n_full, tail = _count_steps(span, dt)
     total_steps = n_full + (1 if tail > 0.0 else 0)
     records = -(-total_steps // opts.record_every) + 1
     try:
         times = np.empty(records)
         stacks = np.empty((3 if opts.eps > 0.0 else 2, records, grid.n_points))
+        h2 = np.empty((records, 2))
     except (MemoryError, ValueError) as err:
         raise RecordAllocationError(
             f"the {records} records of a run to t_end = {opts.t_end:g} on "
             f"{grid.n_points} points do not fit in memory ({err})") from None
 
     values = np.array((state.n.values, state.u.values))
+    work = np.empty((5, *values.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge state trips step 1
+        norms = _hs_norm_values(grid, values, GUARD_NORM_ORDER)
     t0 = state.t
     phi = None
     history = []  # the last steps' stage differences, newest first
@@ -371,8 +394,8 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
                 ahead = tuple(sum(w * h[part] for w, h in zip(weights, history))
                               for part in (0, 1)) if history else None
                 # only the last step is short: each starts at a whole number of dt
-                values, stages = _step_values(grid, values, t0 + (i - 1) * dt,
-                                              step_dt, opts, i, phi, ahead)
+                _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt,
+                                                step_dt, opts, i, phi, ahead, work)
                 if opts.eps > 0.0:
                     diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
                     history = [diffs, *history[:HISTORY_ORDER - 1]]
@@ -380,7 +403,7 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
             t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
             recorded = i % opts.record_every == 0 or i == total_steps
             if recorded:
-                times[rows], stacks[:2, rows] = t_now, values
+                times[rows], stacks[:2, rows], h2[rows] = t_now, values, norms
                 rows += 1
             phi = _potential(grid, values[0], opts, phi, t_now, i)
             if recorded and opts.eps > 0.0:
@@ -390,9 +413,9 @@ def evolve(state: EPState, opts: RunOptions) -> Trajectory:
             blowup = err.event
             break
 
-    times.flags.writeable = stacks.flags.writeable = False
+    times.flags.writeable = stacks.flags.writeable = h2.flags.writeable = False
     return Trajectory(eps=opts.eps, dt=dt, grid=grid, t=times[:rows],
-                      n=stacks[0, :rows], u=stacks[1, :rows],
+                      n=stacks[0, :rows], u=stacks[1, :rows], h2_norms=h2[:rows],
                       phi=stacks[2, :phi_rows] if opts.eps > 0.0 else None,
                       blowup=blowup, wall_time=time.perf_counter() - t_start)
 
@@ -403,27 +426,26 @@ def _quasineutral_values(grid: Grid, n: np.ndarray, phi: np.ndarray):
 
 
 def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
-    """Write the per-record scalar diagnostics of a run, record by record.
+    """Write the per-record scalar diagnostics of a run.
 
-    Each record's (n, u) pair shares one ``H^s`` transform; a pass over
-    the whole record stack would hold a complex spectrum its size.
+    At ``s = GUARD_NORM_ORDER`` the norms are the guards' ``traj.h2_norms``
+    and nothing is transformed. Another order transforms each record's
+    (n, u) pair in one call, so no spectrum the size of the stack is held.
     """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
-    grid = traj.grid
-    rows = []
-    for i, (t, n, u) in enumerate(zip(traj.t, traj.n, traj.u)):
-        if traj.phi is None:
-            gap = 0.0
-        elif i < len(traj.phi):
-            gap = _quasineutral_values(grid, n, traj.phi[i])
-        else:
-            gap = float("nan")  # the potential solve failed here
+    grid, n, phi = traj.grid, traj.n, traj.phi
+    norms = traj.h2_norms
+    if s != GUARD_NORM_ORDER:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge state ended its run
-            norm_n, norm_u = _hs_norm_values(grid, np.array((n, u)), s)
-        rows.append((t, norm_n, norm_u, _integral_values(grid, n), np.min(n),
-                     np.max(n), gap))
+            norms = np.array([_hs_norm_values(grid, np.array(pair), s)
+                              for pair in zip(n, traj.u)])
+    gap = np.full(len(n), 0.0 if phi is None else np.nan)
+    if phi is not None:  # nan where the potential solve failed
+        gap[:len(phi)] = _quasineutral_values(grid, n[:len(phi)], phi)
+    columns = (traj.t, *norms.T, _integral_values(grid, n), n.min(axis=-1),
+               n.max(axis=-1), gap)
     write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",
-              rows)
+              zip(*(col.tolist() for col in columns)))
 
 
 def write_snapshot_csv(traj: Trajectory, flow: str, out_dir) -> str:

@@ -12,13 +12,6 @@ import os
 import tempfile
 
 
-def fmt(x) -> str:
-    """Format a number with full double precision (17 significant digits)."""
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
-
-
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
     path = os.fspath(path)
@@ -36,8 +29,13 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """Atomically write a CSV file from a header string and row tuples."""
+    """Atomically write a CSV file from a header string and row tuples.
+
+    Floats (``np.float64`` too) get 17 significant digits and other cells
+    ``str``, through one ``%`` call per row.
+    """
     lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    for row in map(tuple, rows):
+        lines.append(",".join(["%.17g" if isinstance(v, float) else "%s"
+                               for v in row]) % row)
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -218,7 +218,7 @@ def test_stacked_rhs_matches_single_row_transforms(n_points):
     u = 0.3 * random_smooth_field(grid, rng).values + noise()
     phis = (np.log(n), solve_phi(Field(grid, n), 1e-2).phi.values)
     for phi in phis:
-        got = flows._rhs_values(grid, n, u, phi)
+        got = flows._rhs_values(grid, n, u, phi, np.empty((2, n_points)))
         want = _single_row_rhs(grid, n, u, phi)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -229,7 +229,7 @@ def test_rhs_and_limit_step_fft_calls(fft_calls):
     grid = Grid(64)
     _, lim = paired_states(grid)
     n, u = lim.n.values, lim.u.values
-    flows._rhs_values(grid, n, u, np.log(n))
+    flows._rhs_values(grid, n, u, np.log(n), np.empty((2, 64)))
     assert fft_calls == ["rfft", "irfft"]
     fft_calls.clear()
     flows._step_values(grid, np.array((n, u)), 0.0, 1e-3,
@@ -639,10 +639,73 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(lines) == 1 + len(traj.t)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
-    # each record's (n, u) norms share one transform call, with the bits
-    # of the single-field norms
+    # the initial record's (n, u) norms, formed by evolve in one transform
+    # call, have the bits of the single-field norms
     assert first[1:3] == [hs_norm(ep.n, 2), hs_norm(ep.u, 2)]
     assert first[3] == pytest.approx(integrate(ep.n), rel=1e-15)
+
+
+def _recorded_runs():
+    # both flows, and a run cut short at the density floor
+    grid = Grid(64)
+    ep, lim = paired_states(grid, InitParams(n_amp=0.3, u_amp=0.2))
+    steep, _ = paired_states(grid, InitParams(n_amp=0.9, u_amp=0.9))
+    return [evolve(lim, RunOptions(dt=1e-3, t_end=0.02, eps=0.0, record_every=3)),
+            evolve(ep, RunOptions(dt=1e-3, t_end=0.02, eps=1e-2, record_every=3)),
+            evolve(steep, RunOptions(t_end=0.5, eps=1e-2, record_every=10))]
+
+
+def test_recorded_h2_norms_are_the_guards_norms():
+    runs = _recorded_runs()
+    assert runs[2].blowup.reason == "density_floor" and len(runs[2].t) > 3
+    for traj in runs:
+        grid = traj.grid
+        assert traj.h2_norms.shape == (len(traj.t), 2)
+        assert not traj.h2_norms.flags.writeable
+        for norms, n, u in zip(traj.h2_norms, traj.n, traj.u):
+            fields = Field(grid, n), Field(grid, u)
+            assert norms.tolist() == [hs_norm(f, 2) for f in fields]
+            # an oracle that takes no Parseval sum
+            want = [np.sqrt(sum(l2_norm(derivative(f, a)) ** 2 for a in range(3)))
+                    for f in fields]
+            assert np.allclose(norms, want, rtol=1e-12, atol=0.0)
+
+
+def test_trajectory_csv_reads_the_recorded_norms(tmp_path, fft_calls):
+    for traj in _recorded_runs():
+        fft_calls.clear()
+        write_trajectory_csv(traj, tmp_path / "h2.csv")
+        assert fft_calls == []
+        write_trajectory_csv(traj, tmp_path / "h3.csv", s=3)
+        got = np.loadtxt(tmp_path / "h3.csv", delimiter=",", skiprows=1)
+        want = [[hs_norm(Field(traj.grid, f), 3) for f in pair]
+                for pair in zip(traj.n, traj.u)]
+        assert got[:, 1:3].tolist() == want
+        # the H^2 and H^3 files differ only in the norm columns
+        h2 = np.loadtxt(tmp_path / "h2.csv", delimiter=",", skiprows=1)
+        assert h2[:, 1:3].tolist() == traj.h2_norms.tolist()
+        assert np.array_equal(np.delete(h2, [1, 2], axis=1),
+                              np.delete(got, [1, 2], axis=1), equal_nan=True)
+
+
+def test_results_do_not_alias_work_arrays():
+    # later steps and runs on the same grid leave earlier results alone
+    grid = Grid(64)
+    ep, lim = paired_states(grid, InitParams(n_amp=0.3, u_amp=0.2))
+    results = []
+    for state, eps in ((lim, 0.0), (ep, 1e-2)):
+        opts = RunOptions(dt=1e-3, t_end=0.01, eps=eps)
+        results += [step(state, opts), evolve(state, opts)]
+    copies = [(r.n.values.copy(), r.u.values.copy()) if isinstance(r, EPState)
+              else (r.n.copy(), r.u.copy(), r.h2_norms.copy()) for r in results]
+    for state, eps in ((lim, 0.0), (ep, 1e-2)):
+        opts = RunOptions(dt=2e-3, t_end=0.02, eps=eps)
+        step(step(state, opts), opts)
+        evolve(state, opts)
+    for r, kept in zip(results, copies):
+        now = ((r.n.values, r.u.values) if isinstance(r, EPState)
+               else (r.n, r.u, r.h2_norms))
+        assert all(np.array_equal(a, b) for a, b in zip(now, kept))
 
 
 def test_snapshot_csv_schema(tmp_path):
