@@ -692,20 +692,17 @@ def test_results_do_not_alias_work_arrays():
     # later steps and runs on the same grid leave earlier results alone
     grid = Grid(64)
     ep, lim = paired_states(grid, InitParams(n_amp=0.3, u_amp=0.2))
-    results = []
+    arrays = []
     for state, eps in ((lim, 0.0), (ep, 1e-2)):
         opts = RunOptions(dt=1e-3, t_end=0.01, eps=eps)
-        results += [step(state, opts), evolve(state, opts)]
-    copies = [(r.n.values.copy(), r.u.values.copy()) if isinstance(r, EPState)
-              else (r.n.copy(), r.u.copy(), r.h2_norms.copy()) for r in results]
+        new, traj = step(state, opts), evolve(state, opts)
+        arrays += [new.n.values, new.u.values, traj.n, traj.u, traj.h2_norms]
+    copies = [a.copy() for a in arrays]
     for state, eps in ((lim, 0.0), (ep, 1e-2)):
         opts = RunOptions(dt=2e-3, t_end=0.02, eps=eps)
         step(step(state, opts), opts)
         evolve(state, opts)
-    for r, kept in zip(results, copies):
-        now = ((r.n.values, r.u.values) if isinstance(r, EPState)
-               else (r.n, r.u, r.h2_norms))
-        assert all(np.array_equal(a, b) for a, b in zip(now, kept))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, copies))
 
 
 def test_snapshot_csv_schema(tmp_path):
