@@ -154,12 +154,12 @@ class RecordAllocationError(MemoryError):
 class Trajectory:
     """Records of one run: times ``t`` ``(R,)`` and stacks ``n``, ``u`` ``(R, N)``.
 
-    ``h2_norms`` ``(R, 2)`` holds the guards' (n, u) ``H^2`` norms of each
-    record. ``phi`` stacks the recorded potentials when ``eps > 0`` and is
-    None for limit-flow runs. ``blowup`` is set when the run ended early;
-    when a ``pb_divergence`` hit the solve for a recorded state, that last
-    row has no potential and ``phi`` is one row shorter. The stacks are
-    read-only, since consumers share them as views.
+    ``h2_norms`` ``(R, 2)`` holds each record's (n, u) ``H^2`` norms, as the
+    step guard forms them. ``phi`` stacks the recorded potentials when
+    ``eps > 0`` and is None for limit-flow runs. ``blowup`` is set when the
+    run ended early; when a ``pb_divergence`` hit the solve for a recorded
+    state, that last row has no potential and ``phi`` is one row shorter.
+    The stacks are read-only, since consumers share them as views.
     """
 
     eps: float
