@@ -31,10 +31,10 @@ from .flows import (
     LimitState,
     RecordAllocationError,
     RunOptions,
-    _count_steps,
+    TrajectoryTable,
+    _run_length,
     evolve,
     write_snapshot_csv,
-    write_trajectory_csv,
 )
 from .grid import MAX_DERIVATIVE_ORDER, MAX_SOBOLEV_ORDER, Grid, _check_order
 from .initial import InitParams, make_initial, random_smooth_fields
@@ -184,12 +184,13 @@ def cmd_simulate(cfg, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     n0, u0 = make_initial(init, grid)
-    state_cls = EPState if flow == "ep" else LimitState
-    traj = evolve(state_cls(0.0, n0, u0), opts)
+    state = (EPState if flow == "ep" else LimitState)(0.0, n0, u0)
+    table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
+    traj = evolve(state, opts, on_record=table)
 
     os.makedirs(out, exist_ok=True)
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
-    write_trajectory_csv(traj, traj_path, s=cfg["run"]["s"])
+    table.write_csv(traj_path)
     snap_path = write_snapshot_csv(traj, flow, out)
 
     print(f"simulate: flow={flow} eps={eps:g} grid={grid.n_points} "
@@ -284,18 +285,18 @@ def cmd_check(cfg, args) -> int:
     if not c["kp_max_mode"] < c["kp_grid"] / 2:
         raise ConfigError(f"check needs kp_max_mode < kp_grid / 2 = "
                           f"{c['kp_grid'] // 2}, got {c['kp_max_mode']}")
+    n0, u0 = make_initial(init, grid)
+    state = EPState(0.0, n0, u0)
     # the identity check takes centered differences of uniformly spaced records
-    n_full, tail = _count_steps(c["t_end"], c["dt"])
+    _, n_full, tail, n_records = _run_length(state, opts)
     if tail > 0.0 or n_full % c["record_every"]:
         raise ConfigError("check needs t_end to be a whole number of record "
                           "intervals dt * record_every")
-    n_records = n_full // c["record_every"] + 1
     if n_records < 5:
         # the identity check at stride 2 needs three snapshots
         raise ConfigError(f"check needs at least 5 recorded states, got "
                           f"{n_records}; raise t_end or lower record_every")
-    n0, u0 = make_initial(init, grid)
-    ep_traj = evolve(EPState(0.0, n0, u0), opts)
+    ep_traj = evolve(state, opts)
     lim_traj = evolve(LimitState(0.0, n0, u0), replace(opts, eps=0.0))
     if ep_traj.blowup is not None or lim_traj.blowup is not None:
         print("check: run blew up before t_end; no verdicts")

@@ -175,20 +175,10 @@ class SweepReport:
     members: list  # MemberResult objects; not serialized
 
     def as_dict(self, include_timings: bool = True) -> dict:
-        rows = []
-        for row in self.rows:
-            row = dict(row)
-            if not include_timings:
-                row.pop("wall_time", None)
-            rows.append(row)
-        out = {
-            "spec": self.spec,
-            "dt": self.dt,
-            "limit_status": self.limit_status,
-            "rows": rows,
-            "fits": self.fits,
-            "verdicts": self.verdicts,
-        }
+        rows = [{k: v for k, v in row.items() if include_timings or k != "wall_time"}
+                for row in self.rows]
+        out = {"spec": self.spec, "dt": self.dt, "limit_status": self.limit_status,
+               "rows": rows, "fits": self.fits, "verdicts": self.verdicts}
         if include_timings:
             out["wall_time_total"] = self.wall_time_total
         return out
@@ -229,10 +219,7 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
     grid, count = rems.grid, len(rems.t)
     # the full flow at the remainders' times, for the plain errors
     ep_n, ep_u, phi = (v[:count] for v in (ep_traj.n, ep_traj.u, ep_traj.phi))
-    triple_norms: dict = {}
-    sup_norms: dict = {}
-    errors: dict = {}
-    elliptic: dict = {}
+    triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
     for s in spec.s_list:
         tn = triple_norms[s] = triple_norm(rems, s)
         sup_norms[f"s{s}"] = {
@@ -310,8 +297,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         members = [member(eps) for eps in spec.eps_list]
 
     rows = [m.row for m in members]
-    fits: dict = {}
-    verdicts: dict = {}
+    fits, verdicts = {}, {}
     ok_rows = [row for row in rows if row["status"] == "OK"]
     member_blowup = len(ok_rows) < len(rows)
     any_blowup = member_blowup or limit_status != "OK"
@@ -359,16 +345,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         "bound_factor": spec.bound_factor,
         "init": asdict(spec.init),
     }
-    return SweepReport(
-        spec=spec_echo,
-        dt=lim_traj.dt,
-        limit_status=limit_status,
-        rows=rows,
-        fits=fits,
-        verdicts=verdicts,
-        wall_time_total=time.perf_counter() - t_begin,
-        members=members,
-    )
+    return SweepReport(spec=spec_echo, dt=lim_traj.dt, limit_status=limit_status,
+                       rows=rows, fits=fits, verdicts=verdicts,
+                       wall_time_total=time.perf_counter() - t_begin, members=members)
 
 
 def write_report_json(report: SweepReport, path) -> None:

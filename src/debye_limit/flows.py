@@ -23,6 +23,7 @@ explodes, and ``evolve`` returns whatever was recorded up to the event.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +47,7 @@ __all__ = [
     "step",
     "evolve",
     "RecordAllocationError",
-    "write_trajectory_csv",
+    "TrajectoryTable",
     "write_snapshot_csv",
 ]
 
@@ -147,19 +148,24 @@ class BlowUpError(RuntimeError):
 
 
 class RecordAllocationError(MemoryError):
-    """The record stacks of a run do not fit in memory, or its steps overflow."""
+    """A run's records do not fit in memory, or its steps overflow.
+
+    Raised before the first step: by ``evolve`` for its record stacks, and
+    by :class:`TrajectoryTable` for its ``(R, 7)`` table. A count of
+    ``10**15`` records or more is named in ``%.4g`` form.
+    """
 
 
 @dataclass
 class Trajectory:
     """Records of one run: times ``t`` ``(R,)`` and stacks ``n``, ``u`` ``(R, N)``.
 
-    ``h2_norms`` ``(R, 2)`` holds each record's (n, u) ``H^2`` norms, as the
-    step guard forms them. ``phi`` stacks the recorded potentials when
-    ``eps > 0`` and is None for limit-flow runs. ``blowup`` is set when the
-    run ended early; when a ``pb_divergence`` hit the solve for a recorded
-    state, that last row has no potential and ``phi`` is one row shorter.
-    The stacks are read-only, since consumers share them as views.
+    A run that streamed its records keeps only the last one (``R = 1``).
+    ``phi`` stacks the recorded potentials when ``eps > 0`` and is None for
+    limit-flow runs. ``blowup`` is set when the run ended early; when a
+    ``pb_divergence`` hit the solve for a recorded state, that last row has
+    no potential and ``phi`` is one row shorter. The stacks are read-only,
+    since consumers share them as views.
     """
 
     eps: float
@@ -169,7 +175,6 @@ class Trajectory:
     n: np.ndarray
     u: np.ndarray
     phi: np.ndarray | None
-    h2_norms: np.ndarray
     blowup: BlowUpEvent | None = None
     wall_time: float = 0.0
 
@@ -328,95 +333,114 @@ def _extrapolation_weights(count: int) -> np.ndarray:
     return np.array([(-1) ** m * math.comb(count, m + 1) for m in range(count)], float)
 
 
-def _count_steps(span: float, dt: float) -> tuple[int, float]:
-    """Number of full dt steps plus the length of a trailing short step."""
-    n_full = int(np.floor(span / dt + 1e-9))
-    tail = span - n_full * dt
-    if tail <= 1e-9 * dt:
-        tail = 0.0
-    return n_full, tail
+def _run_length(state: EPState, opts: RunOptions) -> tuple[float, int, float, int]:
+    """A run's dt, full steps, short last step (0.0 if none) and record count.
 
-
-def evolve(state: EPState, opts: RunOptions) -> Trajectory:
-    """Integrate to ``t_end``, recording every ``record_every``-th step.
-
-    The initial and final states are always recorded, into stacks sized
-    for the whole run up front (:class:`RecordAllocationError` if they do
-    not fit), with the ``H^2`` norms of the step guards. The steps advance
-    one state in place, with work arrays allocated once per run. For
-    ``eps > 0`` the potential of every state is solved once, warm-started
-    from the last stage of the step that reached it; it serves as the
-    first stage of the next step and is recorded with recorded states.
-    Stage j = 2, 3, 4 starts from it plus the extrapolation of its own last
-    ``HISTORY_ORDER`` full-step differences ``phi_j - phi``, smooth in the
-    step index at fixed dt. The state's potential is not extrapolated: one
-    Newton step from stage 4's keeps it near round-off, not just under
-    ``tol``. Potentials ride along as (values, band coefficients) pairs.
-    On blow-up the stacks are cut at the last record and returned with
-    the event attached instead of propagating the error.
+    A run shorter than one auto step takes one step of its span;
+    :class:`RecordAllocationError` if ``span / dt`` overflows.
     """
-    t_start = time.perf_counter()
-    grid = state.grid
     span = opts.t_end - state.t
     dt = opts.dt
     if dt is None:
-        # a run shorter than one auto step takes one step of its span
         dt = min(default_dt(state), span) if span > 0.0 else default_dt(state)
         if not np.isfinite(span / dt):  # RunOptions' rule for a given dt
             raise RecordAllocationError(f"t_end / dt overflows at the auto dt = {dt:g}")
-    n_full, tail = _count_steps(span, dt)
-    total_steps = n_full + (1 if tail > 0.0 else 0)
-    records = -(-total_steps // opts.record_every) + 1
+    n_full = int(np.floor(span / dt + 1e-9))
+    tail = span - n_full * dt
+    tail = tail if tail > 1e-9 * dt else 0.0
+    return dt, n_full, tail, -(-(n_full + (tail > 0.0)) // opts.record_every) + 1
+
+
+def _record_arrays(grid: Grid, opts: RunOptions, records: int, *shapes) -> list:
+    """Empty arrays of ``shapes`` for a run's ``records``, one per shape;
+    :class:`RecordAllocationError` when they do not fit."""
     try:
-        times = np.empty(records)
-        stacks = np.empty((3 if opts.eps > 0.0 else 2, records, grid.n_points))
-        h2 = np.empty((records, 2))
+        return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError) as err:
+        count = f"{records:.4g}" if records >= 10 ** 15 else records
         raise RecordAllocationError(
-            f"the {records} records of a run to t_end = {opts.t_end:g} on "
+            f"the {count} records of a run to t_end = {opts.t_end:g} on "
             f"{grid.n_points} points do not fit in memory ({err})") from None
+
+
+def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
+    """Integrate to ``t_end``, recording every ``record_every``-th step.
+
+    The initial and final states are always recorded. Without ``on_record``
+    all records are kept, in stacks sized for the whole run up front
+    (:class:`RecordAllocationError` if they do not fit). Else only the last
+    is kept, and each goes to ``on_record(t, n, u, phi, h2_norms)`` once its
+    potential is solved: views valid only during the call, ``phi`` None for
+    the limit flow or a failed solve, and the guard's (n, u) ``H^2`` norms.
+    The steps advance one state in place, with work arrays allocated once
+    per run. For ``eps > 0`` the potential of every state is solved once,
+    warm-started from the last stage of the step that reached it; it
+    serves as the first stage of the next step and is recorded with
+    recorded states. Stage j = 2, 3, 4 starts from it plus the
+    extrapolation of its own last ``HISTORY_ORDER`` full-step differences
+    ``phi_j - phi``, smooth in the step index at fixed dt. The state's
+    potential is not extrapolated: one Newton step from stage 4's keeps it
+    near round-off, not just under ``tol``. Potentials ride along as
+    (values, band coefficients) pairs. On blow-up the records end at the
+    last one and are returned with the event attached instead of
+    propagating the error.
+    """
+    t_start = time.perf_counter()
+    grid = state.grid
+    dt, n_full, tail, records = _run_length(state, opts)
+    total_steps = n_full + (tail > 0.0)
+    kept = records if on_record is None else 1  # every record, or the last
+    times, stacks = _record_arrays(grid, opts, records, kept,
+                                   (3 if opts.eps > 0.0 else 2, kept, grid.n_points))
 
     values = np.array((state.n.values, state.u.values))
     work = np.empty((5, *values.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge state trips step 1
         norms = _hs_norm_values(grid, values, GUARD_NORM_ORDER)
-    t0 = state.t
-    phi = None
+    t0, phi, blowup = state.t, None, None
     history = []  # the last steps' stage differences, newest first
-    blowup = None
     rows = phi_rows = 0
     for i in range(total_steps + 1):
-        try:
-            if i > 0:
-                step_dt = dt if i <= n_full else tail
-                # a difference is O(dt), so the short last step scales it
-                weights = (step_dt / dt) * _extrapolation_weights(len(history))
-                ahead = tuple(sum(w * h[part] for w, h in zip(weights, history))
-                              for part in (0, 1)) if history else None
+        if i > 0:
+            step_dt = dt if i <= n_full else tail
+            # a difference is O(dt), so the short last step scales it
+            weights = (step_dt / dt) * _extrapolation_weights(len(history))
+            ahead = tuple(sum(w * h[part] for w, h in zip(weights, history))
+                          for part in (0, 1)) if history else None
+            try:
                 # only the last step is short: each starts at a whole number of dt
                 _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt,
                                                 step_dt, opts, i, phi, ahead, work)
-                if opts.eps > 0.0:
-                    diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
-                    history = [diffs, *history[:HISTORY_ORDER - 1]]
-                phi = stages.pop()  # freed when the state's potential replaces it
-            t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
-            recorded = i % opts.record_every == 0 or i == total_steps
-            if recorded:
-                times[rows], stacks[:2, rows], h2[rows] = t_now, values, norms
-                rows += 1
+            except BlowUpError as err:
+                blowup = err.event
+                break
+            if opts.eps > 0.0:
+                diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
+                history = [diffs, *history[:HISTORY_ORDER - 1]]
+            phi = stages.pop()  # freed when the state's potential replaces it
+        t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
+        try:
             phi = _potential(grid, values[0], opts, phi, t_now, i)
-            if recorded and opts.eps > 0.0:
-                stacks[2, rows - 1] = phi[0]
+        except BlowUpError as err:  # the record goes out without a potential
+            phi, blowup = None, err.event
+        if i % opts.record_every == 0 or i == total_steps:
+            row = rows % kept
+            times[row], stacks[:2, row] = t_now, values
+            rows += 1
+            if opts.eps > 0.0 and phi is not None:
+                stacks[2, row] = phi[0]
                 phi_rows = rows
-        except BlowUpError as err:
-            blowup = err.event
+            if on_record is not None:
+                on_record(t_now, stacks[0, row], stacks[1, row],
+                          stacks[2, row] if phi_rows == rows else None, norms)
+        if blowup is not None:
             break
 
-    times.flags.writeable = stacks.flags.writeable = h2.flags.writeable = False
-    return Trajectory(eps=opts.eps, dt=dt, grid=grid, t=times[:rows],
-                      n=stacks[0, :rows], u=stacks[1, :rows], h2_norms=h2[:rows],
-                      phi=stacks[2, :phi_rows] if opts.eps > 0.0 else None,
+    times.flags.writeable = stacks.flags.writeable = False
+    shown = min(rows, kept)  # the last of them lacks a potential if its solve failed
+    return Trajectory(eps=opts.eps, dt=dt, grid=grid, t=times[:shown],
+                      n=stacks[0, :shown], u=stacks[1, :shown],
+                      phi=stacks[2, :shown - rows + phi_rows] if opts.eps > 0.0 else None,
                       blowup=blowup, wall_time=time.perf_counter() - t_start)
 
 
@@ -425,34 +449,41 @@ def _quasineutral_values(grid: Grid, n: np.ndarray, phi: np.ndarray):
     return _l2_values(grid, np.exp(phi) - n)
 
 
-def write_trajectory_csv(traj: Trajectory, path, s: int = 2) -> None:
-    """Write the per-record scalar diagnostics of a run.
+class TrajectoryTable:
+    """An ``on_record`` consumer for ``evolve`` that reduces each record to
+    one row of ``COLUMNS``, in an ``(R, 7)`` table sized before any step.
 
-    At ``s = GUARD_NORM_ORDER`` the norms are the guards' ``traj.h2_norms``
-    and nothing is transformed. Another order transforms each record's
-    (n, u) pair in one call, so no spectrum the size of the stack is held.
+    At ``s = GUARD_NORM_ORDER`` the norms are the guard's and nothing is
+    transformed; another order transforms the (n, u) pair in one call. The
+    gap is 0 for the limit flow and NaN where the potential solve failed.
     """
-    _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
-    grid, n, phi = traj.grid, traj.n, traj.phi
-    norms = traj.h2_norms
-    if s != GUARD_NORM_ORDER:
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge state ended its run
-            norms = np.array([_hs_norm_values(grid, np.array(pair), s)
-                              for pair in zip(n, traj.u)])
-    gap = np.full(len(n), 0.0 if phi is None else np.nan)
-    if phi is not None:  # nan where the potential solve failed
-        gap[:len(phi)] = _quasineutral_values(grid, n[:len(phi)], phi)
-    columns = (traj.t, *norms.T, _integral_values(grid, n), n.min(axis=-1),
-               n.max(axis=-1), gap)
-    write_csv(path, "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual",
-              zip(*(col.tolist() for col in columns)))
+
+    COLUMNS = "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual"
+
+    def __init__(self, state: EPState, opts: RunOptions, s: int = 2):
+        _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
+        self.grid, self.eps, self.s, self.rows = state.grid, opts.eps, s, 0
+        records = _run_length(state, opts)[3]
+        (self.table,) = _record_arrays(self.grid, opts, records, (records, 7))
+
+    def __call__(self, t, n, u, phi, norms):  # norms: the guard's H^2 ones
+        grid = self.grid
+        if self.s != GUARD_NORM_ORDER:
+            with np.errstate(over="ignore", invalid="ignore"):  # a huge state ends its run
+                norms = _hs_norm_values(grid, np.array((n, u)), self.s)
+        gap = (0.0 if self.eps == 0.0 else np.nan if phi is None
+               else _quasineutral_values(grid, n, phi))
+        self.table[self.rows] = (t, *norms, _integral_values(grid, n), n.min(),
+                                 n.max(), gap)
+        self.rows += 1
+
+    def write_csv(self, path) -> None:
+        write_csv(path, self.COLUMNS, self.table[:self.rows].tolist())
 
 
 def write_snapshot_csv(traj: Trajectory, flow: str, out_dir) -> str:
     """Write the last record, with its potential if it has one, as
     ``snap_<flow>_<eps>_<t>.csv`` and return the path."""
-    import os
-
     t = traj.t[-1]
     name = f"snap_{flow}_{traj.eps:g}_{t:g}.csv"
     path = os.path.join(os.fspath(out_dir), name)

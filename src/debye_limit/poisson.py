@@ -179,20 +179,13 @@ def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
         rz_next = band.dot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
-    raise PBConvergenceError(
-        f"Newton linear solve did not converge within {CG_MAX_ITERS} "
-        f"CG iterations",
-        res_norm,
-    )
+    raise PBConvergenceError(f"Newton linear solve did not converge within "
+                             f"{CG_MAX_ITERS} CG iterations", res_norm)
 
 
-def _solve_phi_values(
-    grid: Grid,
-    n: np.ndarray,
-    eps: float,
-    opts: PBSolveOptions,
-    guess: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int]:
+def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOptions,
+                      guess: tuple[np.ndarray, np.ndarray] | None = None,
+                      ) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int]:
     """Damped Newton-CG; returns (phi, residual, Newton and CG counts).
 
     ``guess`` and ``phi`` are pairs (values, band coefficients), so a warm
@@ -222,11 +215,8 @@ def _solve_phi_values(
         if res_norm <= opts.tol:
             return (phi, phi_hat), res_norm, iteration, linear_iters
         if iteration == opts.max_newton_iters:
-            raise PBConvergenceError(
-                f"Newton did not reach tol={opts.tol:.1e} within "
-                f"{opts.max_newton_iters} iterations",
-                res_norm,
-            )
+            raise PBConvergenceError(f"Newton did not reach tol={opts.tol:.1e} within "
+                                     f"{opts.max_newton_iters} iterations", res_norm)
         delta, count = _newton_step(band, eps_k2, exp_phi, residual, res_norm,
                                     opts.tol)
         linear_iters += count
@@ -245,18 +235,12 @@ def _solve_phi_values(
             lam *= 0.5
             if lam < opts.damping_min:
                 raise PBConvergenceError(
-                    "Newton line search stalled at the damping floor",
-                    res_norm,
-                )
+                    "Newton line search stalled at the damping floor", res_norm)
     raise AssertionError("unreachable")
 
 
-def solve_phi(
-    n: Field,
-    eps: float,
-    opts: PBSolveOptions | None = None,
-    phi_init: Field | None = None,
-) -> PBSolution:
+def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None,
+              phi_init: Field | None = None) -> PBSolution:
     """Solve eps*phi'' = exp(phi) - n by damped Newton-CG.
 
     The default initializer is the limit potential ln n, which is an

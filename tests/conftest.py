@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,3 +93,26 @@ def record_sweep():
     """``_record_sweep`` for module-scoped fixtures, which patch through
     their own ``pytest.MonkeyPatch.context()``."""
     return _record_sweep
+
+
+@pytest.fixture
+def peak_alloc():
+    """A function that calls ``fn(*args, **kwargs)`` and returns the peak of
+    traced memory during the call, in bytes above what was traced before it.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    them with the Python objects.
+    """
+    def measure(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+    return measure

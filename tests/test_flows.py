@@ -16,13 +16,13 @@ from debye_limit.flows import (
     LimitState,
     RunOptions,
     Trajectory,
+    TrajectoryTable,
     default_dt,
     evolve,
     rhs_ep,
     rhs_limit,
     step,
     write_snapshot_csv,
-    write_trajectory_csv,
 )
 from debye_limit.grid import (
     Field,
@@ -631,12 +631,15 @@ def test_trajectory_csv_schema(tmp_path):
     grid = Grid(32)
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2, record_every=5)
-    traj = evolve(ep, opts)
+    table = TrajectoryTable(ep, opts)
+    traj = evolve(ep, opts, on_record=table)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    table.write_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual"
-    assert len(lines) == 1 + len(traj.t)
+    assert len(lines) == 1 + 3  # t = 0, 0.005 and 0.01
+    # a streamed run keeps only its last record
+    assert traj.t.tolist() == [0.01] and traj.n.shape == traj.phi.shape == (1, 32)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
     # the initial record's (n, u) norms, formed by evolve in one transform
@@ -645,25 +648,58 @@ def test_trajectory_csv_schema(tmp_path):
     assert first[3] == pytest.approx(integrate(ep.n), rel=1e-15)
 
 
+def _streamed(state, opts):
+    """Copies of the records ``evolve`` streams, and the trajectory it returns."""
+    records = []
+
+    def keep(t, n, u, phi, norms):
+        records.append((t, n.copy(), u.copy(), None if phi is None else phi.copy(),
+                        norms.copy()))
+
+    return records, evolve(state, opts, on_record=keep)
+
+
 def _recorded_runs():
     # both flows, and a run cut short at the density floor
     grid = Grid(64)
     ep, lim = paired_states(grid, InitParams(n_amp=0.3, u_amp=0.2))
     steep, _ = paired_states(grid, InitParams(n_amp=0.9, u_amp=0.9))
-    return [evolve(lim, RunOptions(dt=1e-3, t_end=0.02, eps=0.0, record_every=3)),
-            evolve(ep, RunOptions(dt=1e-3, t_end=0.02, eps=1e-2, record_every=3)),
-            evolve(steep, RunOptions(t_end=0.5, eps=1e-2, record_every=10))]
+    return [(lim, RunOptions(dt=1e-3, t_end=0.02, eps=0.0, record_every=3)),
+            (ep, RunOptions(dt=1e-3, t_end=0.02, eps=1e-2, record_every=3)),
+            (steep, RunOptions(t_end=0.5, eps=1e-2, record_every=10))]
 
 
-def test_recorded_h2_norms_are_the_guards_norms():
-    runs = _recorded_runs()
-    assert runs[2].blowup.reason == "density_floor" and len(runs[2].t) > 3
-    for traj in runs:
+def test_streamed_records_are_the_kept_records():
+    for state, opts in _recorded_runs():
+        kept = evolve(state, opts)
+        records, traj = _streamed(state, opts)
+        assert [r[0] for r in records] == kept.t.tolist()
+        for i, (t, n, u, phi, _) in enumerate(records):
+            assert np.array_equal(n, kept.n[i]) and np.array_equal(u, kept.u[i])
+            if kept.phi is None:
+                assert phi is None
+            else:
+                assert np.array_equal(phi, kept.phi[i])
+        # the trajectory keeps the last record, as the kept run's last row
+        assert traj.blowup == kept.blowup and traj.dt == kept.dt
+        assert traj.t.tolist() == kept.t[-1:].tolist()
+        assert np.array_equal(traj.n, kept.n[-1:]) and np.array_equal(traj.u, kept.u[-1:])
+        assert (traj.phi is None) == (kept.phi is None)
+        if kept.phi is not None:
+            assert np.array_equal(traj.phi, kept.phi[-1:])
+        for arr in (traj.t, traj.n, traj.u):
+            assert not arr.flags.writeable
+
+
+def test_streamed_h2_norms_are_the_guards_norms():
+    runs = [_streamed(*run) for run in _recorded_runs()]
+    blowup = runs[2][1].blowup
+    assert blowup.reason == "density_floor" and len(runs[2][0]) > 3
+    for records, traj in runs:
         grid = traj.grid
-        assert traj.h2_norms.shape == (len(traj.t), 2)
-        assert not traj.h2_norms.flags.writeable
-        for norms, n, u in zip(traj.h2_norms, traj.n, traj.u):
+        for _, n, u, _, norms in records:
             fields = Field(grid, n), Field(grid, u)
+            assert norms.shape == (2,)
             assert norms.tolist() == [hs_norm(f, 2) for f in fields]
             # an oracle that takes no Parseval sum
             want = [np.sqrt(sum(l2_norm(derivative(f, a)) ** 2 for a in range(3)))
@@ -671,19 +707,25 @@ def test_recorded_h2_norms_are_the_guards_norms():
             assert np.allclose(norms, want, rtol=1e-12, atol=0.0)
 
 
-def test_trajectory_csv_reads_the_recorded_norms(tmp_path, fft_calls):
-    for traj in _recorded_runs():
+def test_trajectory_table_reads_the_guards_norms(tmp_path, fft_calls):
+    for state, opts in _recorded_runs():
+        records, _ = _streamed(state, opts)
+        h2_table, h3_table = TrajectoryTable(state, opts), TrajectoryTable(state, opts, s=3)
         fft_calls.clear()
-        write_trajectory_csv(traj, tmp_path / "h2.csv")
+        for record in records:
+            h2_table(*record)
         assert fft_calls == []
-        write_trajectory_csv(traj, tmp_path / "h3.csv", s=3)
-        got = np.loadtxt(tmp_path / "h3.csv", delimiter=",", skiprows=1)
-        want = [[hs_norm(Field(traj.grid, f), 3) for f in pair]
-                for pair in zip(traj.n, traj.u)]
+        for record in records:
+            h3_table(*record)
+        h2_table.write_csv(tmp_path / "h2.csv")
+        h3_table.write_csv(tmp_path / "h3.csv")
+        got = np.loadtxt(tmp_path / "h3.csv", delimiter=",", skiprows=1, ndmin=2)
+        want = [[hs_norm(Field(state.grid, f), 3) for f in (n, u)]
+                for _, n, u, _, _ in records]
         assert got[:, 1:3].tolist() == want
         # the H^2 and H^3 files differ only in the norm columns
-        h2 = np.loadtxt(tmp_path / "h2.csv", delimiter=",", skiprows=1)
-        assert h2[:, 1:3].tolist() == traj.h2_norms.tolist()
+        h2 = np.loadtxt(tmp_path / "h2.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert h2[:, 1:3].tolist() == [r[4].tolist() for r in records]
         assert np.array_equal(np.delete(h2, [1, 2], axis=1),
                               np.delete(got, [1, 2], axis=1), equal_nan=True)
 
@@ -696,12 +738,14 @@ def test_results_do_not_alias_work_arrays():
     for state, eps in ((lim, 0.0), (ep, 1e-2)):
         opts = RunOptions(dt=1e-3, t_end=0.01, eps=eps)
         new, traj = step(state, opts), evolve(state, opts)
-        arrays += [new.n.values, new.u.values, traj.n, traj.u, traj.h2_norms]
+        streamed = evolve(state, opts, on_record=lambda *record: None)
+        arrays += [new.n.values, new.u.values, traj.n, traj.u, streamed.n, streamed.u]
     copies = [a.copy() for a in arrays]
     for state, eps in ((lim, 0.0), (ep, 1e-2)):
         opts = RunOptions(dt=2e-3, t_end=0.02, eps=eps)
         step(step(state, opts), opts)
         evolve(state, opts)
+        evolve(state, opts, on_record=lambda *record: None)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, copies))
 
 
