@@ -14,7 +14,6 @@ from .energy import (
     EnergySnapshot,
     GronwallReport,
     IdentityReport,
-    KPSample,
     energy_snapshot,
     gronwall_monitor,
     identity_2_12_check,
@@ -84,7 +83,7 @@ __all__ = [
     "r1_field", "r1_majorant", "triple_norm", "remainder_residual",
     "elliptic_ratio_pair",
     "EnergySnapshot", "IdentityReport", "GronwallReport",
-    "KPSample", "energy_snapshot", "identity_2_12_check", "gronwall_monitor",
+    "energy_snapshot", "identity_2_12_check", "gronwall_monitor",
     "kato_ponce_sample",
     "SweepSpec", "SweepReport", "OrderFit", "fit_order", "run_sweep",
     "quasineutrality_gap",

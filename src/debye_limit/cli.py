@@ -248,15 +248,17 @@ def cmd_sweep(cfg, args) -> int:
     return 0
 
 
-def _kp_battery(grid: Grid, seed: int, pairs: int, max_mode: int) -> list:
+def _kp_battery(grid: Grid, seed: int, pairs: int, max_mode: int) -> tuple:
+    """Kato-Ponce ``(lhs, rhs, ratio)`` of ``pairs`` seeded field pairs at
+    orders 1..3: three ``(pairs, 3)`` arrays, sampled in blocks of ``KP_BLOCK``."""
     rng = np.random.default_rng(seed)
-    rows = []
+    blocks = []
     for start in range(0, pairs, KP_BLOCK):
         # rows 2i and 2i + 1 are pair i, as in one draw of 2 per pair
         fields = random_smooth_fields(grid, rng, 2 * min(KP_BLOCK, pairs - start),
                                       max_mode=max_mode)
-        rows += kato_ponce_sample(fields[0::2], fields[1::2], (1, 2, 3), grid)
-    return rows
+        blocks.append(kato_ponce_sample(fields[0::2], fields[1::2], (1, 2, 3), grid))
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def _ratio(coarse: float, fine: float) -> float:
@@ -323,12 +325,13 @@ def cmd_check(cfg, args) -> int:
     kp_again = _kp_battery(kp_grid, c["seed"], c["kp_pairs"], c["kp_max_mode"])
     kp_fine = _kp_battery(Grid(2 * c["kp_grid"]), c["seed"], c["kp_pairs"],
                           c["kp_max_mode"])
+    lhs, rhs, kp_ratio = kp_base  # column j is order j + 1
     write_csv(os.path.join(out, "check_kato_ponce.csv"), "pair,k,lhs,rhs,ratio",
-              [(i, s.k, s.lhs, s.rhs, s.ratio)
-               for i, row in enumerate(kp_base) for s in row])
-    max_ratio = max(s.ratio for row in kp_base for s in row)
-    max_ratio_fine = max(s.ratio for row in kp_fine for s in row)
-    reproducible = kp_again == kp_base  # every sample, bit for bit
+              [(i, j + 1, lhs[i, j], rhs[i, j], kp_ratio[i, j])
+               for i, j in np.ndindex(lhs.shape)])
+    max_ratio = np.max(kp_ratio)
+    max_ratio_fine = np.max(kp_fine[2])
+    reproducible = np.array_equal(kp_again, kp_base)  # every sample, bit for bit
     refine_drift = abs(max_ratio_fine / max_ratio - 1.0) if max_ratio > 0 else 0.0
 
     gates = [

@@ -23,7 +23,6 @@ import numpy as np
 
 from .grid import (
     MAX_DERIVATIVE_ORDER,
-    Field,
     Grid,
     _check_order,
     _dealias_values,
@@ -41,7 +40,6 @@ __all__ = [
     "identity_2_12_check",
     "GronwallReport",
     "gronwall_monitor",
-    "KPSample",
     "kato_ponce_sample",
     "write_ledger_csv",
 ]
@@ -115,14 +113,12 @@ def energy_snapshot(rem: Remainder, gamma: int) -> EnergySnapshot:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of the kinetic-balance check along one trajectory."""
+    """Outcome of the kinetic-balance check along one trajectory: the
+    relative ``defects`` at the interior subsampled times, their maximum
+    ``defect`` and the ``spacing`` of the subsampled records."""
 
-    gamma: int
     spacing: float
     defect: float
-    times: tuple
-    lhs: tuple
-    rhs: tuple
     defects: tuple
 
 
@@ -155,15 +151,7 @@ def identity_2_12_check(snapshots: EnergySnapshot, stride: int = 1) -> IdentityR
     rhs = rhs_all[1:-1]
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     defects = np.abs(lhs - rhs) / scale
-    return IdentityReport(
-        gamma=snapshots.gamma,
-        spacing=spacing,
-        defect=float(np.max(defects)),
-        times=tuple(times[1:-1]),
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
-        defects=tuple(defects),
-    )
+    return IdentityReport(spacing, float(np.max(defects)), tuple(defects))
 
 
 @dataclass(frozen=True)
@@ -200,42 +188,30 @@ def gronwall_monitor(sups, s: int, bound_factor: float = 2.0,
     return GronwallReport(s, bound_factor, ref_eps, ref_value, sups, verdict)
 
 
-@dataclass(frozen=True)
-class KPSample:
-    k: int
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def kato_ponce_sample(f, g, orders=(1, 2, 3), grid: Grid | None = None):
-    """Commutator-estimate samples, one per order k, of a field pair or
-    of a block of pairs: Fields ``f``, ``g`` give one tuple of samples,
-    ``(P, N)`` stacks on ``grid`` a list of P tuples, each with the bits
-    of its one-pair sample.
+def kato_ponce_sample(f: np.ndarray, g: np.ndarray, orders, grid: Grid):
+    """Commutator-estimate samples of a block of field pairs: rows p of
+    the ``(P, N)`` stacks ``f``, ``g`` on ``grid`` are pair p. Returns
+    ``(lhs, rhs, ratio)``, three ``(P, K)`` arrays with order ``orders[j]``
+    in column j; each row has the bits of a one-pair block.
 
     lhs = ||d^k(fg) - f d^k g||_L2 evaluated on a 2x oversampled grid
     (the product of two resolved fields is then alias-free); rhs is the
     product-rule majorant max|f_x| * ||d^(k-1) g|| + ||d^k f|| * max|g|
-    built from homogeneous top-derivative norms. Pairs and orders share
-    one upsampling of (f, g), one forward transform of (fg, g, f) and
-    one inverse of every derivative the orders use.
+    built from homogeneous top-derivative norms; ratio = lhs / rhs where
+    rhs > 0, else 0. Pairs and orders share one upsampling of (f, g), one
+    forward transform of (fg, g, f) and one inverse of every derivative
+    the orders use.
     """
     orders = tuple(orders)
     if not orders or not all(isinstance(k, (int, np.integer))
                              and 1 <= k <= MAX_DERIVATIVE_ORDER for k in orders):
         raise ValueError(f"commutator orders must be integers in "
                          f"1..{MAX_DERIVATIVE_ORDER}, got {orders}")
-    one = grid is None
-    if one:
-        if g.grid != f.grid:
-            raise ValueError("f and g must share a grid")
-        grid, f, g = f.grid, f.values[None], g.values[None]
-    elif np.ndim(f) != 2 or np.shape(g) != np.shape(f) or np.shape(f)[1] != grid.n_points:
+    if np.ndim(f) != 2 or np.shape(g) != np.shape(f) or np.shape(f)[1] != grid.n_points:
         raise ValueError(f"blocks must be two (P, {grid.n_points}) stacks, "
                          f"got {np.shape(f)} and {np.shape(g)}")
     # the 2x grid and its symbols are built once per coarse grid
-    fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points, grid.length))
+    fine_grid = grid._cached("fine", lambda: Grid(2 * grid.n_points))
     # exact interpolation of band-limited data; Nyquist splits between its images
     n = grid.n_points
     fine = np.zeros((2, len(f), n + 1), dtype=complex)
@@ -252,13 +228,11 @@ def kato_ponce_sample(f, g, orders=(1, 2, 3), grid: Grid | None = None):
     g_max = np.max(np.abs(gv), axis=-1)
     # one (order, pair) row in each of the three stacked L2 norms
     k1 = np.array(orders) - 1
-    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1])
+    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1]).T
     rhs = (df_max * _l2_values(fine_grid, dg[k1])
-           + _l2_values(fine_grid, d[k1, 2]) * g_max)
-    rows = [tuple(KPSample(k, lhs_k, float(rhs_k), lhs_k / rhs_k if rhs_k > 0.0 else 0.0)
-                  for k, lhs_k, rhs_k in zip(orders, lhs_p, rhs_p))
-            for lhs_p, rhs_p in zip(lhs.T, rhs.T)]
-    return rows[0] if one else rows
+           + _l2_values(fine_grid, d[k1, 2]) * g_max).T
+    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
+    return lhs, rhs, ratio
 
 
 def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:

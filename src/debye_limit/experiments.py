@@ -16,7 +16,6 @@ reproduce bit-identical numbers (timing fields aside).
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import time
@@ -290,6 +289,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
     member = functools.partial(_run_member, spec, initial, lim_traj)
     if jobs > 1 and len(spec.eps_list) > 1:
+        import concurrent.futures  # not at the top: it would cost every command ~5 ms
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(spec.eps_list))) as pool:
             members = list(pool.map(member, spec.eps_list))

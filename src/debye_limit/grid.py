@@ -7,19 +7,19 @@ Sobolev norms and 2/3-rule dealiasing.
 
 Conventions
 -----------
-* The domain is the periodic interval ``[0, length)`` sampled at
-  ``x_i = i * length / n_points``.
+* The domain is the periodic unit interval ``[0, 1)`` sampled at
+  ``x_i = i / n_points``; a domain length is redundant with eps.
 * Fields are real, so every kernel works on the half spectrum of the
   real FFT: ``rfft`` is unnormalized and ``irfft`` carries the ``1/n``
   factor (the numpy default). Mode ``j`` in ``0..n/2`` has wavenumber
-  ``k_j = 2*pi*j/length``; mode ``n/2`` is the Nyquist mode.
+  ``k_j = 2*pi*j``; mode ``n/2`` is the Nyquist mode.
 * Each interior mode stands for itself and its conjugate partner, so
   Parseval sums count it twice and the mean and Nyquist modes once.
   The Nyquist mode has no signed partner: odd derivatives drop it.
 * The 2/3 rule keeps modes ``j <= n/3``.
 * Symbols, weights and other per-grid tables are built once, on first use.
 * ``integrate`` is the trapezoid rule, which on a uniform periodic grid
-  is just ``mean(values) * length`` and integrates every resolved
+  is just ``mean(values)`` and integrates every resolved
   Fourier mode exactly.
 * The private value kernels transform and reduce over the last axis,
   so each takes one field's values or a ``(T, N)`` stack of them and
@@ -53,26 +53,22 @@ MAX_DERIVATIVE_ORDER = 2 * MAX_SOBOLEV_ORDER
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on ``[0, length)``.
+    """Uniform periodic grid on the unit interval ``[0, 1)``.
 
     Parameters
     ----------
     n_points : int
         Number of collocation points. Must be a power of two and at
         least 32 so the 2/3 dealiasing rule leaves usable bandwidth.
-    length : float
-        Domain length. The solvers are written for the unit torus, so
-        this defaults to 1.0.
 
     Attributes
     ----------
-    x : sample points ``i * length / n_points``.
-    k : half-spectrum wavenumbers ``2*pi*j/length``, ``j = 0..n_points/2``.
+    x : sample points ``i / n_points``.
+    k : half-spectrum wavenumbers ``2*pi*j``, ``j = 0..n_points/2``.
     keep : 2/3-rule mask ``j <= n_points/3`` over the half spectrum.
     """
 
     n_points: int
-    length: float = 1.0
     x: np.ndarray = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
     keep: np.ndarray = field(init=False, repr=False, compare=False)
@@ -87,13 +83,10 @@ class Grid:
             raise ValueError(
                 f"n_points must be a power of two >= 32, got {n}"
             )
-        if not (float(self.length) > 0.0):
-            raise ValueError(f"length must be positive, got {self.length}")
         object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "length", float(self.length))
         modes = np.arange(n // 2 + 1)
         object.__setattr__(self, "x", np.arange(n) * self.dx)
-        object.__setattr__(self, "k", 2.0 * np.pi / self.length * modes)
+        object.__setattr__(self, "k", 2.0 * np.pi * modes)
         object.__setattr__(self, "keep", modes <= n / 3.0)
         object.__setattr__(self, "_cache", {})
         for arr in (self.x, self.k, self.keep):
@@ -101,7 +94,7 @@ class Grid:
 
     @property
     def dx(self) -> float:
-        return self.length / self.n_points
+        return 1.0 / self.n_points
 
     def _cached(self, key, build):
         # no key holds eps and orders are capped (MAX_*_ORDER), so a grid
@@ -130,7 +123,7 @@ class Grid:
 
         Sums ``k^(2a)`` over ``a = 0..s`` (Nyquist left out of the odd
         ``a``, like the odd derivatives), counts interior modes twice
-        and folds in ``length / n_points**2``.
+        and folds in ``1 / n_points**2``.
         """
         def build():
             k2 = self.k**2
@@ -143,7 +136,7 @@ class Grid:
                     weight += k2a
                 k2a = k2a * k2
             weight[1:-1] *= 2.0
-            return weight * (self.length / self.n_points**2)
+            return weight / self.n_points**2
         return self._cached(("hs", s), build)
 
 
@@ -204,16 +197,16 @@ def derivative(f: Field, order: int = 1) -> Field:
 
 
 def _integral_values(grid: Grid, values: np.ndarray):
-    return np.mean(values, axis=-1) * grid.length
+    return np.add.reduce(values, axis=-1) / grid.n_points
 
 
 def integrate(f: Field) -> float:
-    """Trapezoid quadrature over the periodic domain (= mean * length)."""
+    """Trapezoid quadrature over the periodic unit interval (= mean)."""
     return float(_integral_values(f.grid, f.values))
 
 
 def _l2_values(grid: Grid, values: np.ndarray):
-    return np.sqrt(np.mean(values * values, axis=-1) * grid.length)
+    return np.sqrt(np.add.reduce(values * values, axis=-1) / grid.n_points)
 
 
 def l2_norm(f: Field) -> float:

@@ -50,7 +50,7 @@ class InitParams:
 
 def make_initial(params: InitParams, grid: Grid) -> tuple[Field, Field]:
     """Single-mode data: n = n_base + n_amp sin(2 pi m x), shifted u."""
-    theta = 2.0 * np.pi * params.mode * grid.x / grid.length
+    theta = 2.0 * np.pi * params.mode * grid.x
     n0 = params.n_base + params.n_amp * np.sin(theta)
     u0 = params.u_amp * np.sin(theta + params.phase_u)
     return Field(grid, n0), Field(grid, u0)
@@ -74,7 +74,7 @@ def random_smooth_fields(
     coeffs = rng.standard_normal((count, max_mode, 2))
 
     def table():  # built once per grid and max_mode
-        theta = (2.0 * np.pi * np.arange(1, max_mode + 1))[:, None] * grid.x / grid.length
+        theta = (2.0 * np.pi * np.arange(1, max_mode + 1))[:, None] * grid.x
         return np.array((np.cos(theta), np.sin(theta)))
     cos, sin = grid._cached(("trig", max_mode), table)
     values = np.zeros((count, grid.n_points))

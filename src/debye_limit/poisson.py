@@ -115,7 +115,7 @@ class _Band:
         # complex-typed, so the weighted product needs no cast
         self.weight = np.full(self.k2.size, 2.0 + 0.0j)
         self.weight[0] = 1.0
-        self.scale = grid.length / grid.n_points**2
+        self.scale = 1.0 / grid.n_points**2
         self.k2.flags.writeable = self.weight.flags.writeable = False
 
     def project(self, values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import debye_limit
 from debye_limit import __version__, cli
 from debye_limit.cli import main
 from debye_limit.energy import kato_ponce_sample
-from debye_limit.grid import Field, Grid
+from debye_limit.grid import Grid
 from debye_limit.initial import random_smooth_fields
 
 
@@ -648,16 +648,19 @@ def test_kato_ponce_repeat_runs_on_the_battery_grid(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("block", [1, 3, 100])
 def test_kato_ponce_battery_does_not_depend_on_the_block_size(monkeypatch, block):
     # blocks of any size draw the stream like one draw of 2 per pair and
-    # sample each pair as the one-pair sampler does; 10 pairs leave a
+    # sample each pair as a one-pair block does; 10 pairs leave a
     # partial last block at size 3
     grid = Grid(64)
     rng = np.random.default_rng(4)
-    expected = []
+    singles = []
     for _ in range(10):
         f, g = random_smooth_fields(grid, rng, 2, max_mode=6)
-        expected.append(kato_ponce_sample(Field(grid, f), Field(grid, g), (1, 2, 3)))
+        singles.append(kato_ponce_sample(f[None], g[None], (1, 2, 3), grid))
+    expected = [np.concatenate(a) for a in zip(*singles)]  # lhs, rhs, ratio
     monkeypatch.setattr(cli, "KP_BLOCK", block)
-    assert cli._kp_battery(grid, 4, 10, 6) == expected
+    got = cli._kp_battery(grid, 4, 10, 6)
+    assert len(got) == 3 and all(a.shape == (10, 3) for a in got)
+    assert all(map(np.array_equal, got, expected))
 
 
 # --------------------------------------------------- exit-code contract

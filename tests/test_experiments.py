@@ -1,12 +1,12 @@
 """Sweep orchestration: order fits, verdict assembly, reports."""
 
+import concurrent.futures
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from debye_limit import experiments
 from debye_limit.experiments import (
     SweepSpec,
     fit_order,
@@ -206,8 +206,9 @@ def test_sweep_pool_is_capped_at_the_member_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    # the sweep imports the module only when it needs a pool, and looks
+    # the executor up on it at call time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = _mini_spec(run=RunOptions(dt=1e-3, t_end=2e-3))
     for jobs in (100_000, 3, 2):
         rep = run_sweep(spec, jobs=jobs)

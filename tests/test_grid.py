@@ -173,8 +173,8 @@ def test_grid_validation():
         Grid(48)  # not a power of two
     with pytest.raises(ValueError):
         Grid(16)  # too coarse
-    with pytest.raises(ValueError):
-        Grid(64, length=0.0)
+    with pytest.raises(TypeError):
+        Grid(64, 2.0)  # the unit interval only: no length to set
 
 
 def test_order_caps():
@@ -203,10 +203,8 @@ def _kp_battery_bits(grid, seed, max_mode=8):
     out = []
     for _ in range(3):
         stack = random_smooth_fields(grid, rng, 2, max_mode=max_mode)
-        f, g = (Field(grid, row) for row in stack)
         out.append(stack)
-        out.extend(np.array([s.lhs, s.rhs, s.ratio])
-                   for s in kato_ponce_sample(f, g, (1, 2, 3)))
+        out.extend(kato_ponce_sample(stack[:1], stack[1:], (1, 2, 3), grid))
     return out
 
 

@@ -67,7 +67,7 @@ def _one_field(grid, rng, max_mode):
     coeffs = rng.standard_normal((max_mode, 2))
     values = np.zeros(grid.n_points)
     for m in range(1, max_mode + 1):
-        theta = 2.0 * np.pi * m * grid.x / grid.length
+        theta = 2.0 * np.pi * m * grid.x
         a, b = coeffs[m - 1]
         values = values + (0.7 / m**2) * (a * np.cos(theta) + b * np.sin(theta))
     return values

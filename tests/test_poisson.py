@@ -184,7 +184,7 @@ def dense_oracle_phi(grid, n, eps, opts):
     """
     x = grid.x
     modes = np.arange(1, grid.n_points // 3 + 1)
-    k = 2.0 * np.pi / grid.length * modes
+    k = 2.0 * np.pi * modes
     basis = np.hstack([np.ones((x.size, 1)), np.cos(np.outer(x, k)),
                        np.sin(np.outer(x, k))])
     k2 = np.concatenate([[0.0], k**2, k**2])
@@ -196,7 +196,7 @@ def dense_oracle_phi(grid, n, eps, opts):
         return -eps * k2 * coeffs + basis.T @ (n - exp_phi) / gram, exp_phi
 
     def norm(coeffs):
-        return np.sqrt(np.sum(gram * coeffs**2) * grid.length / grid.n_points)
+        return np.sqrt(np.sum(gram * coeffs**2) / grid.n_points)
 
     coeffs = basis.T @ np.log(n) / gram
     res, exp_phi = residual(coeffs)
@@ -269,9 +269,9 @@ def test_solve_phi_rejects_a_guess_on_another_grid():
 
 
 def test_pb_residual_rejects_a_density_on_another_grid():
-    # same size, other length: the residual would use phi's wavenumbers
+    # another size: the residual would use phi's wavenumbers and length
     phi = Field(Grid(64), np.zeros(64))
-    n = Field(Grid(64, length=2.0), np.ones(64))
+    n = Field(Grid(128), np.ones(128))
     with pytest.raises(ValueError, match="must share a grid"):
         pb_residual(phi, n, 1e-2)
 
