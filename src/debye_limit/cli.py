@@ -9,7 +9,8 @@ error, 3 a run hit a blow-up guard or its potential solve failed, 4 a
 verdict or tolerance gate failed. Output files are written atomically;
 the output directory is ``--out``, else the config file's ``[output]
 dir``, else the ``DEBYE_LIMIT_OUT`` environment variable, else the
-working directory.
+working directory. It is created before any run, and a path that cannot
+be a directory, like any other ``OSError`` of the output, exits 2.
 """
 
 from __future__ import annotations
@@ -144,14 +145,6 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _out_dir(args, cfg) -> str:
-    if args.out is not None:
-        return args.out
-    if cfg["output"]["dir"]:
-        return cfg["output"]["dir"]
-    return os.environ.get("DEBYE_LIMIT_OUT", ".")
-
-
 def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions:
     """dt, t_end and record_every from ``section``, guards from [run], solver [pb]."""
     own, run = cfg[section], cfg["run"]
@@ -166,8 +159,7 @@ def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions
     )
 
 
-def cmd_simulate(cfg, args) -> int:
-    out = _out_dir(args, cfg)
+def cmd_simulate(cfg, args, out: str) -> int:
     flow = cfg["run"]["flow"]
     if flow not in ("ep", "limit"):
         raise ConfigError(f"flow must be 'ep' or 'limit', got {flow!r}")
@@ -188,7 +180,6 @@ def cmd_simulate(cfg, args) -> int:
     table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
     traj = evolve(state, opts, on_record=table)
 
-    os.makedirs(out, exist_ok=True)
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
     table.write_csv(traj_path)
     snap_path = write_snapshot_csv(traj, flow, out)
@@ -203,8 +194,7 @@ def cmd_simulate(cfg, args) -> int:
     return 0
 
 
-def cmd_sweep(cfg, args) -> int:
-    out = _out_dir(args, cfg)
+def cmd_sweep(cfg, args, out: str) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     try:
@@ -222,7 +212,6 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigError(str(exc))
     report = run_sweep(spec, jobs=args.jobs)
 
-    os.makedirs(out, exist_ok=True)
     json_path = os.path.join(out, "sweep_report.json")
     csv_path = os.path.join(out, "sweep_rows.csv")
     write_report_json(report, json_path)
@@ -266,8 +255,7 @@ def _ratio(coarse: float, fine: float) -> float:
     return coarse / fine if fine > 0 else float("inf")
 
 
-def cmd_check(cfg, args) -> int:
-    out = _out_dir(args, cfg)
+def cmd_check(cfg, args, out: str) -> int:
     c = cfg["check"]
     if not (c["eps"] >= MIN_REMAINDER_EPS):
         raise ConfigError(f"check needs eps >= {MIN_REMAINDER_EPS:.3g}, "
@@ -309,7 +297,6 @@ def cmd_check(cfg, args) -> int:
     coarse = identity_2_12_check(snaps, stride=2)
     ratio = _ratio(coarse.defect, fine.defect)
 
-    os.makedirs(out, exist_ok=True)
     defects = {i + 1: d for i, d in enumerate(fine.defects)}
     write_ledger_csv(snaps, defects, os.path.join(out, "check_ledger.csv"))
 
@@ -366,8 +353,13 @@ def main(argv=None) -> int:
             print(__version__)
             return 0
         run = {"simulate": cmd_simulate, "sweep": cmd_sweep, "check": cmd_check}
-        return run[args.command](_effective_config(args), args)
-    except (ConfigError, RecordAllocationError) as exc:
+        cfg = _effective_config(args)
+        out = args.out if args.out is not None else (
+            cfg["output"]["dir"] or os.environ.get("DEBYE_LIMIT_OUT", "."))
+        os.makedirs(out, exist_ok=True)  # before any run
+        return run[args.command](cfg, args, out)
+    # an OSError is the output directory's or a write's there
+    except (ConfigError, RecordAllocationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,6 @@ from .grid import (
     MAX_SOBOLEV_ORDER,
     Grid,
     _derivative_values,
-    _hs_norm_values,
     _l2_values,
 )
 from .initial import InitParams, make_initial
@@ -215,9 +214,8 @@ def _sup(values) -> float:
 
 def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
     rems = remainder_series(ep_traj, lim_traj)
-    grid, count = rems.grid, len(rems.t)
-    # the full flow at the remainders' times, for the plain errors
-    ep_n, ep_u, phi = (v[:count] for v in (ep_traj.n, ep_traj.u, ep_traj.phi))
+    # the full flow at the remainders' times
+    ep_n, phi = (v[:len(rems.t)] for v in (ep_traj.n, ep_traj.phi))
     triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
     for s in spec.s_list:
         tn = triple_norms[s] = triple_norm(rems, s)
@@ -227,12 +225,13 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
             "phi1_triple": _sup(tn.phi1_triple),
             "combined": _sup(tn.combined),
         }
-        errors[f"n_H{s}"] = _sup(_hs_norm_values(grid, ep_n - rems.n0, s))
-        errors[f"u_H{s}"] = _sup(_hs_norm_values(grid, ep_u - rems.u0, s))
+        # the plain errors: n_eps - n0 = eps n1, and likewise for u
+        errors[f"n_H{s}"] = _sup(eps * tn.n1_hs)
+        errors[f"u_H{s}"] = _sup(eps * tn.u1_hs)
         density, potential = elliptic_ratio_pair(tn)
         elliptic[f"k{s}"] = {"density": _sup(density),
                              "potential": _sup(potential)}
-    errors["phi_l2"] = _sup(_l2_values(grid, phi - np.log(ep_n)))
+    errors["phi_l2"] = _sup(_l2_values(rems.grid, phi - np.log(ep_n)))
     errors["qn_gap"] = quasineutrality_gap(ep_traj)
     row = {
         "eps": eps,

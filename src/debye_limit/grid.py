@@ -218,10 +218,17 @@ def max_abs(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def _power(fhat: np.ndarray) -> np.ndarray:
+    return fhat.real**2 + fhat.imag**2
+
+
+def _parseval_values(power: np.ndarray, weight: np.ndarray):
+    """Norm read from a spectrum's ``_power``, e.g. ``hs_weight(s) * _power(symbol)``."""
+    return np.sqrt(np.sum(weight * power, axis=-1))
+
+
 def _hs_norm_values(grid: Grid, values: np.ndarray, s: int):
-    fhat = np.fft.rfft(values)
-    power = fhat.real**2 + fhat.imag**2
-    return np.sqrt(np.sum(grid.hs_weight(s) * power, axis=-1))
+    return _parseval_values(_power(np.fft.rfft(values)), grid.hs_weight(s))
 
 
 def hs_norm(f: Field, s: int) -> float:

@@ -26,10 +26,8 @@ from .grid import (
     Field,
     Grid,
     _check_order,
-    _dealias_values,
-    _derivative_values,
-    _hs_norm_values,
-    _l2_values,
+    _parseval_values,
+    _power,
 )
 from .io_utils import write_csv
 
@@ -61,7 +59,7 @@ class Remainder:
     ``n0`` and ``u0`` are read-only views of the limit flow's record
     stacks, which every member of a sweep shares. Each diagnostic below
     runs on the whole stack, and a one-row stack gives the same bits as
-    that row of a longer one.
+    that row of a longer one. Diagnostics read the spectral ``power``.
     """
 
     grid: Grid
@@ -79,6 +77,12 @@ class Remainder:
         for name in ("n0", "u0", "n1", "u1", "phi1"):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """``|rfft|**2`` of ``(n1, u1, phi1)``, ``(3, T, N//2 + 1)``; formed
+        on first use and kept, like ``res_phi``."""
+        return _power(np.fft.rfft(np.array((self.n1, self.u1, self.phi1))))
 
     @cached_property
     def res_phi(self) -> np.ndarray:
@@ -99,15 +103,16 @@ class TripleNorm:
     ``phi1_triple**2 = ||phi1||_{H^s}^2 + eps*||phi1_x||_{H^s}^2
     + eps^2*||phi1_xx||_{H^s}^2``; ``combined`` joins the velocity and
     potential parts in quadrature. At eps = 0 every part reduces to the
-    plain H^s norm. The three potential H^s norms are kept for the
-    elliptic ratios. Every field but ``eps`` and ``s`` is a ``(T,)``
-    array.
+    plain H^s norm. The H^s norms of ``n1`` and ``u1`` are kept for the
+    sweep's errors, the potential's three for the elliptic ratios. Every
+    field but ``eps`` and ``s`` is a ``(T,)`` array.
     """
 
     t: np.ndarray
     eps: float
     s: int
     n1_hs: np.ndarray
+    u1_hs: np.ndarray
     u1_triple: np.ndarray
     phi1_triple: np.ndarray
     combined: np.ndarray
@@ -205,41 +210,40 @@ def r1_majorant(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
 
 
 def triple_norm(rem: Remainder, s: int) -> TripleNorm:
-    """eps-weighted ``H^s`` norms of every row of the stack."""
+    """eps-weighted ``H^s`` norms of every row of the stack.
+
+    The ``H^s`` norm of each ``a``-th derivative is a Parseval sum of
+    ``rem.power`` against ``hs_weight(s) * |(ik)^a|**2``.
+    """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
-    grid = rem.grid
-    eps = rem.eps
-    n1_hs = _hs_norm_values(grid, rem.n1, s)
-    u1_hs = _hs_norm_values(grid, rem.u1, s)
-    du1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.u1, 1), s)
+    grid, eps, power = rem.grid, rem.eps, rem.power
+    weight = grid.hs_weight(s)
+    n1_hs, u1_hs, phi1_hs = _parseval_values(power, weight)
+    du1_hs, dphi1_hs = _parseval_values(
+        power[1:], weight * _power(grid.derivative_symbol(1)))
+    d2phi1_hs = _parseval_values(power[2], weight * _power(grid.derivative_symbol(2)))
     # squares as products: a Python float's ** calls pow(), which can round
     # differently from numpy's elementwise square of the same value
     u1_triple = np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs))
-    phi1_hs = _hs_norm_values(grid, rem.phi1, s)
-    dphi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1, 1), s)
-    d2phi1_hs = _hs_norm_values(grid, _derivative_values(grid, rem.phi1, 2), s)
     phi1_triple = np.sqrt(
         phi1_hs * phi1_hs + eps * (dphi1_hs * dphi1_hs)
         + eps**2 * (d2phi1_hs * d2phi1_hs)
     )
     combined = np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple)
-    return TripleNorm(rem.t, eps, s, n1_hs, u1_triple, phi1_triple, combined,
+    return TripleNorm(rem.t, eps, s, n1_hs, u1_hs, u1_triple, phi1_triple, combined,
                       phi1_hs, dphi1_hs, d2phi1_hs)
 
 
 def _res_phi_values(grid: Grid, eps: float, n0: np.ndarray, n1: np.ndarray,
                     phi1: np.ndarray) -> np.ndarray:
-    """L2 residual of the time-local potential equation, per row."""
+    """L2 residual of the time-local potential equation, per row, dealiased:
+    ``-(eps phi1 + phi0)_xx + n0 phi1 - n1 - sqrt(eps) R1`` from one transform."""
     phi0 = np.log(n0)
     r1 = _r1_values(phi0, phi1, n0, eps)
-    field = (
-        -eps * _derivative_values(grid, phi1, 2)
-        - _derivative_values(grid, phi0, 2)
-        - n1
-        + n0 * phi1
-        - np.sqrt(eps) * r1
-    )
-    return _l2_values(grid, _dealias_values(grid, field))
+    fhat = np.fft.rfft(np.array((eps * phi1 + phi0,
+                                 n0 * phi1 - n1 - np.sqrt(eps) * r1)))
+    return _parseval_values(_power(fhat[1] - grid.derivative_symbol(2) * fhat[0]),
+                            grid.keep * grid.hs_weight(0))
 
 
 def remainder_residual(rem: Remainder, stride: int = 1):
@@ -248,12 +252,13 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     The rows ``rem.t[::stride]`` are taken in consecutive pairs. Returns
     ``(res_n, res_u, res_phi)``, each a ``(P,)`` array over the ``P``
     pairs, in the order of the times ``rem.t[::stride][1:]`` that end
-    them. Time derivatives use the centered difference about the
-    midpoint of each pair with spatial terms averaged there (second
-    order in the gap). The time-local potential equation is evaluated
-    once at each row of the stack (``rem.res_phi``), and a pair reports
-    the larger residual of its two ends. All residuals are measured on
-    resolved modes (dealiased).
+    them. The evolution equations, in conservative form
+    ``n1_t + (n0 u1 + u0 n1 + eps n1 u1)_x`` and
+    ``u1_t + (u0 u1 + eps u1^2/2 + phi1)_x``, take the centered difference
+    about each pair's midpoint and the fluxes averaged there (second
+    order in the gap); each is dealiased once, its L2 norm read from one
+    stacked transform. The potential equation's residual is formed once
+    per row (``rem.res_phi``); a pair reports the larger of its two ends.
     """
     if stride < 1:
         raise ValueError("stride must be a positive integer")
@@ -267,26 +272,16 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     def mid(v):
         return 0.5 * (v[:-1] + v[1:])
 
-    dA = lambda v: _dealias_values(grid, v)
-    dx = lambda v: _derivative_values(grid, v, 1)
-
-    # each residual is reduced to (P,) as soon as it is formed, so that
-    # few (P, N) stacks are alive at once
     res_phi = rem.res_phi[::stride]
-    n1m = mid(n1)
-    u1m = mid(u1)
-    u0m = mid(u0)
-    res_n = _l2_values(grid, dA(
-        (n1[1:] - n1[:-1]) / dt_gap
-        + dx(dA(mid(n0) * u1m + u0m * n1m)) + eps * dx(dA(n1m * u1m))
-    ))
-    res_u = _l2_values(grid, dA(
-        (u1[1:] - u1[:-1]) / dt_gap
-        + dA(u0m * dx(u1m))
-        + dA(u1m * dx(u0m))
-        + eps * dA(u1m * dx(u1m))
-        + dx(mid(phi1))
-    ))
+    n1m, u1m, u0m = mid(n1), mid(u1), mid(u0)
+    fhat = np.fft.rfft(np.array((
+        (n1[1:] - n1[:-1]) / dt_gap,
+        (u1[1:] - u1[:-1]) / dt_gap,
+        mid(n0) * u1m + u0m * n1m + eps * (n1m * u1m),
+        u0m * u1m + eps * (0.5 * u1m * u1m) + mid(phi1),
+    )))
+    res_n, res_u = _parseval_values(_power(fhat[:2] + grid.derivative_symbol(1) * fhat[2:]),
+                                    grid.keep * grid.hs_weight(0))
     return res_n, res_u, np.maximum(res_phi[:-1], res_phi[1:])
 
 

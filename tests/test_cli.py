@@ -367,6 +367,59 @@ def test_out_dir_precedence(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _blocked_out(tmp_path, kind):
+    """An output path that cannot be a directory: an existing file, or a
+    path under one."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    return blocker if kind == "file" else blocker / "sub"
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("kind", ["file", "under_file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "check"])
+def test_output_path_that_cannot_be_a_directory_exits_two(
+        tmp_path, monkeypatch, capsys, command, kind, source):
+    # the output directory is resolved and created before any run, so a
+    # bad path is a usage error and no run is computed and then lost
+    from debye_limit import experiments
+
+    runs = []
+    _recording(monkeypatch, cli, "evolve", runs)
+    _recording(monkeypatch, experiments, "evolve", runs)
+    out = _blocked_out(tmp_path, kind)
+    sections = {"grid": {"n_points": 32}, "run": {"t_end": 0.01, "dt": 1e-3},
+                "check": SMALL_CHECK_KEYS}
+    argv = [command]
+    if source == "flag":
+        argv += ["--out", str(out)]
+    elif source == "env":
+        monkeypatch.setenv("DEBYE_LIMIT_OUT", str(out))
+    else:
+        sections["output"] = {"dir": str(out)}
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini(sections))
+    assert main([*argv, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert runs == []
+    assert (tmp_path / "blocker").read_text() == "kept\n"
+
+
+def test_output_write_error_exits_two(tmp_path, monkeypatch, capsys):
+    from debye_limit import io_utils
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(io_utils.tempfile, "mkstemp", full_disk)
+    assert main(_fast_sim_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert not list(tmp_path.iterdir())
+
+
 # -------------------------------------------------- one computation each
 
 
@@ -729,14 +782,19 @@ def _cli_case(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=_cli_case())
-def test_exit_code_contract_property(tmp_path_factory, case):
+@given(case=_cli_case(),
+       out_kind=st.sampled_from(("dir", "new", "file", "under_file")))
+def test_exit_code_contract_property(tmp_path_factory, case, out_kind):
     # every flag and config value ends in 0, 2, 3 or 4: nothing escapes.
     # Each drawn flag is one its command takes, in a well-formed value,
-    # so argparse accepts every case and none ends in a SystemExit
+    # so argparse accepts every case and none ends in a SystemExit. An
+    # output path that cannot be a directory ends in 2 whatever the rest
     argv, config = case
-    out = tmp_path_factory.mktemp("contract")
-    conf = out / "conf.ini"
+    base = tmp_path_factory.mktemp("contract")
+    conf = base / "conf.ini"
     conf.write_text(_ini(config))
+    out = (base if out_kind == "dir" else base / "new" if out_kind == "new"
+           else _blocked_out(base, out_kind))
     code = main([*argv, "--config", str(conf), "--out", str(out)])
-    assert code in (0, 2, 3, 4), (argv, config)
+    assert code in ((2,) if out_kind in ("file", "under_file")
+                    else (0, 2, 3, 4)), (argv, config, out_kind)

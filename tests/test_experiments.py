@@ -9,6 +9,7 @@ import pytest
 
 from debye_limit.experiments import (
     SweepSpec,
+    _member_diagnostics,
     fit_order,
     quasineutral_identity_defect,
     quasineutrality_gap,
@@ -17,7 +18,7 @@ from debye_limit.experiments import (
     write_report_json,
 )
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
-from debye_limit.grid import MAX_SOBOLEV_ORDER, Grid
+from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import PBSolveOptions
 
@@ -186,6 +187,35 @@ def test_members_share_the_read_only_limit_rows(sweep_records):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 1.0
     assert lim.phi is None
+
+
+def test_member_errors_match_the_trajectory_differences(sweep_records):
+    # a row's n_H{s} and u_H{s} are eps times the remainder norms; they
+    # must equal the H^s norms of the flows' differences, formed from
+    # the two trajectories
+    report = run_sweep(_mini_spec())
+    lim, *eps_trajs = sweep_records.trajectories
+    for row, ep in zip(report.rows, eps_trajs):
+        for s in (0, 1, 2):
+            for name, full, limit in (("n", ep.n, lim.n), ("u", ep.u, lim.u)):
+                want = max(hs_norm(Field(lim.grid, a - b), s)
+                           for a, b in zip(full, limit))
+                assert row["errors"][f"{name}_H{s}"] == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (row["eps"], name, s)
+
+
+def test_member_reduction_makes_three_transform_calls(fft_calls):
+    # one stacked transform each for the remainder spectra, the two
+    # evolution residuals and the potential residual
+    spec = _mini_spec(eps_list=(1e-2,))
+    grid = Grid(spec.n_points)
+    n0, u0 = make_initial(spec.init, grid)
+    lim = evolve(LimitState(0.0, n0, u0), dataclasses.replace(spec.run, eps=0.0))
+    ep = evolve(EPState(0.0, n0, u0), dataclasses.replace(spec.run, eps=1e-2))
+    fft_calls.clear()
+    member = _member_diagnostics(spec, 1e-2, ep, lim)
+    assert len(fft_calls) <= 3
+    assert member.row["status"] == "OK" and len(member.residuals[0]) == 20
 
 
 def test_sweep_pool_is_capped_at_the_member_count(monkeypatch):

@@ -11,16 +11,20 @@ and the ``wall_time`` column of ``sweep_rows.csv``.
 
 A change that moves round-off beyond ``RTOL`` regenerates the goldens in
 a commit of its own and records the largest difference. To regenerate,
-printing each file's largest relative change against the copy it
-replaces and where that change is:
+printing each file's largest absolute and relative change against the
+copy it replaces and where each change is:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --write
+
+Any other argument, or none, prints the usage line, exits 2 and writes
+nothing.
 """
 
 import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -30,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+import debye_limit
 from debye_limit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,12 +159,30 @@ def test_parallel_sweep_matches_golden(parallel_outputs, name):
     _compare(parallel_outputs, name)
 
 
-def _largest_change(got, want, path=""):
-    """``(relative change, path, want, got)`` of the largest change.
+@pytest.mark.parametrize("args", [[], ["--bogus"], ["--help"]])
+def test_script_writes_only_with_write_flag(tmp_path, args):
+    # run as a script from a copy, so a rewrite cannot touch the goldens
+    script = tmp_path / "test_golden.py"
+    shutil.copy(__file__, script)
+    shutil.copytree(GOLDEN, tmp_path / "golden")
 
-    Numbers compare like ``_close``; any other difference, in text or
-    in structure, counts as an infinite change.
-    """
+    def state():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in sorted((tmp_path / "golden").iterdir())}
+
+    before = state()
+    src = Path(debye_limit.__file__).parents[1]
+    proc = subprocess.run([sys.executable, str(script), *args],
+                          capture_output=True, text=True, timeout=300,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
+    assert state() == before
+
+
+def _leaves(got, want, path=""):
+    """``(path, want, got)`` of every leaf; a structural difference is one
+    leaf that wants None and got ``"differs"``."""
     if isinstance(want, (dict, list)):
         if isinstance(want, dict):
             keys = list(want)
@@ -168,22 +191,32 @@ def _largest_change(got, want, path=""):
             keys = range(len(want))
             same = isinstance(got, list) and len(got) == len(want)
         if not same:
-            return math.inf, f"{path} (structure)", None, None
-        return max((_largest_change(got[k], want[k], f"{path}/{k}")
-                    for k in keys), key=lambda change: change[0],
-                   default=(0.0, path, None, None))
+            yield f"{path} (structure)", None, "differs"
+            return
+        for k in keys:
+            yield from _leaves(got[k], want[k], f"{path}/{k}")
+    else:
+        yield path, want, got
+
+
+def _change(want, got) -> tuple:
+    """``(absolute, relative)`` change of one leaf.
+
+    Numbers compare like ``_close``; any other difference, in text or
+    in structure, counts as an infinite change.
+    """
     if isinstance(got, float) and isinstance(want, float):
         if math.isnan(got) or math.isnan(want):
-            rel = 0.0 if math.isnan(got) and math.isnan(want) else math.inf
-        else:
-            scale = max(abs(got), abs(want))
-            rel = abs(got - want) / scale if scale > 0.0 else 0.0
-        return rel, path, want, got
-    return (0.0 if got == want else math.inf), path, want, got
+            same = math.isnan(got) and math.isnan(want)
+            return (0.0, 0.0) if same else (math.inf, math.inf)
+        diff, scale = abs(got - want), max(abs(got), abs(want))
+        return diff, diff / scale if scale > 0.0 else 0.0
+    return (0.0, 0.0) if got == want else (math.inf, math.inf)
 
 
 def _change_report(name: str, new_dir: Path) -> str:
-    """One line: the largest relative change of a regenerated file."""
+    """One line: the largest absolute and relative change of a regenerated
+    file."""
     if not (GOLDEN / name).exists():
         return f"{name}: new file"
     got, want = _load(name, new_dir), _load(name, GOLDEN)
@@ -196,14 +229,22 @@ def _change_report(name: str, new_dir: Path) -> str:
     if name.endswith(".csv"):  # name each cell by its row and column
         got, want = ([dict(zip(header, row)) for row in rows]
                      for header, *rows in (got, want))
-    change, path, old, new = _largest_change(got, want)
-    if change == 0.0:
-        return f"{name}: unchanged"
-    return (f"{name}: largest relative change {change:.2g} at {path} "
-            f"({old!r} -> {new!r})")
+    changes = [(_change(w, g), path, w, g) for path, w, g in _leaves(got, want)]
+    parts = []
+    for kind, index in (("absolute", 0), ("relative", 1)):
+        change, path, old, new = max(changes, key=lambda c: c[0][index],
+                                     default=((0.0, 0.0), "", None, None))
+        if change[index] > 0.0:
+            parts.append(f"largest {kind} change {change[index]:.2g} at {path} "
+                         f"({old!r} -> {new!r})")
+    return f"{name}: " + ("; ".join(parts) if parts else "unchanged")
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print(f"usage: python {sys.argv[0]} --write  (regenerates {GOLDEN})",
+              file=sys.stderr)
+        sys.exit(2)
     with tempfile.TemporaryDirectory() as tmp:
         _generate(Path(tmp))
         GOLDEN.mkdir(exist_ok=True)
