@@ -223,7 +223,7 @@ def _power(fhat: np.ndarray) -> np.ndarray:
 
 
 def _parseval_values(power: np.ndarray, weight: np.ndarray):
-    """Norm read from a spectrum's ``_power``, e.g. ``hs_weight(s) * _power(symbol)``."""
+    """Norm ``sqrt(sum(weight * power))`` over the last axis of a spectrum's ``_power``."""
     return np.sqrt(np.sum(weight * power, axis=-1))
 
 
