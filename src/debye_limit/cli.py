@@ -9,8 +9,9 @@ error, 3 a run hit a blow-up guard or its potential solve failed, 4 a
 verdict or tolerance gate failed. Output files are written atomically;
 the output directory is ``--out``, else the config file's ``[output]
 dir``, else the ``DEBYE_LIMIT_OUT`` environment variable, else the
-working directory. It is created before any run, and a path that cannot
-be a directory, like any other ``OSError`` of the output, exits 2.
+working directory. A command creates it once its settings are checked
+and before it runs anything; a path that cannot be a directory, like any
+other ``OSError`` of the output directory or of a write there, exits 2.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .flows import (
 )
 from .grid import MAX_DERIVATIVE_ORDER, MAX_SOBOLEV_ORDER, Grid, _check_order
 from .initial import InitParams, make_initial, random_smooth_fields
-from .io_utils import write_csv
+from .io_utils import OutputError, make_output_dir, write_csv
 from .poisson import PBSolveOptions
 from .remainder import (
     MIN_REMAINDER_EPS,
@@ -175,6 +176,7 @@ def cmd_simulate(cfg, args, out: str) -> int:
         opts = _run_options(cfg, "run", eps)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    make_output_dir(out)
     n0, u0 = make_initial(init, grid)
     state = (EPState if flow == "ep" else LimitState)(0.0, n0, u0)
     table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
@@ -210,6 +212,7 @@ def cmd_sweep(cfg, args, out: str) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    make_output_dir(out)
     report = run_sweep(spec, jobs=args.jobs)
 
     json_path = os.path.join(out, "sweep_report.json")
@@ -286,6 +289,7 @@ def cmd_check(cfg, args, out: str) -> int:
         # the identity check at stride 2 needs three snapshots
         raise ConfigError(f"check needs at least 5 recorded states, got "
                           f"{n_records}; raise t_end or lower record_every")
+    make_output_dir(out)
     ep_traj = evolve(state, opts)
     lim_traj = evolve(LimitState(0.0, n0, u0), replace(opts, eps=0.0))
     if ep_traj.blowup is not None or lim_traj.blowup is not None:
@@ -356,10 +360,8 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         out = args.out if args.out is not None else (
             cfg["output"]["dir"] or os.environ.get("DEBYE_LIMIT_OUT", "."))
-        os.makedirs(out, exist_ok=True)  # before any run
         return run[args.command](cfg, args, out)
-    # an OSError is the output directory's or a write's there
-    except (ConfigError, RecordAllocationError, OSError) as exc:
+    except (ConfigError, RecordAllocationError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

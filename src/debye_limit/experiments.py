@@ -216,6 +216,8 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
     rems = remainder_series(ep_traj, lim_traj)
     # the full flow at the remainders' times
     ep_n, phi = (v[:len(rems.t)] for v in (ep_traj.n, ep_traj.phi))
+    # first, so that its stack and the triple norms' cached spectra never meet
+    residuals = remainder_residual(rems)
     triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
     for s in spec.s_list:
         tn = triple_norms[s] = triple_norm(rems, s)
@@ -244,8 +246,7 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
     if ep_traj.blowup is not None:
         ev = ep_traj.blowup
         row["blowup"] = {"t": ev.t, "reason": ev.reason, "value": ev.value}
-    return MemberResult(row=row, triple_norms=triple_norms,
-                        residuals=remainder_residual(rems))
+    return MemberResult(row=row, triple_norms=triple_norms, residuals=residuals)
 
 
 def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:

@@ -227,6 +227,11 @@ def _parseval_values(power: np.ndarray, weight: np.ndarray):
     return np.sqrt(np.sum(weight * power, axis=-1))
 
 
+def _dealiased_l2_values(grid: Grid, fhat: np.ndarray):
+    """L2 norm of the dealiased field of ``rfft`` ``fhat``: Parseval over the kept modes."""
+    return _parseval_values(_power(fhat), grid.keep * grid.hs_weight(0))
+
+
 def _hs_norm_values(grid: Grid, values: np.ndarray, s: int):
     return _parseval_values(_power(np.fft.rfft(values)), grid.hs_weight(s))
 

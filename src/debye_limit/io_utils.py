@@ -12,20 +12,35 @@ import os
 import tempfile
 
 
+class OutputError(OSError):
+    """An ``OSError`` of the output directory or of a file written there."""
+
+
+def make_output_dir(path) -> None:
+    """Create ``path`` and its parents; an ``OSError`` is raised as an :class:`OutputError`."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+
+
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
+    """Write ``text`` to ``path`` atomically (temp file + rename); an
+    ``OSError`` on the way is raised as an :class:`OutputError`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    make_output_dir(directory)
+    tmp_path = ""  # removed below if the write stops before the rename
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+    finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 def write_csv(path, header: str, rows) -> None:

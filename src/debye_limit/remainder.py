@@ -26,6 +26,7 @@ from .grid import (
     Field,
     Grid,
     _check_order,
+    _dealiased_l2_values,
     _parseval_values,
     _power,
 )
@@ -242,8 +243,7 @@ def _res_phi_values(grid: Grid, eps: float, n0: np.ndarray, n1: np.ndarray,
     r1 = _r1_values(phi0, phi1, n0, eps)
     fhat = np.fft.rfft(np.array((eps * phi1 + phi0,
                                  n0 * phi1 - n1 - np.sqrt(eps) * r1)))
-    return _parseval_values(_power(fhat[1] - grid.derivative_symbol(2) * fhat[0]),
-                            grid.keep * grid.hs_weight(0))
+    return _dealiased_l2_values(grid, fhat[1] - grid.derivative_symbol(2) * fhat[0])
 
 
 def remainder_residual(rem: Remainder, stride: int = 1):
@@ -273,15 +273,28 @@ def remainder_residual(rem: Remainder, stride: int = 1):
         return 0.5 * (v[:-1] + v[1:])
 
     res_phi = rem.res_phi[::stride]
-    n1m, u1m, u0m = mid(n1), mid(u1), mid(u0)
-    fhat = np.fft.rfft(np.array((
-        (n1[1:] - n1[:-1]) / dt_gap,
-        (u1[1:] - u1[:-1]) / dt_gap,
-        mid(n0) * u1m + u0m * n1m + eps * (n1m * u1m),
-        u0m * u1m + eps * (0.5 * u1m * u1m) + mid(phi1),
-    )))
-    res_n, res_u = _parseval_values(_power(fhat[:2] + grid.derivative_symbol(1) * fhat[2:]),
-                                    grid.keep * grid.hs_weight(0))
+    # one (4, P, N) stack, filled row by row in place in an order that
+    # keeps at most four (P, N) arrays beside it, and freed once
+    # transformed
+    stack = np.empty((4,) + n1[1:].shape)
+    u1m, u0m = mid(u1), mid(u0)
+    np.multiply(u0m, u1m, out=stack[3])
+    stack[3] += eps * (0.5 * u1m * u1m)
+    stack[3] += mid(phi1)
+    np.multiply(mid(n0), u1m, out=stack[2])
+    n1m = mid(n1)
+    stack[2] += u0m * n1m
+    n1m *= u1m  # for eps n1m u1m; n1m is not read again
+    stack[2] += eps * n1m
+    del n1m, u1m, u0m
+    np.divide(n1[1:] - n1[:-1], dt_gap, out=stack[0])
+    np.divide(u1[1:] - u1[:-1], dt_gap, out=stack[1])
+    fhat = np.fft.rfft(stack)
+    del stack
+    # each equation's spectrum, formed in the rows of its time difference
+    fhat[2:] *= grid.derivative_symbol(1)
+    fhat[:2] += fhat[2:]
+    res_n, res_u = _dealiased_l2_values(grid, fhat[:2])
     return res_n, res_u, np.maximum(res_phi[:-1], res_phi[1:])
 
 

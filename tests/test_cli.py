@@ -420,6 +420,30 @@ def test_output_write_error_exits_two(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--flow", "bogus"]), ("sweep", ["--jobs", "0"]),
+    ("check", ["--eps", "0"])])
+def test_rejected_command_leaves_no_output_directory(tmp_path, capsys,
+                                                     command, flags):
+    # the directory is created once the settings are checked, so a usage
+    # error leaves nothing behind
+    out = tmp_path / "new" / "out"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_oserror_outside_the_output_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only the output directory's and its writes' errors exit 2; any other
+    # OSError (here one a run raises) is not reported as a usage error
+    def no_run(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(cli, "evolve", no_run)
+    with pytest.raises(OSError, match="Too many open files"):
+        main(_fast_sim_args(tmp_path))
+
+
 # -------------------------------------------------- one computation each
 
 
@@ -780,7 +804,7 @@ def _cli_case(draw):
     return [command, *(f"{k}={v}" for k, v in flags.items())], config
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cli_case(),
        out_kind=st.sampled_from(("dir", "new", "file", "under_file")))
@@ -788,8 +812,10 @@ def test_exit_code_contract_property(tmp_path_factory, case, out_kind):
     # every flag and config value ends in 0, 2, 3 or 4: nothing escapes.
     # Each drawn flag is one its command takes, in a well-formed value,
     # so argparse accepts every case and none ends in a SystemExit. An
-    # output path that cannot be a directory ends in 2 whatever the rest;
-    # such paths are half the cases, hence 300 examples instead of 200
+    # output path that cannot be a directory ends in 2 whatever the rest,
+    # once the settings are checked and before any run. Such paths are
+    # 82 of the 400 derandomized examples, so 318 draw a directory that
+    # can run, against 200 when the output path was not drawn
     argv, config = case
     base = tmp_path_factory.mktemp("contract")
     conf = base / "conf.ini"

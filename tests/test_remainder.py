@@ -256,6 +256,18 @@ def test_residuals_match_the_advective_oracle(eps, stride):
     np.testing.assert_allclose(res_phi, want_phi, rtol=0.0, atol=1e-12)
 
 
+def test_remainder_residual_keeps_few_stacks_alive(peak_alloc):
+    # the residual fills one (4, P, N) stack in place and frees it once
+    # transformed, so its peak is about that stack and its spectrum.
+    # Measured at N = 64: 8.3 (P, N) float arrays, against 12.4 when each
+    # midpoint and flux was an array of its own
+    ep, lim = paired_run(t_end=0.05, record_every=1)
+    rems = remainder_series(ep, lim)
+    rems.res_phi  # formed once per stack, and not part of this peak
+    stack_bytes = 8 * (len(rems.t) - 1) * rems.grid.n_points
+    assert peak_alloc(remainder_residual, rems) < 9.0 * stack_bytes
+
+
 def test_remainder_residual_validates_inputs():
     ep, lim = paired_run(record_every=10)
     rems = remainder_series(ep, lim)
