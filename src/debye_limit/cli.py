@@ -208,7 +208,6 @@ def cmd_sweep(cfg, args, out: str) -> int:
             init=InitParams(**cfg["init"]),
             s_list=tuple(cfg["sweep"]["s_list"]),
             seed=cfg["sweep"]["seed"],
-            bound_factor=cfg["sweep"]["bound_factor"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -256,6 +255,12 @@ def _kp_battery(grid: Grid, seed: int, pairs: int, max_mode: int) -> tuple:
 def _ratio(coarse: float, fine: float) -> float:
     """Coarse-to-fine ratio of an error; inf when the fine one vanishes."""
     return coarse / fine if fine > 0 else float("inf")
+
+
+# check's gate tolerances: identity defect, the three residuals' maxima, the
+# largest Kato-Ponce ratio and its relative drift under grid refinement
+IDENTITY_TOL, RES_N_TOL, RES_U_TOL, RES_PHI_TOL = 1e-5, 1e-3, 1e-3, 1e-8
+KP_RATIO_MAX, KP_REFINE_RTOL = 10.0, 0.05
 
 
 def cmd_check(cfg, args, out: str) -> int:
@@ -327,14 +332,14 @@ def cmd_check(cfg, args, out: str) -> int:
 
     gates = [
         ("identity defect (spacing %.1e)" % fine.spacing,
-         fine.defect, c["identity_tol"], fine.defect <= c["identity_tol"]),
-        ("res_n", res_n, c["res_n_tol"], res_n <= c["res_n_tol"]),
-        ("res_u", res_u, c["res_u_tol"], res_u <= c["res_u_tol"]),
-        ("res_phi", res_phi, c["res_phi_tol"], res_phi <= c["res_phi_tol"]),
-        ("kato-ponce max ratio", max_ratio, c["kp_ratio_max"],
-         np.isfinite(max_ratio) and max_ratio <= c["kp_ratio_max"]),
-        ("kato-ponce refinement drift", refine_drift, c["kp_refine_rtol"],
-         refine_drift <= c["kp_refine_rtol"]),
+         fine.defect, IDENTITY_TOL, fine.defect <= IDENTITY_TOL),
+        ("res_n", res_n, RES_N_TOL, res_n <= RES_N_TOL),
+        ("res_u", res_u, RES_U_TOL, res_u <= RES_U_TOL),
+        ("res_phi", res_phi, RES_PHI_TOL, res_phi <= RES_PHI_TOL),
+        ("kato-ponce max ratio", max_ratio, KP_RATIO_MAX,
+         np.isfinite(max_ratio) and max_ratio <= KP_RATIO_MAX),
+        ("kato-ponce refinement drift", refine_drift, KP_REFINE_RTOL,
+         refine_drift <= KP_REFINE_RTOL),
         ("kato-ponce reproducible", float(reproducible), 1.0, reproducible),
     ]
     all_ok = True

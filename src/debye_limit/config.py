@@ -42,13 +42,11 @@ def default_config() -> dict:
         "pb": {
             "tol": 1e-12,
             "max_newton_iters": 50,
-            "damping_min": 0.0625,
         },
         "sweep": {
             "eps_list": [1e-1, 1e-2, 1e-3, 1e-4],
             "s_list": [0, 1, 2],
             "record_every": 2,
-            "bound_factor": 2.0,
             "seed": 0,
         },
         "check": {
@@ -58,16 +56,10 @@ def default_config() -> dict:
             "dt": 2.5e-4,
             "record_every": 2,
             "t_end": 0.03,
-            "identity_tol": 1e-5,
-            "res_n_tol": 1e-3,
-            "res_u_tol": 1e-3,
-            "res_phi_tol": 1e-8,
             "seed": 0,
             "kp_pairs": 100,
             "kp_max_mode": 8,
             "kp_grid": 128,
-            "kp_ratio_max": 10.0,
-            "kp_refine_rtol": 0.05,
         },
         "output": {"dir": None},
     }

@@ -63,6 +63,7 @@ __all__ = [
 ORDER_BAND = (0.85, 1.15)
 R_SQUARED_MIN = 0.99
 ELLIPTIC_FACTOR = 3.0
+BOUND_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,6 @@ class SweepSpec:
     init: InitParams = field(default_factory=InitParams)
     s_list: tuple = (0, 1, 2)
     seed: int = 0
-    bound_factor: float = 2.0
 
     def __post_init__(self):
         eps_list = tuple(float(e) for e in self.eps_list)
@@ -133,8 +133,6 @@ class SweepSpec:
             raise ValueError(
                 f"s_list must hold integers in 0..{MAX_SOBOLEV_ORDER}")
         object.__setattr__(self, "s_list", s_list)
-        if not (self.bound_factor > 0.0):
-            raise ValueError("bound_factor must be positive")
         Grid(self.n_points)  # raises on a size the grid rejects
 
     def fit_ready(self) -> bool:
@@ -323,7 +321,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
     for s in spec.s_list:
         sups = [(row["eps"], row["sup_norms"][f"s{s}"]["combined"]) for row in rows]
-        report = gronwall_monitor(sups, s, spec.bound_factor, member_blowup)
+        report = gronwall_monitor(sups, s, BOUND_FACTOR, member_blowup)
         verdicts[f"gronwall_s{s}"] = report.verdict
 
     for k in spec.s_list:
@@ -342,7 +340,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         "record_every": spec.run.record_every,
         "s_list": list(spec.s_list),
         "seed": spec.seed,
-        "bound_factor": spec.bound_factor,
+        "bound_factor": BOUND_FACTOR,
         "init": asdict(spec.init),
     }
     return SweepReport(spec=spec_echo, dt=lim_traj.dt, limit_status=limit_status,

@@ -50,6 +50,8 @@ __all__ = [
 CG_RTOL = 1e-10
 CG_FLOOR = 0.01
 CG_MAX_ITERS = 500
+# the line search halves the Newton step at most four times (1 ... 1/16)
+DAMPING_MIN = 0.0625
 
 
 class PBConvergenceError(RuntimeError):
@@ -64,17 +66,12 @@ class PBConvergenceError(RuntimeError):
 class PBSolveOptions:
     tol: float = 1e-12
     max_newton_iters: int = 50
-    damping_min: float = 0.0625
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if not (0.0 < self.damping_min <= 1.0):
-            raise ValueError(
-                f"damping_min must lie in (0, 1], got {self.damping_min}"
-            )
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
                 residual, res_norm = trial_residual, trial_norm
                 break
             lam *= 0.5
-            if lam < opts.damping_min:
+            if lam < DAMPING_MIN:
                 raise PBConvergenceError(
                     "Newton line search stalled at the damping floor", res_norm)
     raise AssertionError("unreachable")

@@ -1,13 +1,20 @@
 """Config file parsing, schema enforcement and merging."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from debye_limit.config import (
+    SCHEMA,
     ConfigError,
     default_config,
     load_config_file,
     merge_config,
+    parse_value,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write(tmp_path, text):
@@ -53,9 +60,17 @@ def test_unknown_section_reports_position(tmp_path):
         load_config_file(path)
 
 
-def test_unknown_key_reports_position(tmp_path):
-    path = _write(tmp_path, "[run]\nt_end = 0.25\nteps = 3\n")
-    with pytest.raises(ConfigError, match=r"unknown key 'teps'.*line 3"):
+# a misspelt key, and keys that were removed: the filter switch and the
+# verdict thresholds and line-search floor, which are now constants
+@pytest.mark.parametrize("section, key", [
+    ("run", "teps"), ("run", "exp_filter"), ("pb", "damping_min"),
+    ("sweep", "bound_factor"), ("check", "identity_tol"), ("check", "res_n_tol"),
+    ("check", "res_u_tol"), ("check", "res_phi_tol"), ("check", "kp_ratio_max"),
+    ("check", "kp_refine_rtol")])
+def test_unknown_key_reports_position(tmp_path, section, key):
+    path = _write(tmp_path, f"[grid]\nn_points = 64\n[{section}]\n  {key} = 3\n")
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\] "
+                                          r"\(line 4, column 3\)"):
         load_config_file(path)
 
 
@@ -88,3 +103,18 @@ def test_merge_overrides_without_mutation():
     assert merged["run"]["eps"] == 0.2
     assert merged["run"]["t_end"] == base["run"]["t_end"]
     assert base["grid"] == base_grid  # base untouched
+
+
+def test_readme_key_table_matches_the_schema():
+    # README.md documents every key, once, with its default: a key that
+    # is added or removed without the table fails here
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| `([^`]*)` \|", README.read_text(),
+                      flags=re.MULTILINE)
+    pairs = [(section, key) for section, key, _ in rows]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(section, key) for section in SCHEMA for key in SCHEMA[section]}
+    defaults = default_config()
+    for section, key, text in rows:
+        value = None if text == "none" else parse_value(
+            text, SCHEMA[section][key], f"README [{section}] {key}")
+        assert value == defaults[section][key], (section, key, text)

@@ -83,8 +83,6 @@ def test_sweep_spec_validation():
         SweepSpec(eps_list=(1e-2,), s_list=(0, -1))
     with pytest.raises(ValueError, match="s_list"):
         SweepSpec(eps_list=(1e-2,), s_list=(0, MAX_SOBOLEV_ORDER + 1))
-    with pytest.raises(ValueError, match="bound_factor"):
-        SweepSpec(eps_list=(1e-2,), bound_factor=0.0)
 
 
 def test_fit_ready_gating():
