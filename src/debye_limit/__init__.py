@@ -12,18 +12,16 @@ __version__ = "0.1.0"
 
 from .energy import (
     EnergySnapshot,
-    GronwallReport,
     IdentityReport,
     energy_snapshot,
-    gronwall_monitor,
     identity_2_12_check,
     kato_ponce_sample,
 )
 from .experiments import (
-    OrderFit,
     SweepReport,
     SweepSpec,
     fit_order,
+    gronwall_monitor,
     quasineutrality_gap,
     run_sweep,
 )
@@ -82,9 +80,8 @@ __all__ = [
     "Remainder", "TripleNorm", "remainder_series",
     "r1_field", "r1_majorant", "triple_norm", "remainder_residual",
     "elliptic_ratio_pair",
-    "EnergySnapshot", "IdentityReport", "GronwallReport",
-    "energy_snapshot", "identity_2_12_check", "gronwall_monitor",
-    "kato_ponce_sample",
-    "SweepSpec", "SweepReport", "OrderFit", "fit_order", "run_sweep",
+    "EnergySnapshot", "IdentityReport",
+    "energy_snapshot", "identity_2_12_check", "kato_ponce_sample",
+    "SweepSpec", "SweepReport", "fit_order", "gronwall_monitor", "run_sweep",
     "quasineutrality_gap",
 ]

@@ -9,8 +9,6 @@ mechanical facts that are checked here numerically:
 * the exact kinetic-energy balance
   d/dt (1/2)||d^g u1||^2 = I + II + III + IV holds along recorded
   trajectories up to the centered-difference error in time;
-* sup-in-time triple norms across an eps sweep stay within a fixed
-  factor of their value at the largest eps (the Gronwall-type bound);
 * commutator estimates of Kato-Ponce type hold with a uniform constant
   over random smooth field pairs and orders.
 """
@@ -38,8 +36,6 @@ __all__ = [
     "energy_snapshot",
     "IdentityReport",
     "identity_2_12_check",
-    "GronwallReport",
-    "gronwall_monitor",
     "kato_ponce_sample",
     "write_ledger_csv",
 ]
@@ -152,40 +148,6 @@ def identity_2_12_check(snapshots: EnergySnapshot, stride: int = 1) -> IdentityR
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     defects = np.abs(lhs - rhs) / scale
     return IdentityReport(spacing, float(np.max(defects)), tuple(defects))
-
-
-@dataclass(frozen=True)
-class GronwallReport:
-    s: int
-    bound_factor: float
-    reference_eps: float
-    reference_value: float
-    sup_norms: tuple  # (eps, sup_t combined) pairs, input order
-    verdict: str  # "PASS" | "FAIL" | "INCONCLUSIVE"
-
-
-def gronwall_monitor(sups, s: int, bound_factor: float = 2.0,
-                     blew_up: bool = False) -> GronwallReport:
-    """Uniform-boundedness verdict for the combined triple norm.
-
-    ``sups`` holds one ``(eps, sup-in-time combined H^s norm)`` pair per
-    sweep member; the sweep reads its elliptic constants the same way.
-    PASS when every sup stays within ``bound_factor`` times the value at
-    the largest eps; INCONCLUSIVE when a member blew up before t_end.
-    """
-    sups = tuple(sups)
-    if not sups:
-        raise ValueError("gronwall_monitor needs at least one sweep member")
-    if not (bound_factor > 0.0):
-        raise ValueError("bound_factor must be positive")
-    ref_eps, ref_value = max(sups, key=lambda pair: pair[0])
-    if blew_up:
-        verdict = "INCONCLUSIVE"
-    elif all(sup <= bound_factor * ref_value for _, sup in sups):
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return GronwallReport(s, bound_factor, ref_eps, ref_value, sups, verdict)
 
 
 def kato_ponce_sample(f: np.ndarray, g: np.ndarray, orders, grid: Grid):

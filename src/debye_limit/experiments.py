@@ -8,7 +8,7 @@ row and the ``(T,)`` series of its remainder CSV (triple norms and
 equation residuals); neither its trajectory nor its remainder stack
 outlives that reduction, so a pool worker sends back only series. The
 sweep then fits convergence orders across eps and assembles PASS/FAIL
-verdicts from the rows.
+verdicts from the rows by the rules and constants defined here.
 
 Reports serialize to a JSON document plus a flat CSV; identical specs
 reproduce bit-identical numbers (timing fields aside).
@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .energy import gronwall_monitor
 from .flows import (
     EPState,
     LimitState,
@@ -48,8 +47,8 @@ from .remainder import (
 )
 
 __all__ = [
-    "OrderFit",
     "fit_order",
+    "gronwall_monitor",
     "SweepSpec",
     "MemberResult",
     "SweepReport",
@@ -66,19 +65,12 @@ ELLIPTIC_FACTOR = 3.0
 BOUND_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class OrderFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    eps_used: tuple
-
-
-def fit_order(pairs) -> OrderFit:
+def fit_order(pairs) -> dict:
     """Least-squares slope of log(err) against log(eps).
 
     Needs at least three pairs with strictly positive entries; the
-    slope is the observed convergence order.
+    slope is the observed convergence order. Returns the report's fit:
+    ``slope``, ``intercept``, ``r_squared`` and ``eps_used``.
     """
     pairs = list(pairs)
     if len(pairs) < 3:
@@ -99,7 +91,20 @@ def fit_order(pairs) -> OrderFit:
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - ym) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else 1.0 - ss_res / ss_tot
-    return OrderFit(slope, intercept, float(r_squared), tuple(float(e) for e in eps))
+    return {"slope": slope, "intercept": intercept, "r_squared": r_squared,
+            "eps_used": eps.tolist()}
+
+
+def gronwall_monitor(sups, bound_factor: float, blew_up: bool) -> str:
+    """Uniform-boundedness verdict of ``(eps, sup-in-time value)`` pairs,
+    one per sweep member: PASS when every sup stays within
+    ``bound_factor`` times the value at the largest eps; INCONCLUSIVE
+    when a run blew up before t_end.
+    """
+    _, ref_value = max(sups, key=lambda pair: pair[0])
+    if blew_up:
+        return "INCONCLUSIVE"
+    return "PASS" if all(sup <= bound_factor * ref_value for _, sup in sups) else "FAIL"
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,8 @@ class SweepSpec:
     ``eps_list`` may be any positive values (duplicates included, for
     determinism checks); convergence orders are only fitted when it has
     at least three strictly decreasing entries spanning two decades.
-    ``seed`` is recorded for downstream randomized checks; the dynamics
-    themselves are deterministic.
+    ``seed`` is only echoed in the report: a sweep draws nothing, and
+    the dynamics are deterministic.
     """
 
     eps_list: tuple
@@ -263,19 +268,12 @@ def _fit_with_exclusion(pairs) -> dict | None:
     if not all(err > 0.0 for _, err in pairs):
         return None
     fit = fit_order(pairs)
-    excluded = False
-    if fit.r_squared < R_SQUARED_MIN and len(pairs) >= 4:
+    excluded = fit["r_squared"] < R_SQUARED_MIN and len(pairs) >= 4
+    if excluded:
         # drop the largest eps once; pre-asymptotic head is the usual culprit
-        trimmed = sorted(pairs, key=lambda p: p[0])[:-1]
-        fit = fit_order(trimmed)
-        excluded = True
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "eps_used": list(fit.eps_used),
-        "excluded_largest": excluded,
-    }
+        fit = fit_order(sorted(pairs, key=lambda p: p[0])[:-1])
+    fit["excluded_largest"] = excluded
+    return fit
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
@@ -321,15 +319,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
     for s in spec.s_list:
         sups = [(row["eps"], row["sup_norms"][f"s{s}"]["combined"]) for row in rows]
-        report = gronwall_monitor(sups, s, BOUND_FACTOR, member_blowup)
-        verdicts[f"gronwall_s{s}"] = report.verdict
+        verdicts[f"gronwall_s{s}"] = gronwall_monitor(sups, BOUND_FACTOR, member_blowup)
 
     for k in spec.s_list:
         # PASS only when both families pass; INCONCLUSIVE after a blow-up
         sides = set()
         for side in ("density", "potential"):
             pairs = [(row["eps"], row["elliptic"][f"k{k}"][side]) for row in rows]
-            sides.add(gronwall_monitor(pairs, k, ELLIPTIC_FACTOR, any_blowup).verdict)
+            sides.add(gronwall_monitor(pairs, ELLIPTIC_FACTOR, any_blowup))
         verdicts[f"elliptic_k{k}"] = "FAIL" if "FAIL" in sides else sides.pop()
 
     spec_echo = {

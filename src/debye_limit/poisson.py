@@ -108,11 +108,9 @@ class _Band:
         self.n_points = grid.n_points
         self.k2 = grid.k[grid.keep] ** 2
         self.k2_max = float(self.k2[-1])
-        # every mode but the mean stands for itself and its conjugate;
-        # complex-typed, so the weighted product needs no cast
-        self.weight = np.full(self.k2.size, 2.0 + 0.0j)
-        self.weight[0] = 1.0
-        self.scale = 1.0 / grid.n_points**2
+        # the L2 Parseval weight on the band; complex-typed, so the
+        # weighted product needs no cast
+        self.weight = grid.hs_weight(0)[grid.keep] + 0j
         self.k2.flags.writeable = self.weight.flags.writeable = False
 
     def project(self, values: np.ndarray) -> np.ndarray:
@@ -130,7 +128,7 @@ class _Band:
         return float(np.vdot(a, self.weight * b).real)
 
     def norm(self, coeffs: np.ndarray) -> float:
-        return math.sqrt(self.dot(coeffs, coeffs) * self.scale)
+        return math.sqrt(self.dot(coeffs, coeffs))
 
 
 def _band(grid: Grid) -> _Band:

@@ -30,6 +30,7 @@ import pytest
 
 from debye_limit.energy import energy_snapshot, identity_2_12_check, kato_ponce_sample
 from debye_limit.experiments import (
+    BOUND_FACTOR,
     SweepSpec,
     quasineutral_identity_defect,
     run_sweep,
@@ -126,7 +127,7 @@ def test_criterion_2_uniform_remainder_bounds(small_eps_sweep):
     ok = all(v == "PASS" for v in verdicts.values())
     detail = (f"max sup / sup(eps={ref_eps:g}) by s: "
               + ", ".join(f"s{s}={ratios[s]:.2f}" for s in (0, 1, 2))
-              + "; bound_factor 2.0")
+              + f"; bound_factor {BOUND_FACTOR}")
     assert ok, _line(2, "uniform remainder bounds", ok, detail)
     _line(2, "uniform remainder bounds", ok, detail)
 

@@ -1,11 +1,10 @@
-"""Weighted energies, the kinetic balance, sweep monitors, commutators."""
+"""Weighted energies, the kinetic balance, commutators."""
 
 import numpy as np
 import pytest
 
 from debye_limit.energy import (
     energy_snapshot,
-    gronwall_monitor,
     identity_2_12_check,
     kato_ponce_sample,
     write_ledger_csv,
@@ -14,7 +13,7 @@ from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, l2_norm
 from debye_limit.initial import (InitParams, make_initial, random_smooth_field,
                                  random_smooth_fields)
-from debye_limit.remainder import Remainder, remainder_series, triple_norm
+from debye_limit.remainder import Remainder, remainder_series
 
 
 def _rem(grid, eps, t=(0.0,), n1=None, u1=None, phi1=None, n0=None, u0=None):
@@ -140,59 +139,6 @@ def test_identity_check_validation():
     crooked = _rem(grid, 1e-2, t=(0.0, 0.1, 0.35))
     with pytest.raises(ValueError, match="uniformly spaced"):
         identity_2_12_check(energy_snapshot(crooked, gamma=0))
-
-
-# ---------------------------------------------------------------- monitors
-
-
-def _member(grid, eps, amp, s=0):
-    """(eps, sup combined norm) of a member with one remainder snapshot."""
-    u1 = amp * np.sin(2 * np.pi * grid.x)
-    return eps, triple_norm(_rem(grid, eps, u1=u1), s).combined[0]
-
-
-def test_gronwall_pass_and_fail():
-    grid = Grid(64)
-    flat = [_member(grid, 1e-1, 1.0), _member(grid, 1e-2, 1.0),
-            _member(grid, 1e-3, 1.0)]
-    report = gronwall_monitor(flat, s=0)
-    assert report.verdict == "PASS"
-    assert report.reference_eps == 1e-1
-    assert report.bound_factor == 2.0
-
-    blown = [_member(grid, 1e-1, 1.0), _member(grid, 1e-2, 10.0)]
-    assert gronwall_monitor(blown, s=0).verdict == "FAIL"
-    # a generous factor turns the same data into a PASS
-    assert gronwall_monitor(blown, s=0, bound_factor=100.0).verdict == "PASS"
-
-
-def test_gronwall_reference_is_largest_eps_any_order():
-    grid = Grid(64)
-    members = [_member(grid, 1e-3, 1.0, s=1), _member(grid, 1e-1, 1.0, s=1),
-               _member(grid, 1e-2, 1.0, s=1)]
-    report = gronwall_monitor(members, s=1)
-    assert report.reference_eps == 1e-1
-    # sup_norms preserve the input order
-    assert [pair[0] for pair in report.sup_norms] == [1e-3, 1e-1, 1e-2]
-
-
-def test_gronwall_inconclusive_on_blowup():
-    grid = Grid(64)
-    members = [_member(grid, 1e-1, 1.0), _member(grid, 1e-2, 1.0)]
-    assert gronwall_monitor(members, s=0, blew_up=True).verdict == "INCONCLUSIVE"
-
-
-def test_gronwall_single_member_passes():
-    grid = Grid(64)
-    assert gronwall_monitor([_member(grid, 1e-2, 3.0, s=2)], s=2).verdict == "PASS"
-
-
-def test_gronwall_validation():
-    grid = Grid(64)
-    with pytest.raises(ValueError, match="at least one"):
-        gronwall_monitor([], s=0)
-    with pytest.raises(ValueError, match="bound_factor"):
-        gronwall_monitor([_member(grid, 1e-2, 1.0)], s=0, bound_factor=0.0)
 
 
 # ------------------------------------------------------------- commutators

@@ -1,16 +1,19 @@
-"""Sweep orchestration: order fits, verdict assembly, reports."""
+"""Sweep orchestration: order fits, uniform bounds, verdict assembly, reports."""
 
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from debye_limit.experiments import (
+    BOUND_FACTOR,
     SweepSpec,
     _member_diagnostics,
     fit_order,
+    gronwall_monitor,
     quasineutral_identity_defect,
     quasineutrality_gap,
     run_sweep,
@@ -48,10 +51,12 @@ def test_fit_order_recovers_exact_power_law():
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
     pairs = [(e, 3.7 * e**2) for e in eps]
     fit = fit_order(pairs)
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(np.log(3.7), abs=1e-10)
-    assert fit.eps_used == tuple(eps)
+    # the report's fit entry, keys in report order
+    assert list(fit) == ["slope", "intercept", "r_squared", "eps_used"]
+    assert fit["slope"] == pytest.approx(2.0, abs=1e-12)
+    assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["intercept"] == pytest.approx(np.log(3.7), abs=1e-10)
+    assert fit["eps_used"] == eps
 
 
 def test_fit_order_validation():
@@ -63,6 +68,44 @@ def test_fit_order_validation():
         fit_order([(0.0, 1.0), (1e-2, 0.1), (1e-3, 0.01)])
     with pytest.raises(ValueError, match="distinct"):
         fit_order([(1e-2, 1.0), (1e-2, 1.0), (1e-2, 1.0)])
+
+
+# ---------------------------------------------------------- uniform bound
+
+
+def test_gronwall_pass_and_fail():
+    flat = [(1e-1, 1.0), (1e-2, 1.0), (1e-3, 1.0)]
+    assert gronwall_monitor(flat, BOUND_FACTOR, False) == "PASS"
+
+    blown = [(1e-1, 1.0), (1e-2, 10.0)]
+    assert gronwall_monitor(blown, BOUND_FACTOR, False) == "FAIL"
+    # a generous factor turns the same data into a PASS
+    assert gronwall_monitor(blown, 100.0, False) == "PASS"
+
+
+def test_gronwall_reference_is_largest_eps_any_order():
+    # within 2x of the 3.0 at eps = 1e-1, in every input order; against
+    # the 1.0 of the first pair it would read FAIL
+    members = [(1e-3, 1.0), (1e-1, 3.0), (1e-2, 5.0)]
+    for order in itertools.permutations(members):
+        assert gronwall_monitor(list(order), 2.0, False) == "PASS"
+    # the same values with the 1.0 at the largest eps
+    assert gronwall_monitor([(1e-1, 1.0), (1e-3, 3.0), (1e-2, 5.0)],
+                            2.0, False) == "FAIL"
+
+
+def test_gronwall_inconclusive_on_blowup():
+    members = [(1e-1, 1.0), (1e-2, 1.0)]
+    assert gronwall_monitor(members, BOUND_FACTOR, True) == "INCONCLUSIVE"
+
+
+def test_gronwall_single_member_passes():
+    assert gronwall_monitor([(1e-2, 3.0)], BOUND_FACTOR, False) == "PASS"
+
+
+def test_gronwall_validation():
+    with pytest.raises(ValueError):
+        gronwall_monitor([], BOUND_FACTOR, False)
 
 
 # -------------------------------------------------------------------- spec
