@@ -54,7 +54,7 @@ _D = default_config()
 
 _RUN_COMMANDS = ("simulate", "sweep", "check")
 # Field pairs per Kato-Ponce block; a whole battery in one stack costs peak memory
-KP_BLOCK = 4
+KP_BLOCK = 6
 
 
 def _by_command(section: str, key: str) -> dict:

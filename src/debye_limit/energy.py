@@ -180,19 +180,22 @@ def kato_ponce_sample(f: np.ndarray, g: np.ndarray, orders, grid: Grid):
     fine[..., : n // 2 + 1] = np.fft.rfft(np.array((f, g)))
     fine[..., n // 2] *= 0.5
     fv, gv = np.fft.irfft(fine, n=2 * n) * 2
-    hats = np.fft.rfft(np.array((fv * gv, gv, fv)))
-    # d[a - 1] holds (d^a(fg), d^a g, d^a f) for a = 1..max(orders)
-    d = np.fft.irfft(np.array([fine_grid.derivative_symbol(a) * hats
-                              for a in range(1, max(orders) + 1)]),
-                     fine_grid.n_points)
-    dg = np.concatenate((gv[None], d[:, 1]))  # d^a g for a = 0..max(orders)
+    del fine  # stacks go once read: this peak memory is what limits cli.KP_BLOCK
+    # spectra[a - 1] holds those of (d^a(fg), d^a g, d^a f) for a = 1..max(orders);
+    # a = 1 comes last, in place over the undifferentiated ones
+    spectra = np.empty((max(orders), 3, len(f), n + 1), complex)
+    spectra[0] = np.fft.rfft(np.array((fv * gv, gv, fv)))
+    for a in range(len(spectra), 0, -1):
+        np.multiply(fine_grid.derivative_symbol(a), spectra[0], out=spectra[a - 1])
+    d = np.fft.irfft(spectra, fine_grid.n_points)
+    del spectra
+    l2 = lambda v: _l2_values(fine_grid, v)  # norms of views, one per (a, pair) row
+    dg_norms = np.concatenate((l2(gv)[None], l2(d[:, 1])))  # d^a g for a = 0..max
     df_max = np.max(np.abs(d[0, 2]), axis=-1)
     g_max = np.max(np.abs(gv), axis=-1)
-    # one (order, pair) row in each of the three stacked L2 norms
     k1 = np.array(orders) - 1
-    lhs = _l2_values(fine_grid, d[k1, 0] - fv * d[k1, 1]).T
-    rhs = (df_max * _l2_values(fine_grid, dg[k1])
-           + _l2_values(fine_grid, d[k1, 2]) * g_max).T
+    rhs = (df_max * dg_norms[k1] + l2(d[:, 2])[k1] * g_max).T
+    lhs = l2(d[:, 0] - np.multiply(fv, d[:, 1], out=d[:, 1]))[k1].T
     ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
     return lhs, rhs, ratio
 

@@ -270,30 +270,23 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). ``work``,
     ``(5, 2, N)`` (allocated if None), holds k1..k4 and the stage state;
     every sum runs in the textbook operation order. Returns the stack, the
-    stage potentials (stage 4's alone for eps = 0; the last is a close
-    guess for the new state's) and the guard's ``(2,)`` ``H^2`` norms.
+    three stage potentials (the last is a close guess for the new state's)
+    and the guard's ``(2,)`` ``H^2`` norms.
     """
     floor = opts.density_floor
-    stages = []
     *ks, s = np.empty((5, *state.shape)) if work is None else work
-
-    def stage(j, c, t_stage):  # k_j from state + c k_{j-1}
-        np.add(np.multiply(ks[j - 2], c, out=s), state, out=s)
-        _guard_stage(s[0], floor, t_stage, step_index)
-        guess = phi if ahead is None else tuple(a + d[len(stages)]
-                                                for a, d in zip(phi, ahead))
-        stages.append(_potential(grid, s[0], opts, guess, t_stage, step_index))
-        if opts.eps == 0.0:
-            del stages[:-1]  # the limit flow reads only the last one
-        _rhs_values(grid, *s, stages[-1][0], ks[j - 1])
-
     _guard_stage(state[0], floor, t, step_index)
     if phi is None:
         phi = _potential(grid, state[0], opts, None, t, step_index)
     _rhs_values(grid, *state, phi[0], ks[0])
-    stage(2, 0.5 * dt, t + 0.5 * dt)
-    stage(3, 0.5 * dt, t + 0.5 * dt)
-    stage(4, dt, t + dt)
+    # stage j's guess is row j - 2 of each stack, or phi itself
+    guesses = [phi] * 3 if ahead is None else zip(*(a + d for a, d in zip(phi, ahead)))
+    stages = []
+    for j, (c, guess) in enumerate(zip((0.5 * dt, 0.5 * dt, dt), guesses)):
+        np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
+        _guard_stage(s[0], floor, t + c, step_index)
+        stages.append(_potential(grid, s[0], opts, guess, t + c, step_index))
+        _rhs_values(grid, *s, stages[-1][0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
     change += ks[0]
     change += np.multiply(ks[2], 2.0, out=ks[2])
@@ -398,25 +391,36 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):  # a huge state trips step 1
         norms = _hs_norm_values(grid, values, GUARD_NORM_ORDER)
     t0, phi, blowup = state.t, None, None
-    history = []  # the last steps' stage differences, newest first
-    rows = phi_rows = 0
+    # stage differences phi_j - phi of the last steps, newest first, as (values,
+    # band coefficients) stacks for the full flow; ahead extrapolates them
+    history = (np.empty((HISTORY_ORDER, 3, grid.n_points)),
+               np.empty((HISTORY_ORDER, 3, np.count_nonzero(grid.keep)), complex)
+               ) if opts.eps > 0.0 else ()
+    ahead = tuple(np.empty(part.shape[1:], part.dtype) for part in history)
+    tables = [_extrapolation_weights(c)[:, None, None] for c in range(HISTORY_ORDER + 1)]
+    filled = rows = phi_rows = 0
     for i in range(total_steps + 1):
         if i > 0:
             step_dt = dt if i <= n_full else tail
-            # a difference is O(dt), so the short last step scales it
-            weights = (step_dt / dt) * _extrapolation_weights(len(history))
-            ahead = tuple(sum(w * h[part] for w, h in zip(weights, history))
-                          for part in (0, 1)) if history else None
+            if filled:
+                # a difference is O(dt), so the short last step scales it;
+                # each sum is 0 + w_0 h_0 + w_1 h_1 + ..., in that order
+                weights = (step_dt / dt) * tables[filled]
+                for acc, part in zip(ahead, history):
+                    np.add.reduce(weights * part[:filled], axis=0, out=acc, initial=0.0)
             try:
                 # only the last step is short: each starts at a whole number of dt
-                _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt,
-                                                step_dt, opts, i, phi, ahead, work)
+                _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt, step_dt,
+                                                opts, i, phi, ahead if filled else None,
+                                                work)
             except BlowUpError as err:
                 blowup = err.event
                 break
             if opts.eps > 0.0:
-                diffs = tuple(np.array(p) - a for a, p in zip(phi, zip(*stages)))
-                history = [diffs, *history[:HISTORY_ORDER - 1]]
+                for part, a, p in zip(history, phi, zip(*stages)):
+                    part[1:] = part[:-1]
+                    np.subtract(p, a, out=part[0])
+                filled = min(filled + 1, HISTORY_ORDER)
             phi = stages.pop()  # freed when the state's potential replaces it
         t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
         try:

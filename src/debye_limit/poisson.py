@@ -124,11 +124,11 @@ class _Band:
         coeffs = self.project(values)
         return self.values(coeffs), coeffs
 
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.vdot(a, self.weight * b).real)
+    def dot(self, a: np.ndarray, b: np.ndarray, scratch=None) -> float:
+        return float(np.vdot(a, np.multiply(self.weight, b, out=scratch)).real)
 
-    def norm(self, coeffs: np.ndarray) -> float:
-        return math.sqrt(self.dot(coeffs, coeffs))
+    def norm(self, coeffs: np.ndarray, scratch=None) -> float:
+        return math.sqrt(self.dot(coeffs, coeffs, scratch))
 
 
 def _band(grid: Grid) -> _Band:
@@ -141,8 +141,8 @@ def _band_residual(band: _Band, eps_k2: np.ndarray, phi_hat: np.ndarray,
 
 
 def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
-                 residual: np.ndarray, res_norm: float,
-                 tol: float) -> tuple[np.ndarray, int]:
+                 residual: np.ndarray, res_norm: float, tol: float,
+                 work: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve P(-eps v'' + e^phi v) = F on the band by preconditioned CG.
 
     The operator is symmetric positive definite on the band, and the
@@ -150,29 +150,32 @@ def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
     Fourier space and spectrally equivalent to it, so the iteration
     count depends on the spread of e^phi but not on the grid. CG stops
     at ``max(CG_RTOL * res_norm, CG_FLOOR * tol)``, ``tol`` being the
-    Newton exit test.
+    Newton exit test. ``work``, a complex ``(6, K)`` stack, holds the CG
+    vectors, updated in place; the correction returned is its first row.
     """
-    symbol = eps_k2 + exp_phi.mean()
+    delta, r, z, p, ap, tmp = work
+    symbol = eps_k2 + np.add.reduce(exp_phi) / band.n_points  # the bits of mean()
     target = max(CG_RTOL * res_norm, CG_FLOOR * tol)
-    delta = np.zeros_like(residual)
-    r = residual.copy()
-    z = r / symbol
-    p = z.copy()
-    rz = band.dot(r, z)
+    delta.fill(0.0)
+    np.copyto(r, residual)
+    np.copyto(p, np.divide(r, symbol, out=z))
+    rz = band.dot(r, z, tmp)
     for count in range(1, CG_MAX_ITERS + 1):
-        ap = eps_k2 * p + band.project(exp_phi * band.values(p))
-        pap = band.dot(p, ap)
+        v = band.values(p)
+        np.multiply(eps_k2, p, out=ap)
+        ap += band.project(np.multiply(exp_phi, v, out=v))
+        pap = band.dot(p, ap, tmp)
         if not pap > 0.0:  # the operator is positive; overflow can hide it
             raise PBConvergenceError("Newton linear solve broke down",
                                      res_norm)
         alpha = rz / pap
-        delta += alpha * p
-        r -= alpha * ap
-        if band.norm(r) <= target:
+        delta += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
+        if band.norm(r, tmp) <= target:
             return delta, count
-        z = r / symbol
-        rz_next = band.dot(r, z)
-        p = z + (rz_next / rz) * p
+        np.divide(r, symbol, out=z)
+        rz_next = band.dot(r, z, tmp)
+        np.add(z, np.multiply(rz_next / rz, p, out=p), out=p)
         rz = rz_next
     raise PBConvergenceError(f"Newton linear solve did not converge within "
                              f"{CG_MAX_ITERS} CG iterations", res_norm)
@@ -205,6 +208,7 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
     exp_phi = np.exp(phi)
     residual = _band_residual(band, eps_k2, phi_hat, exp_phi, n)
     res_norm = band.norm(residual)
+    work = np.empty((6, band.k2.size), complex)  # CG's vectors, for every step
     linear_iters = 0
     for iteration in range(opts.max_newton_iters + 1):
         if res_norm <= opts.tol:
@@ -213,7 +217,7 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
             raise PBConvergenceError(f"Newton did not reach tol={opts.tol:.1e} within "
                                      f"{opts.max_newton_iters} iterations", res_norm)
         delta, count = _newton_step(band, eps_k2, exp_phi, residual, res_norm,
-                                    opts.tol)
+                                    opts.tol, work)
         linear_iters += count
         lam = 1.0
         while True:

@@ -776,6 +776,15 @@ def test_kato_ponce_battery_does_not_depend_on_the_block_size(monkeypatch, block
     assert all(map(np.array_equal, got, expected))
 
 
+def test_kato_ponce_fine_battery_peak_memory(peak_alloc):
+    # the default check's fine battery: 100 pairs on the 2 x 128 grid. Its
+    # traced peak grows with KP_BLOCK (0.59 MB at 6 pairs per block, 0.76 MB
+    # at 8), so a larger block cannot raise check's peak memory unnoticed.
+    # A first battery on another grid imports what numpy loads lazily.
+    cli._kp_battery(Grid(32), 0, 1, 2)
+    assert peak_alloc(cli._kp_battery, Grid(256), 0, 100, 8) < 0.65e6
+
+
 # --------------------------------------------------- exit-code contract
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from debye_limit import poisson
 from debye_limit.grid import Field, Grid, derivative, integrate, l2_norm
+from debye_limit.initial import random_smooth_fields
 from debye_limit.poisson import (
     PBConvergenceError,
     PBSolveOptions,
@@ -247,6 +248,59 @@ def test_linear_iterations_do_not_grow_with_grid(eps):
         assert sol.linear_iterations >= sol.iterations
         counts.append(sol.linear_iterations)
     assert max(counts) <= counts[0]
+
+
+def _textbook_pcg(band, eps, exp_phi, f, target):
+    """Preconditioned CG as printed (Saad, Iterative Methods, alg. 9.1) for
+    ``P(-eps v'' + e^phi v) = f`` on the band, from ``band.k2`` and its
+    Parseval weight alone: fresh arrays every iteration, the weighted inner
+    product summed directly, the operator built from its own transforms."""
+    k2, weight = band.k2, band.weight.real
+    dot = lambda a, b: float(np.sum(weight * (a.conj() * b).real))
+    apply = lambda v: (eps * k2 * v + np.fft.rfft(
+        exp_phi * np.fft.irfft(v, band.n_points))[: k2.size])
+    m_inv = 1.0 / (eps * k2 + np.mean(exp_phi))
+    x, r = np.zeros_like(f), f.copy()
+    z = m_inv * r
+    p, rz = z.copy(), dot(r, z)
+    for k in range(1, poisson.CG_MAX_ITERS + 1):
+        ap = apply(p)
+        alpha = rz / dot(p, ap)
+        x, r = x + alpha * p, r - alpha * ap
+        if np.sqrt(dot(r, r)) <= target:
+            return x, k
+        z = m_inv * r
+        rz, rz_old = dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    raise AssertionError("the textbook CG did not converge")
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_newton_step_matches_textbook_pcg(n_points, eps, seed):
+    # seeded systems: e^phi spreads over a factor up to e, the right side is
+    # the band part of a smooth field; the CG work stack starts as NaN,
+    # so every vector must be set before it is read, and a second solve
+    # through the same stack must repeat the first
+    grid = Grid(n_points)
+    band = poisson._band(grid)
+    rng = np.random.default_rng(seed)
+    phi, rhs = random_smooth_fields(grid, rng, 2, max_mode=8)
+    exp_phi = np.exp(0.5 * phi / np.abs(phi).max())
+    f = 1e-3 * band.project(rhs)
+    res_norm, tol = band.norm(f), 1e-12
+    work = np.full((6, band.k2.size), np.nan + 0j)
+    got, count = poisson._newton_step(band, eps * band.k2, exp_phi, f, res_norm,
+                                      tol, work)
+    target = max(poisson.CG_RTOL * res_norm, poisson.CG_FLOOR * tol)
+    want, want_count = _textbook_pcg(band, eps, exp_phi, f, target)
+    assert count == want_count
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    first = got.copy()
+    again, again_count = poisson._newton_step(band, eps * band.k2, exp_phi, f,
+                                              res_norm, tol, work)
+    assert again_count == count and np.array_equal(again, first)
 
 
 def test_cg_iteration_cap_raises(monkeypatch):
