@@ -33,7 +33,6 @@ from .flows import (
 from .grid import (
     MAX_SOBOLEV_ORDER,
     Grid,
-    _derivative_values,
     _l2_values,
 )
 from .initial import InitParams, make_initial
@@ -54,7 +53,6 @@ __all__ = [
     "SweepReport",
     "run_sweep",
     "quasineutrality_gap",
-    "quasineutral_identity_defect",
     "write_report_json",
     "write_report_csv",
 ]
@@ -185,29 +183,11 @@ class SweepReport:
         return out
 
 
-def _potential_stacks(traj):
-    """Grid, density and potential stacks of the records with a potential."""
-    if traj.phi is None:
-        raise ValueError("trajectory has no recorded potentials")
-    return traj.grid, traj.n[:len(traj.phi)], traj.phi
-
-
 def quasineutrality_gap(traj) -> float:
     """sup over recorded times of ||exp(phi) - n||_L2 for a full-flow run."""
-    return _sup(_quasineutral_values(*_potential_stacks(traj)))
-
-
-def quasineutral_identity_defect(traj) -> float:
-    """max over recorded times of | ||exp(phi)-n|| - eps*||phi_xx|| |.
-
-    Up to the Poisson solve tolerance the two sides agree snapshot by
-    snapshot, which pins the measured gap to the field equation rather
-    than to an accident of the dynamics.
-    """
-    grid, n, phi = _potential_stacks(traj)
-    gap = _quasineutral_values(grid, n, phi)
-    lap_norm = _l2_values(grid, _derivative_values(grid, phi, 2))
-    return _sup(np.abs(gap - traj.eps * lap_norm))
+    if traj.phi is None:
+        raise ValueError("trajectory has no recorded potentials")
+    return _sup(_quasineutral_values(traj.grid, traj.n[:len(traj.phi)], traj.phi))
 
 
 def _sup(values) -> float:

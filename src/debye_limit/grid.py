@@ -18,7 +18,7 @@ Conventions
   The Nyquist mode has no signed partner: odd derivatives drop it.
 * The 2/3 rule keeps modes ``j <= n/3``.
 * Symbols, weights and other per-grid tables are built once, on first use.
-* ``integrate`` is the trapezoid rule, which on a uniform periodic grid
+* Integrals are the trapezoid rule, which on a uniform periodic grid
   is just ``mean(values)`` and integrates every resolved
   Fourier mode exactly.
 * The private value kernels transform and reduce over the last axis,
@@ -38,10 +38,7 @@ __all__ = [
     "Grid",
     "Field",
     "derivative",
-    "integrate",
-    "l2_norm",
     "hs_norm",
-    "max_abs",
     "dealias",
 ]
 
@@ -84,10 +81,14 @@ class Grid:
                 f"n_points must be a power of two >= 32, got {n}"
             )
         object.__setattr__(self, "n_points", n)
-        modes = np.arange(n // 2 + 1)
-        object.__setattr__(self, "x", np.arange(n) * self.dx)
-        object.__setattr__(self, "k", 2.0 * np.pi * modes)
-        object.__setattr__(self, "keep", modes <= n / 3.0)
+        try:
+            modes = np.arange(n // 2 + 1)
+            object.__setattr__(self, "x", np.arange(n) * self.dx)
+            object.__setattr__(self, "k", 2.0 * np.pi * modes)
+            object.__setattr__(self, "keep", modes <= n / 3.0)
+        except MemoryError:
+            raise ValueError(f"n_points = {n} is too large: its grid tables "
+                             "do not fit in memory") from None
         object.__setattr__(self, "_cache", {})
         for arr in (self.x, self.k, self.keep):
             arr.flags.writeable = False
@@ -163,10 +164,6 @@ class Field:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.x))
-
 
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
@@ -197,25 +194,13 @@ def derivative(f: Field, order: int = 1) -> Field:
 
 
 def _integral_values(grid: Grid, values: np.ndarray):
+    """Trapezoid quadrature over the periodic unit interval (= mean)."""
     return np.add.reduce(values, axis=-1) / grid.n_points
 
 
-def integrate(f: Field) -> float:
-    """Trapezoid quadrature over the periodic unit interval (= mean)."""
-    return float(_integral_values(f.grid, f.values))
-
-
 def _l2_values(grid: Grid, values: np.ndarray):
-    return np.sqrt(np.add.reduce(values * values, axis=-1) / grid.n_points)
-
-
-def l2_norm(f: Field) -> float:
     """sqrt of the integral of f^2."""
-    return float(_l2_values(f.grid, f.values))
-
-
-def max_abs(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
+    return np.sqrt(np.add.reduce(values * values, axis=-1) / grid.n_points)
 
 
 def _power(fhat: np.ndarray) -> np.ndarray:
@@ -239,7 +224,7 @@ def _hs_norm_values(grid: Grid, values: np.ndarray, s: int):
 def hs_norm(f: Field, s: int) -> float:
     """Sobolev H^s norm via Parseval.
 
-    Equals ``sqrt(sum_{a=0}^{s} l2_norm(derivative(f, a))^2)``; computed
+    Equals ``sqrt(sum_{a=0}^{s} ||derivative(f, a)||_L2^2)``; computed
     directly from one real FFT so it is cheap enough for per-step monitors.
     """
     _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")

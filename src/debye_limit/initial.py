@@ -15,8 +15,7 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["InitParams", "make_initial", "random_smooth_field",
-           "random_smooth_fields"]
+__all__ = ["InitParams", "make_initial", "random_smooth_fields"]
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,3 @@ def random_smooth_fields(
         a, b = coeffs[:, m - 1, :1], coeffs[:, m - 1, 1:]
         values = values + (amplitude / m**2) * (a * cos[m - 1] + b * sin[m - 1])
     return values
-
-
-def random_smooth_field(
-    grid: Grid,
-    rng: np.random.Generator,
-    max_mode: int = 8,
-    amplitude: float = 1.0,
-) -> Field:
-    """One seeded band-limited sample: row 0 of :func:`random_smooth_fields`."""
-    return Field(grid, random_smooth_fields(grid, rng, 1, max_mode, amplitude)[0])

@@ -18,7 +18,7 @@ Newton residual or ``CG_FLOOR`` times the Newton tolerance, whichever
 is larger, so CG does not chase digits that the Newton exit test never
 reads. The Boltzmann nonlinearity pins the constant mode, so no mean
 normalization is applied. In the eps -> 0 limit the potential
-degenerates to ln n, exposed as :func:`solve_phi_limit`.
+degenerates to ln n, the default initial guess.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _dealias_values, _derivative_values
+from .grid import Field, Grid
 
 __all__ = [
     "PBSolveOptions",
     "PBSolution",
     "PBConvergenceError",
-    "pb_residual",
     "solve_phi",
-    "solve_phi_limit",
 ]
 
 
@@ -80,18 +78,6 @@ class PBSolution:
     residual_l2: float
     iterations: int
     linear_iterations: int  # CG iterations summed over the Newton steps
-
-
-def pb_residual(phi: Field, n: Field, eps: float) -> Field:
-    """F(phi) = eps*phi'' - exp(phi) + n, evaluated pointwise then dealiased."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    grid = phi.grid
-    if n.grid != grid:
-        raise ValueError("phi and n must share a grid")
-    d2_phi = _derivative_values(grid, phi.values, 2)
-    return Field(grid, _dealias_values(
-        grid, eps * d2_phi - np.exp(phi.values) + n.values))
 
 
 class _Band:
@@ -256,12 +242,3 @@ def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None,
     (phi, _), res_norm, iters, linear = _solve_phi_values(n.grid, n.values,
                                                           eps, opts, guess)
     return PBSolution(Field(n.grid, phi), res_norm, iters, linear)
-
-
-def solve_phi_limit(n: Field) -> Field:
-    """Quasineutral potential: phi = ln n pointwise."""
-    if np.min(n.values) <= 0.0:
-        raise ValueError(
-            f"density must be strictly positive, min(n) = {np.min(n.values):.3e}"
-        )
-    return Field(n.grid, np.log(n.values))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .grid import (
     MAX_SOBOLEV_ORDER,
-    Field,
     Grid,
     _check_order,
     _dealiased_l2_values,
@@ -36,8 +35,6 @@ __all__ = [
     "Remainder",
     "TripleNorm",
     "remainder_series",
-    "r1_field",
-    "r1_majorant",
     "triple_norm",
     "remainder_residual",
     "elliptic_ratio_pair",
@@ -145,7 +142,8 @@ def remainder_series(ep_traj, lim_traj) -> Remainder:
     return Remainder(lim_traj.grid, eps, t, n0, u0, n1, u1, phi1)
 
 
-def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
+def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
+               eps: float) -> np.ndarray:
     """Taylor rest term of the Boltzmann nonlinearity.
 
         R1 = eps^(-3/2) * (n0 + eps*n0*phi1 - exp(phi0 + eps*phi1))
@@ -153,11 +151,6 @@ def r1_field(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
     Requires the limit relation n0 = exp(phi0) to hold pointwise to
     1e-10; the rest term is meaningless otherwise.
     """
-    return Field(phi0.grid, _r1_values(phi0.values, phi1.values, n0.values, eps))
-
-
-def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
-               eps: float) -> np.ndarray:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     expphi0 = np.exp(phi0)
@@ -190,24 +183,6 @@ def _g_rest(z: np.ndarray) -> np.ndarray:
     zb = z[~small]
     out[~small] = (np.expm1(zb) - zb) / zb ** 2
     return out
-
-
-def r1_majorant(phi0: Field, phi1: Field, n0: Field, eps: float) -> Field:
-    """Pointwise bound on |R1| from the integral form of the rest term.
-
-    |R1| = sqrt(eps) * exp(phi0) * phi1^2 * integral_0^1 e^(theta*eps*phi1)
-    (1-theta) dtheta, and the integral is at most e^(max(eps*phi1, 0))/2.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    vals = (
-        np.sqrt(eps)
-        * np.exp(phi0.values)
-        * np.exp(np.maximum(eps * phi1.values, 0.0))
-        * phi1.values**2
-        / 2.0
-    )
-    return Field(phi0.grid, vals)
 
 
 def triple_norm(rem: Remainder, s: int) -> TripleNorm:

@@ -29,17 +29,13 @@ import numpy as np
 import pytest
 
 from debye_limit.energy import energy_snapshot, identity_2_12_check, kato_ponce_sample
-from debye_limit.experiments import (
-    BOUND_FACTOR,
-    SweepSpec,
-    quasineutral_identity_defect,
-    run_sweep,
-)
+from debye_limit.experiments import BOUND_FACTOR, SweepSpec, run_sweep
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
-from debye_limit.grid import Field, Grid, derivative, hs_norm, l2_norm
-from debye_limit.initial import InitParams, make_initial, random_smooth_field
+from debye_limit.grid import Field, Grid, _l2_values, derivative, hs_norm
+from debye_limit.initial import InitParams, make_initial, random_smooth_fields
 from debye_limit.poisson import solve_phi
-from debye_limit.remainder import r1_field, r1_majorant, remainder_series
+from debye_limit.remainder import _r1_values, remainder_series
+from oracles import quasineutral_identity_defect, r1_majorant, random_smooth_field
 
 EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 SMALL_EPS_SWEEP = (1e-3, 1e-4, 1e-5, 1e-6)
@@ -191,14 +187,12 @@ def test_criterion_6_manufactured_solutions():
     grid = Grid(128)
     worst = 0.0
     for eps in (1e-1, 1e-3):
-        phi_star = Field.from_function(
-            grid, lambda x: 0.1 * np.sin(2 * np.pi * x)
-            + 0.02 * np.cos(4 * np.pi * x))
+        phi_star = Field(grid, 0.1 * np.sin(2 * np.pi * grid.x)
+                         + 0.02 * np.cos(4 * np.pi * grid.x))
         n = Field(grid, np.exp(phi_star.values)
                   - eps * derivative(phi_star, 2).values)
         sol = solve_phi(n, eps)
-        worst = max(worst, l2_norm(Field(grid, sol.phi.values
-                                         - phi_star.values)))
+        worst = max(worst, _l2_values(grid, sol.phi.values - phi_star.values))
     const = solve_phi(Field(grid, np.full(128, 2.0)), 1e-2)
     ok = worst <= 1e-10 and const.iterations <= 2
     detail = (f"recovery L2 error {worst:.2e} <= 1e-10 "
@@ -249,10 +243,8 @@ def _kp_max_ratio(n_points: int, seed: int = 0, pairs: int = 100):
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(pairs):
-        f = random_smooth_field(grid, rng, max_mode=8)
-        g = random_smooth_field(grid, rng, max_mode=8)
-        ratios.extend(kato_ponce_sample(f.values[None], g.values[None],
-                                        (1, 2, 3), grid)[2][0])
+        pair = random_smooth_fields(grid, rng, 2, max_mode=8)
+        ratios.extend(kato_ponce_sample(pair[:1], pair[1:], (1, 2, 3), grid)[2][0])
     return max(ratios), ratios
 
 
@@ -272,17 +264,17 @@ def test_criterion_8_commutator_sampling():
 
 def test_criterion_9_r1_magnitude_law():
     grid = Grid(256)
-    phi0 = Field(grid, 0.1 * np.sin(2 * np.pi * grid.x))
-    n0 = Field(grid, np.exp(phi0.values))  # exact PB compatibility
+    phi0 = 0.1 * np.sin(2 * np.pi * grid.x)
+    n0 = np.exp(phi0)  # exact PB compatibility
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(50):
         raw = random_smooth_field(grid, rng, max_mode=10)
         scale = max(hs_norm(raw, k) for k in (0, 1, 2))
-        phi1 = Field(grid, raw.values / scale)  # ||phi1||_{H^k} <= 1, k <= 2
+        phi1 = raw.values / scale  # ||phi1||_{H^k} <= 1, k <= 2
         for eps in EPS_SWEEP:
-            num = l2_norm(r1_field(phi0, phi1, n0, eps))
-            den = l2_norm(r1_majorant(phi0, phi1, n0, eps))
+            num = _l2_values(grid, _r1_values(phi0, phi1, n0, eps))
+            den = _l2_values(grid, r1_majorant(phi0, phi1, eps))
             worst = max(worst, num / den)
     ok = worst <= 1.0 + 1e-6
     detail = (f"50 samples x 4 eps: max ||R1||_L2 / majorant "

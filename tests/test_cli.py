@@ -254,6 +254,13 @@ def test_eps_zero_needs_limit_flow(tmp_path, capsys):
                  id="simulate-auto-dt-u_amp-1e308"),
     pytest.param(["sweep", "--grid", "32", "--t-end", "1e-3"],
                  "[init]\nu_amp = 1e308\n", (2,), id="sweep-auto-dt-u_amp-1e308"),
+    # a power-of-two grid whose tables cannot be allocated raised numpy's
+    # MemoryError; 2^40 points fail at the request, before any allocation
+    *[pytest.param([command, "--grid", str(2**40)], None, (2,),
+                   id=f"{command}-grid-2-pow-40")
+      for command in ("simulate", "sweep", "check")],
+    pytest.param(["check"], f"[check]\nkp_grid = {2**40}\n", (2,),
+                 id="check-kp_grid-2-pow-40"),
 ])
 def test_exit_code_contract_without_traceback(tmp_path, capfd, argv, config,
                                               codes):

@@ -10,10 +10,10 @@ from debye_limit.energy import (
     write_ledger_csv,
 )
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
-from debye_limit.grid import Field, Grid, l2_norm
-from debye_limit.initial import (InitParams, make_initial, random_smooth_field,
-                                 random_smooth_fields)
+from debye_limit.grid import Field, Grid, _l2_values
+from debye_limit.initial import InitParams, make_initial, random_smooth_fields
 from debye_limit.remainder import Remainder, remainder_series
+from oracles import random_smooth_field
 
 
 def _rem(grid, eps, t=(0.0,), n1=None, u1=None, phi1=None, n0=None, u0=None):
@@ -74,12 +74,10 @@ def test_energies_nonnegative_random_fields():
     eps = 1e-2
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        n1 = random_smooth_field(grid, rng, max_mode=6).values
-        u1 = random_smooth_field(grid, rng, max_mode=6).values
-        phi1 = random_smooth_field(grid, rng, max_mode=6).values
-        n0 = 1.0 + 0.2 * random_smooth_field(grid, rng, max_mode=4).values
-        u0 = 0.3 * random_smooth_field(grid, rng, max_mode=4).values
-        rem = _rem(grid, eps, n1=n1, u1=u1, phi1=phi1, n0=n0, u0=u0)
+        n1, u1, phi1 = random_smooth_fields(grid, rng, 3, max_mode=6)
+        n0, u0 = random_smooth_fields(grid, rng, 2, max_mode=4)
+        rem = _rem(grid, eps, n1=n1, u1=u1, phi1=phi1, n0=1.0 + 0.2 * n0,
+                   u0=0.3 * u0)
         for gamma in (0, 1, 2):
             snap = energy_snapshot(rem, gamma)
             for value in (snap.e_kin, snap.e_phi, snap.e_grad,
@@ -262,9 +260,9 @@ def _single_order_sample(f, g, k):
     fv, gv = _upsample_one(grid, f.values), _upsample_one(grid, g.values)
     d = lambda v, a: np.fft.irfft(fine.derivative_symbol(a) * np.fft.rfft(v),
                                   fine.n_points) if a else v
-    lhs = l2_norm(Field(fine, d(fv * gv, k) - fv * d(gv, k)))
-    rhs = float(np.max(np.abs(d(fv, 1))) * l2_norm(Field(fine, d(gv, k - 1)))
-                + l2_norm(Field(fine, d(fv, k))) * np.max(np.abs(gv)))
+    lhs = _l2_values(fine, d(fv * gv, k) - fv * d(gv, k))
+    rhs = float(np.max(np.abs(d(fv, 1))) * _l2_values(fine, d(gv, k - 1))
+                + _l2_values(fine, d(fv, k)) * np.max(np.abs(gv)))
     return lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0
 
 

@@ -14,7 +14,6 @@ from debye_limit.experiments import (
     _member_diagnostics,
     fit_order,
     gronwall_monitor,
-    quasineutral_identity_defect,
     quasineutrality_gap,
     run_sweep,
     write_report_csv,
@@ -24,6 +23,7 @@ from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import PBSolveOptions
+from oracles import quasineutral_identity_defect
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
 

@@ -2,8 +2,8 @@
 as ``evolve`` passes it, so no field stack is kept.
 
 The outputs are checked bit for bit against an oracle that keeps every
-record (``evolve`` without a consumer) and reduces the stacks with the
-public field functions.
+record (``evolve`` without a consumer) and reduces the stacks one
+record at a time.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from debye_limit import cli, flows
 from debye_limit.cli import main
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
-from debye_limit.grid import Field, Grid, hs_norm, integrate, l2_norm
+from debye_limit.grid import Field, Grid, _integral_values, _l2_values, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import PBConvergenceError, PBSolveOptions
 
@@ -31,10 +31,11 @@ def _oracle(traj, s):
         if traj.phi is None:
             gap = 0.0
         elif i < len(traj.phi):
-            gap = l2_norm(Field(grid, np.exp(traj.phi[i]) - traj.n[i]))
+            gap = _l2_values(grid, np.exp(traj.phi[i]) - traj.n[i])
         else:  # the record whose potential solve failed
             gap = float("nan")
-        rows.append((float(t), hs_norm(n, s), hs_norm(u, s), integrate(n),
+        rows.append((float(t), hs_norm(n, s), hs_norm(u, s),
+                     _integral_values(grid, traj.n[i]),
                      float(n.values.min()), float(n.values.max()), gap))
     columns = [grid.x, traj.n[-1], traj.u[-1]]
     header = "x,n,u"
