@@ -34,14 +34,14 @@ from .flows import (
     RecordAllocationError,
     RunOptions,
     TrajectoryTable,
+    _record_arrays,
     _run_length,
     evolve,
     write_snapshot_csv,
 )
-from .grid import MAX_DERIVATIVE_ORDER, MAX_SOBOLEV_ORDER, Grid, _check_order
+from .grid import MAX_DERIVATIVE_ORDER, Grid, _check_order
 from .initial import InitParams, make_initial, random_smooth_fields
 from .io_utils import OutputError, make_output_dir, write_csv
-from .poisson import PBSolveOptions
 from .remainder import (
     MIN_REMAINDER_EPS,
     remainder_residual,
@@ -147,17 +147,23 @@ def _effective_config(args) -> dict:
 
 
 def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions:
-    """dt, t_end and record_every from ``section``, guards from [run], solver [pb]."""
-    own, run = cfg[section], cfg["run"]
+    """dt, t_end and record_every from ``section``."""
+    own = cfg[section]
     return RunOptions(
         dt=own["dt"],
         t_end=own["t_end"],
         eps=eps,
-        density_floor=run["density_floor"],
-        norm_ceiling=run["norm_ceiling"],
-        pb=PBSolveOptions(**cfg["pb"]),
         record_every=own["record_every"] if record_every is None else record_every,
     )
+
+
+def _sized_run(state, opts: RunOptions) -> tuple:
+    """``_run_length(state, opts)``, once stacks for all its records were
+    allocated as ``evolve`` allocates them: a run too long to record
+    exits 2 before the output directory exists."""
+    length = _run_length(state, opts)
+    _record_arrays(state.grid, opts, length[3], (3, length[3], state.grid.n_points))
+    return length
 
 
 def cmd_simulate(cfg, args, out: str) -> int:
@@ -167,19 +173,16 @@ def cmd_simulate(cfg, args, out: str) -> int:
     if flow == "ep" and not (cfg["run"]["eps"] > 0.0):
         raise ConfigError("the full flow needs eps > 0; use --flow limit for eps = 0")
     eps = cfg["run"]["eps"] if flow == "ep" else 0.0
-    if not 0 <= cfg["run"]["s"] <= MAX_SOBOLEV_ORDER:
-        raise ConfigError(f"[run] s must lie in 0..{MAX_SOBOLEV_ORDER}, "
-                          f"got {cfg['run']['s']}")
     try:
         grid = Grid(cfg["grid"]["n_points"])
         init = InitParams(**cfg["init"])
         opts = _run_options(cfg, "run", eps)
+        state = (EPState if flow == "ep" else LimitState)(0.0, *make_initial(init, grid))
+        # sized for the whole run, so a run too long to record exits here
+        table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
     except ValueError as exc:
         raise ConfigError(str(exc))
     make_output_dir(out)
-    n0, u0 = make_initial(init, grid)
-    state = (EPState if flow == "ep" else LimitState)(0.0, n0, u0)
-    table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
     traj = evolve(state, opts, on_record=table)
 
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
@@ -211,6 +214,7 @@ def cmd_sweep(cfg, args, out: str) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    _sized_run(LimitState(0.0, *make_initial(spec.init, Grid(spec.n_points))), spec.run)
     make_output_dir(out)
     report = run_sweep(spec, jobs=args.jobs)
 
@@ -286,7 +290,7 @@ def cmd_check(cfg, args, out: str) -> int:
     n0, u0 = make_initial(init, grid)
     state = EPState(0.0, n0, u0)
     # the identity check takes centered differences of uniformly spaced records
-    _, n_full, tail, n_records = _run_length(state, opts)
+    _, n_full, tail, n_records = _sized_run(state, opts)
     if tail > 0.0 or n_full % c["record_every"]:
         raise ConfigError("check needs t_end to be a whole number of record "
                           "intervals dt * record_every")

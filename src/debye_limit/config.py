@@ -9,6 +9,10 @@ files are fine, and command-line flags override file values.
 from __future__ import annotations
 
 import configparser
+from dataclasses import asdict
+
+from .flows import RunOptions
+from .initial import InitParams
 
 __all__ = ["ConfigError", "default_config", "load_config_file", "merge_config",
            "parse_value"]
@@ -19,29 +23,20 @@ class ConfigError(Exception):
 
 
 def default_config() -> dict:
-    """Every key with its default, whose type sets the key's kind."""
+    """Every key with its default, whose type sets the key's kind. The
+    defaults of ``[init]`` and of ``[run]``'s run controls are those of
+    :class:`InitParams` and :class:`RunOptions`."""
+    run = RunOptions()
     return {
         "grid": {"n_points": 256},
-        "init": {
-            "n_base": 1.0,
-            "n_amp": 0.1,
-            "u_amp": 0.1,
-            "mode": 1,
-            "phase_u": 0.0,
-        },
+        "init": asdict(InitParams()),
         "run": {
             "flow": "ep",
-            "eps": 1e-2,
-            "dt": None,
-            "t_end": 0.5,
-            "density_floor": 1e-6,
-            "norm_ceiling": 1e6,
-            "record_every": 1,
+            "eps": run.eps,
+            "dt": run.dt,
+            "t_end": run.t_end,
+            "record_every": run.record_every,
             "s": 2,
-        },
-        "pb": {
-            "tol": 1e-12,
-            "max_newton_iters": 50,
         },
         "sweep": {
             "eps_list": [1e-1, 1e-2, 1e-3, 1e-4],

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -117,11 +117,11 @@ class SweepSpec:
     """
 
     eps_list: tuple
-    n_points: int = 256
-    run: RunOptions = field(default_factory=lambda: RunOptions(record_every=2))
-    init: InitParams = field(default_factory=InitParams)
-    s_list: tuple = (0, 1, 2)
-    seed: int = 0
+    n_points: int
+    run: RunOptions
+    init: InitParams
+    s_list: tuple
+    seed: int
 
     def __post_init__(self):
         eps_list = tuple(float(e) for e in self.eps_list)

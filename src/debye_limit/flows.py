@@ -53,6 +53,10 @@ __all__ = [
 
 # Sobolev order of the blow-up norm monitor.
 GUARD_NORM_ORDER = 2
+# The blow-up guards: a run ends when min n falls below DENSITY_FLOOR or
+# an H^2 norm of (n, u) exceeds NORM_CEILING.
+DENSITY_FLOOR = 1e-6
+NORM_CEILING = 1e6
 # Full steps of stage-potential history that evolve extrapolates from.
 HISTORY_ORDER = 4
 
@@ -97,8 +101,6 @@ class RunOptions:
     dt: float | None = None
     t_end: float = 0.5
     eps: float = 1e-2
-    density_floor: float = 1e-6
-    norm_ceiling: float = 1e6
     pb: PBSolveOptions = field(default_factory=PBSolveOptions)
     record_every: int = 1
 
@@ -118,10 +120,6 @@ class RunOptions:
                 f"dt = {self.dt} is too small: t_end / dt overflows")
         if not (self.eps >= 0.0):
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not (self.density_floor > 0.0):
-            raise ValueError("density_floor must be positive")
-        if not (self.norm_ceiling > 0.0):
-            raise ValueError("norm_ceiling must be positive")
         if not (isinstance(self.record_every, (int, np.integer))
                 and self.record_every >= 1):
             raise ValueError(
@@ -216,13 +214,12 @@ def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray, phi: np.ndarray,
     return out
 
 
-def rhs_ep(state: EPState, eps: float,
-           pb: PBSolveOptions | None = None) -> tuple[Field, Field]:
+def rhs_ep(state: EPState, eps: float) -> tuple[Field, Field]:
     """Time derivative (dn, du) of the full flow; phi from the PB solve."""
     if not (eps > 0.0):
         raise ValueError(f"the full flow needs eps > 0, got {eps}")
     grid, n = state.grid, state.n.values
-    phi = _solve_phi_values(grid, n, eps, pb or PBSolveOptions())[0][0]
+    phi = _solve_phi_values(grid, n, eps, PBSolveOptions())[0][0]
     dn, du = _rhs_values(grid, n, state.u.values, phi, np.empty((2, len(n))))
     return Field(grid, dn), Field(grid, du)
 
@@ -234,11 +231,11 @@ def rhs_limit(state: EPState) -> tuple[Field, Field]:
     return Field(grid, dn), Field(grid, du)
 
 
-def _guard_stage(n: np.ndarray, floor: float, t: float, step_index: int):
+def _guard_stage(n: np.ndarray, t: float, step_index: int):
     if not np.isfinite(n).all():
         raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan"), step_index))
     low = float(n.min())
-    if low < floor:
+    if low < DENSITY_FLOOR:
         raise BlowUpError(BlowUpEvent(t, "density_floor", low, step_index))
 
 
@@ -273,9 +270,8 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     three stage potentials (the last is a close guess for the new state's)
     and the guard's ``(2,)`` ``H^2`` norms.
     """
-    floor = opts.density_floor
     *ks, s = np.empty((5, *state.shape)) if work is None else work
-    _guard_stage(state[0], floor, t, step_index)
+    _guard_stage(state[0], t, step_index)
     if phi is None:
         phi = _potential(grid, state[0], opts, None, t, step_index)
     _rhs_values(grid, *state, phi[0], ks[0])
@@ -284,7 +280,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     stages = []
     for j, (c, guess) in enumerate(zip((0.5 * dt, 0.5 * dt, dt), guesses)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
-        _guard_stage(s[0], floor, t + c, step_index)
+        _guard_stage(s[0], t + c, step_index)
         stages.append(_potential(grid, s[0], opts, guess, t + c, step_index))
         _rhs_values(grid, *s, stages[-1][0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
@@ -297,21 +293,21 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     t_new = t + dt
     if not np.isfinite(new).all():
         raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan"), step_index))
-    _guard_stage(new[0], floor, t_new, step_index)
+    _guard_stage(new[0], t_new, step_index)
     norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
-    if norms.max() > opts.norm_ceiling:
+    if norms.max() > NORM_CEILING:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max(), step_index))
     return new, stages, norms
 
 
-def step(state: EPState, opts: RunOptions, dt: float | None = None) -> EPState:
-    """One RK4 step. The potential is re-solved at every stage.
+def step(state: EPState, opts: RunOptions) -> EPState:
+    """One RK4 step of ``opts.dt``, or of the auto step if it is None. The
+    potential is re-solved at every stage.
 
     Raises :class:`BlowUpError` when a guard trips or a potential solve
     fails. The returned state keeps the type of the input state.
     """
-    if dt is None:
-        dt = opts.dt if opts.dt is not None else default_dt(state)
+    dt = opts.dt if opts.dt is not None else default_dt(state)
     grid = state.grid
     (new_n, new_u), _, _ = _step_values(
         grid, np.array((state.n.values, state.u.values)), state.t, dt, opts,
@@ -464,7 +460,7 @@ class TrajectoryTable:
 
     COLUMNS = "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual"
 
-    def __init__(self, state: EPState, opts: RunOptions, s: int = 2):
+    def __init__(self, state: EPState, opts: RunOptions, s: int):
         _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
         self.grid, self.eps, self.s, self.rows = state.grid, opts.eps, s, 0
         records = _run_length(state, opts)[3]

@@ -55,13 +55,8 @@ def make_initial(params: InitParams, grid: Grid) -> tuple[Field, Field]:
     return Field(grid, n0), Field(grid, u0)
 
 
-def random_smooth_fields(
-    grid: Grid,
-    rng: np.random.Generator,
-    count: int,
-    max_mode: int = 8,
-    amplitude: float = 1.0,
-) -> np.ndarray:
+def random_smooth_fields(grid: Grid, rng: np.random.Generator, count: int,
+                         max_mode: int) -> np.ndarray:
     """``(count, N)`` stack of seeded band-limited trigonometric samples.
 
     Each row has 1/m^2 coefficient decay over modes ``1..max_mode``. The
@@ -79,5 +74,5 @@ def random_smooth_fields(
     values = np.zeros((count, grid.n_points))
     for m in range(1, max_mode + 1):
         a, b = coeffs[:, m - 1, :1], coeffs[:, m - 1, 1:]
-        values = values + (amplitude / m**2) * (a * cos[m - 1] + b * sin[m - 1])
+        values = values + (1.0 / m**2) * (a * cos[m - 1] + b * sin[m - 1])
     return values

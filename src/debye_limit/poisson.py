@@ -50,6 +50,8 @@ CG_FLOOR = 0.01
 CG_MAX_ITERS = 500
 # the line search halves the Newton step at most four times (1 ... 1/16)
 DAMPING_MIN = 0.0625
+# Newton steps before a solve fails
+MAX_NEWTON_ITERS = 50
 
 
 class PBConvergenceError(RuntimeError):
@@ -63,13 +65,10 @@ class PBConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class PBSolveOptions:
     tol: float = 1e-12
-    max_newton_iters: int = 50
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,12 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
     res_norm = band.norm(residual)
     work = np.empty((6, band.k2.size), complex)  # CG's vectors, for every step
     linear_iters = 0
-    for iteration in range(opts.max_newton_iters + 1):
+    for iteration in range(MAX_NEWTON_ITERS + 1):
         if res_norm <= opts.tol:
             return (phi, phi_hat), res_norm, iteration, linear_iters
-        if iteration == opts.max_newton_iters:
+        if iteration == MAX_NEWTON_ITERS:
             raise PBConvergenceError(f"Newton did not reach tol={opts.tol:.1e} within "
-                                     f"{opts.max_newton_iters} iterations", res_norm)
+                                     f"{MAX_NEWTON_ITERS} iterations", res_norm)
         delta, count = _newton_step(band, eps_k2, exp_phi, residual, res_norm,
                                     opts.tol, work)
         linear_iters += count
@@ -224,21 +223,13 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
     raise AssertionError("unreachable")
 
 
-def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None,
-              phi_init: Field | None = None) -> PBSolution:
+def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None) -> PBSolution:
     """Solve eps*phi'' = exp(phi) - n by damped Newton-CG.
 
-    The default initializer is the limit potential ln n, which is an
-    O(eps) guess for smooth positive densities. A ``phi_init`` on the
-    grid of ``n`` is projected on the band first. The residual norm of
-    the returned solution is at or below ``opts.tol``.
+    The initializer is the limit potential ln n, which is an O(eps)
+    guess for smooth positive densities. The residual norm of the
+    returned solution is at or below ``opts.tol``.
     """
-    opts = opts or PBSolveOptions()
-    guess = None
-    if phi_init is not None:
-        if phi_init.grid != n.grid:
-            raise ValueError("phi_init and n must share a grid")
-        guess = _band(n.grid).limited(phi_init.values)
-    (phi, _), res_norm, iters, linear = _solve_phi_values(n.grid, n.values,
-                                                          eps, opts, guess)
+    (phi, _), res_norm, iters, linear = _solve_phi_values(
+        n.grid, n.values, eps, opts or PBSolveOptions())
     return PBSolution(Field(n.grid, phi), res_norm, iters, linear)

@@ -12,9 +12,9 @@ from debye_limit.grid import Field, _dealias_values, _derivative_values, _l2_val
 from debye_limit.initial import random_smooth_fields
 
 
-def random_smooth_field(grid, rng, max_mode=8, amplitude=1.0):
+def random_smooth_field(grid, rng, max_mode=8):
     """One seeded band-limited sample: row 0 of ``random_smooth_fields``."""
-    return Field(grid, random_smooth_fields(grid, rng, 1, max_mode, amplitude)[0])
+    return Field(grid, random_smooth_fields(grid, rng, 1, max_mode)[0])
 
 
 def pb_residual(grid, phi, n, eps):

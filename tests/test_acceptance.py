@@ -66,6 +66,8 @@ def small_eps_sweep(record_sweep):
         n_points=256,
         run=RunOptions(dt=None, t_end=0.5, record_every=2),
         init=InitParams(),
+        s_list=(0, 1, 2),
+        seed=0,
     )
     drift = _phase_drift(max(spec.eps_list), spec.init.mode, spec.run.t_end)
     assert drift <= MAX_PHASE_DRIFT, (

@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import debye_limit
-from debye_limit import __version__, cli
+from debye_limit import __version__, cli, flows, poisson
 from debye_limit.cli import main
 from debye_limit.energy import kato_ponce_sample
 from debye_limit.grid import Grid
 from debye_limit.initial import random_smooth_fields
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _fast_sim_args(out_dir, extra=()):
@@ -79,22 +84,21 @@ def test_simulate_limit_flow_forces_eps_zero(tmp_path, capsys):
     assert snap.read_text().split("\n", 1)[0] == "x,n,u"
 
 
-def test_simulate_blowup_exits_three(tmp_path, capsys):
-    conf = tmp_path / "conf.ini"
-    conf.write_text("[run]\nnorm_ceiling = 1e-3\n")
-    code = main(_fast_sim_args(tmp_path, extra=["--config", str(conf)]))
+def test_simulate_blowup_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(flows, "NORM_CEILING", 1e-3)
+    code = main(_fast_sim_args(tmp_path))
     assert code == 3
     assert "blow-up at" in capsys.readouterr().out
 
 
-def test_simulate_pb_failure_exits_three_without_traceback(tmp_path, capfd):
+def test_simulate_pb_failure_exits_three_without_traceback(tmp_path, monkeypatch,
+                                                           capfd):
     # a potential solve that cannot converge ends the run like a guard:
     # exit 3, the partial trajectory is written, nothing escapes
-    conf = tmp_path / "conf.ini"
-    conf.write_text("[pb]\nmax_newton_iters = 1\n")
+    monkeypatch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
     code, out, err, caught = _run_in_process(
         ["simulate", "--flow", "ep", "--eps", "1e-2", "--grid", "64",
-         "--config", str(conf), "--out", str(tmp_path)], capfd)
+         "--out", str(tmp_path)], capfd)
     assert code == 3
     assert "Traceback" not in err and not caught
     assert "pb_divergence" in out
@@ -103,7 +107,8 @@ def test_simulate_pb_failure_exits_three_without_traceback(tmp_path, capfd):
     assert float(lines[1].split(",")[0]) == 0.0
 
 
-def test_sweep_pb_failure_marks_members_blowup(tmp_path, capsys):
+def test_sweep_pb_failure_marks_members_blowup(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
     conf = tmp_path / "conf.ini"
     conf.write_text("""
 [grid]
@@ -111,8 +116,6 @@ n_points = 32
 [run]
 t_end = 0.01
 dt = 1e-3
-[pb]
-max_newton_iters = 1
 [sweep]
 eps_list = 1e-2 1e-3
 """)
@@ -460,16 +463,25 @@ def test_output_write_error_exits_two(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("simulate", ["--flow", "bogus"]), ("sweep", ["--jobs", "0"]),
-    ("check", ["--eps", "0"])])
+@pytest.mark.parametrize("command, flags, sections", [
+    pytest.param("simulate", ["--flow", "bogus"], {}, id="simulate-flags0"),
+    pytest.param("sweep", ["--jobs", "0"], {}, id="sweep-flags1"),
+    pytest.param("check", ["--eps", "0"], {}, id="check-flags2"),
+    # runs too long to record: the auto dt is about 1e-311, or t_end huge
+    pytest.param("simulate", [], {"init": {"u_amp": "1e308"}}, id="simulate-records"),
+    pytest.param("sweep", ["--grid", "32", "--t-end", "1e-3"],
+                 {"init": {"u_amp": "1e308"}}, id="sweep-records"),
+    pytest.param("check", [], {"check": {"t_end": "1e300"}}, id="check-records")])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys,
-                                                     command, flags):
+                                                     command, flags, sections):
     # the directory is created once the settings are checked, so a usage
     # error leaves nothing behind
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini(sections))
     out = tmp_path / "new" / "out"
-    assert main([command, *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main([command, *flags, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
 
 
@@ -697,13 +709,85 @@ def test_flag_and_its_key_reject_a_value_alike(tmp_path, capsys, command, flag,
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "check"])
-def test_run_guards_apply_to_every_command(tmp_path, capsys, command):
-    # [run] density_floor and norm_ceiling guard the runs of all three
+def test_run_guards_apply_to_every_command(tmp_path, monkeypatch, capsys, command):
+    # the blow-up guards of flows end the runs of all three
+    monkeypatch.setattr(flows, "NORM_CEILING", 1e-9)
     conf = tmp_path / "conf.ini"
-    conf.write_text(_ini({"grid": {"n_points": 32}, "run": {"norm_ceiling": 1e-9},
-                          "check": SMALL_CHECK_KEYS}))
+    conf.write_text(_ini({"grid": {"n_points": 32}, "check": SMALL_CHECK_KEYS}))
     short = [] if command == "check" else ["--t-end", "1e-3"]
     assert main([command, *short, "--config", str(conf), "--out", str(tmp_path)]) == 3
+
+
+class _LoggedSection(Mapping):
+    """A config section that adds ``(section, key)`` to ``log`` on each lookup."""
+
+    def __init__(self, name, values, log):
+        self.name, self.values, self.log = name, values, log
+
+    def __getitem__(self, key):
+        self.log.add((self.name, key))
+        return self.values[key]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _settings_read(monkeypatch, tmp_path, command, sections):
+    """The ``(section, key)`` pairs ``command`` looks up, with ``sections``
+    as its config file and no flag but ``--config``; its settings; and its
+    output directory."""
+    log, cfg, real = set(), {}, cli._effective_config
+
+    def logged(args):
+        cfg.update(real(args))
+        return {name: _LoggedSection(name, values, log) for name, values in cfg.items()}
+
+    monkeypatch.setattr(cli, "_effective_config", logged)
+    out = tmp_path / command
+    conf = tmp_path / f"{command}.ini"
+    conf.write_text(_ini({**sections, "output": {"dir": out}}))
+    assert main([command, "--config", str(conf)]) in (0, 3, 4)
+    return log, cfg, out
+
+
+# every setting off its default, and [run] record_every unlike [sweep]
+# record_every, so that a key echoed under another's name reads as missing
+_READ_SECTIONS = {
+    "grid": {"n_points": 32},
+    "init": {"n_base": 1.5, "n_amp": 0.2, "u_amp": 0.05, "mode": 2, "phase_u": 0.5},
+    "run": {"eps": 0.02, "dt": 1e-3, "t_end": 2e-3, "record_every": 3, "s": 1},
+    "sweep": {"eps_list": "1e-1 1e-2", "s_list": "0 2", "record_every": 1, "seed": 7},
+    "check": {**SMALL_CHECK_KEYS, "eps": 0.02, "gamma": 1, "seed": 3, "t_end": 0.004},
+}
+
+
+def test_sweep_spec_echoes_every_setting_it_reads(tmp_path, monkeypatch, capsys):
+    read, cfg, out = _settings_read(monkeypatch, tmp_path, "sweep", _READ_SECTIONS)
+    spec = json.loads((out / "sweep_report.json").read_text())["spec"]
+    assert {("sweep", "eps_list"), ("run", "t_end"), ("init", "mode")} <= read
+    echoed = {**{("init", key): value for key, value in spec["init"].items()},
+              **{(section, key): spec.get(key) for section, key in read if section != "init"}}
+    missing = sorted(setting for setting in read - {("output", "dir")}
+                     if echoed[setting] != cfg[setting[0]][setting[1]])
+    assert missing == []
+
+
+def test_readme_names_the_commands_that_read_each_key(tmp_path, monkeypatch, capsys):
+    readers = {}
+    for command in ("simulate", "sweep", "check"):
+        with monkeypatch.context() as patch:
+            read, _, _ = _settings_read(patch, tmp_path, command, _READ_SECTIONS)
+        for key in read:
+            readers.setdefault(key, set()).add(command)
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| `[^`]*` \| ([^|]+) \|", README.read_text(),
+                      flags=re.MULTILINE)
+    documented = {(section, key): ({"simulate", "sweep", "check"} if text.strip() == "all three"
+                                   else set(text.strip().split(", ")))
+                  for section, key, text in rows}
+    assert documented == readers
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED_SLOTS,

@@ -25,12 +25,12 @@ def _write(tmp_path, text):
 
 def test_defaults_cover_every_section():
     cfg = default_config()
-    assert set(cfg) == {"grid", "init", "run", "pb", "sweep", "check", "output"}
+    assert set(cfg) == {"grid", "init", "run", "sweep", "check", "output"}
+    assert sum(map(len, cfg.values())) == 27
     assert cfg["grid"]["n_points"] == 256
     assert cfg["run"]["dt"] is None  # auto
     assert cfg["run"]["t_end"] == 0.5
     assert cfg["sweep"]["eps_list"] == [1e-1, 1e-2, 1e-3, 1e-4]
-    assert cfg["pb"]["tol"] == 1e-12
     assert cfg["check"]["dt"] == 2.5e-4
 
 
@@ -60,17 +60,20 @@ def test_unknown_section_reports_position(tmp_path):
         load_config_file(path)
 
 
-# a misspelt key, and keys that were removed: the filter switch and the
-# verdict thresholds and line-search floor, which are now constants
+# a misspelt key, and keys that were removed: the filter switch, and the
+# verdict thresholds, blow-up guards and solver settings, now constants
 @pytest.mark.parametrize("section, key", [
     ("run", "teps"), ("run", "exp_filter"), ("pb", "damping_min"),
     ("sweep", "bound_factor"), ("check", "identity_tol"), ("check", "res_n_tol"),
     ("check", "res_u_tol"), ("check", "res_phi_tol"), ("check", "kp_ratio_max"),
-    ("check", "kp_refine_rtol")])
+    ("check", "kp_refine_rtol"), ("run", "density_floor"), ("run", "norm_ceiling"),
+    ("pb", "tol"), ("pb", "max_newton_iters")])
 def test_unknown_key_reports_position(tmp_path, section, key):
     path = _write(tmp_path, f"[grid]\nn_points = 64\n[{section}]\n  {key} = 3\n")
-    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\] "
-                                          r"\(line 4, column 3\)"):
+    # the keys of a removed section are reported at its header
+    where = (rf"unknown key '{key}' in \[{section}\] \(line 4, column 3\)"
+             if section in SCHEMA else rf"unknown section \[{section}\] \(line 3, column 1\)")
+    with pytest.raises(ConfigError, match=where):
         load_config_file(path)
 
 

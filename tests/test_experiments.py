@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from debye_limit import flows, poisson
 from debye_limit.experiments import (
     BOUND_FACTOR,
     SweepSpec,
@@ -22,7 +23,6 @@ from debye_limit.experiments import (
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, hs_norm
 from debye_limit.initial import InitParams, make_initial
-from debye_limit.poisson import PBSolveOptions
 from oracles import quasineutral_identity_defect
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
@@ -34,6 +34,8 @@ def _mini_spec(**kwargs):
         n_points=64,
         run=RunOptions(dt=1e-3, t_end=0.1, record_every=5),
         init=InitParams(),
+        s_list=(0, 1, 2),
+        seed=0,
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
@@ -113,19 +115,19 @@ def test_gronwall_validation():
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="eps_list"):
-        SweepSpec(eps_list=())
+        _mini_spec(eps_list=())
     with pytest.raises(ValueError, match="positive"):
-        SweepSpec(eps_list=(1e-1, -1e-2))
+        _mini_spec(eps_list=(1e-1, -1e-2))
     with pytest.raises(ValueError, match="at least"):
-        SweepSpec(eps_list=(1e-1, 1e-300))
+        _mini_spec(eps_list=(1e-1, 1e-300))
     with pytest.raises(ValueError, match="eps_list"):
-        SweepSpec(eps_list=(1e-1, float("nan")))
+        _mini_spec(eps_list=(1e-1, float("nan")))
     with pytest.raises(ValueError, match="s_list"):
-        SweepSpec(eps_list=(1e-2,), s_list=())
+        _mini_spec(eps_list=(1e-2,), s_list=())
     with pytest.raises(ValueError, match="s_list"):
-        SweepSpec(eps_list=(1e-2,), s_list=(0, -1))
+        _mini_spec(eps_list=(1e-2,), s_list=(0, -1))
     with pytest.raises(ValueError, match="s_list"):
-        SweepSpec(eps_list=(1e-2,), s_list=(0, MAX_SOBOLEV_ORDER + 1))
+        _mini_spec(eps_list=(1e-2,), s_list=(0, MAX_SOBOLEV_ORDER + 1))
 
 
 def test_fit_ready_gating():
@@ -293,8 +295,8 @@ def test_default_sweep_pb_work(pb_counts):
     # they make 257 Newton steps (38 solves take none) and 797 CG
     # iterations; the hand-made stage guesses made 287 and 1243, and the
     # solver before any stage extrapolation and the CG floor 419 and 2641.
-    spec = SweepSpec(eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                     run=RunOptions(t_end=0.01, record_every=2))
+    spec = _mini_spec(eps_list=(1e-1, 1e-2, 1e-3, 1e-4), n_points=256,
+                      run=RunOptions(t_end=0.01, record_every=2))
     run_sweep(spec)
     steps = 17
     assert len(pb_counts) == 4 * (4 * steps + 1)
@@ -312,12 +314,9 @@ def test_sweep_duplicate_eps_identical_rows():
     assert first["sup_norms"] == second["sup_norms"]
 
 
-def test_sweep_blowup_member_gates_verdicts():
-    spec = _mini_spec(
-        eps_list=(1e-2,),
-        run=RunOptions(dt=1e-3, t_end=0.1, record_every=5, norm_ceiling=1e-3),
-    )
-    rep = run_sweep(spec)
+def test_sweep_blowup_member_gates_verdicts(monkeypatch):
+    monkeypatch.setattr(flows, "NORM_CEILING", 1e-3)
+    rep = run_sweep(_mini_spec(eps_list=(1e-2,)))
     assert rep.rows[0]["status"] == "BLOWUP"
     assert "blowup" in rep.rows[0]
     for s in (0, 1, 2):
@@ -386,9 +385,9 @@ def test_gap_helpers_need_potentials():
     with pytest.raises(ValueError, match="no recorded potentials"):
         quasineutral_identity_defect(lim)
     # a full flow whose first potential solve failed recorded none: NaN
-    ep = evolve(EPState(0.0, n0, u0),
-                RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
-                           pb=PBSolveOptions(max_newton_iters=1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
+        ep = evolve(EPState(0.0, n0, u0), RunOptions(dt=1e-3, t_end=0.01, eps=1e-2))
     assert ep.blowup is not None and len(ep.phi) == 0
     assert np.isnan(quasineutrality_gap(ep))
     assert np.isnan(quasineutral_identity_defect(ep))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from debye_limit import flows
+from debye_limit import flows, poisson
 from debye_limit.flows import (
     BlowUpError,
     EPState,
@@ -138,7 +138,7 @@ def test_constant_state_is_equilibrium():
     for cls, eps in ((EPState, 1e-2), (LimitState, 0.0)):
         state = cls(0.0, n, u)
         opts = RunOptions(dt=1e-3, t_end=0.0, eps=eps)
-        nxt = step(state, opts, dt=1e-3)
+        nxt = step(state, opts)
         assert np.max(np.abs(nxt.n.values - n.values)) < 1e-12
         assert np.max(np.abs(nxt.u.values)) < 1e-12
 
@@ -210,8 +210,8 @@ def test_stacked_rhs_matches_single_row_transforms(n_points):
     grid = Grid(n_points)
     rng = np.random.default_rng(n_points)
     noise = lambda: 1e-3 * rng.standard_normal(n_points)
-    n = 1.0 + 0.2 * random_smooth_fields(grid, rng, 1)[0] + noise()
-    u = 0.3 * random_smooth_fields(grid, rng, 1)[0] + noise()
+    n = 1.0 + 0.2 * random_smooth_fields(grid, rng, 1, 8)[0] + noise()
+    u = 0.3 * random_smooth_fields(grid, rng, 1, 8)[0] + noise()
     phis = (np.log(n), solve_phi(Field(grid, n), 1e-2).phi.values)
     for phi in phis:
         got = flows._rhs_values(grid, n, u, phi, np.empty((2, n_points)))
@@ -300,26 +300,26 @@ def test_stacked_step_matches_textbook_rk4():
     assert np.max(np.abs(got.u.values - want_u.values)) < 1e-13
 
 
-def test_density_floor_guard():
+def test_density_floor_guard(monkeypatch):
     grid = Grid(64)
     ep, _ = paired_states(grid)
-    opts = RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, density_floor=0.95)
+    monkeypatch.setattr(flows, "DENSITY_FLOOR", 0.95)
     with pytest.raises(BlowUpError) as info:
-        step(ep, opts)
+        step(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2))
     assert info.value.event.reason == "density_floor"
 
 
-def test_norm_ceiling_guard():
+def test_norm_ceiling_guard(monkeypatch):
     grid = Grid(64)
     ep, _ = paired_states(grid)
-    opts = RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, norm_ceiling=1e-3)
+    monkeypatch.setattr(flows, "NORM_CEILING", 1e-3)
     with pytest.raises(BlowUpError) as info:
-        step(ep, opts)
+        step(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2))
     assert info.value.event.reason == "norm_ceiling"
 
 
 @pytest.mark.parametrize("u_amp", [0.1, 0.5])
-def test_norm_ceiling_value_is_the_larger_h2_norm(u_amp):
+def test_norm_ceiling_value_is_the_larger_h2_norm(monkeypatch, u_amp):
     # at u_amp 0.1 the density's H^2 norm is the larger, at 0.5 the
     # velocity's; the event carries exactly that single-row norm
     grid = Grid(64)
@@ -327,18 +327,17 @@ def test_norm_ceiling_value_is_the_larger_h2_norm(u_amp):
     new = step(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2))
     norms = [_hs_norm_values(grid, f.values, 2) for f in (new.n, new.u)]
     assert (norms[1] > norms[0]) == (u_amp > 0.2)
-    opts = RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, norm_ceiling=1e-3)
+    monkeypatch.setattr(flows, "NORM_CEILING", 1e-3)
     with pytest.raises(BlowUpError) as info:
-        step(ep, opts)
+        step(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2))
     assert info.value.event.value == max(norms)
 
 
-def test_evolve_returns_partial_trajectory_on_blowup():
+def test_evolve_returns_partial_trajectory_on_blowup(monkeypatch):
     grid = Grid(64)
     ep, _ = paired_states(grid)
-    opts = RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, density_floor=0.95,
-                      record_every=1)
-    traj = evolve(ep, opts)
+    monkeypatch.setattr(flows, "DENSITY_FLOOR", 0.95)
+    traj = evolve(ep, RunOptions(dt=1e-3, t_end=1.0, eps=1e-2, record_every=1))
     assert traj.blowup is not None
     assert traj.blowup.reason == "density_floor"
     assert traj.final.t < 1.0
@@ -507,7 +506,7 @@ def test_stage_history_changes_work_not_results():
     traj = evolve(ep, opts)
     state = ep
     for dt in [1e-3] * 20 + [5e-4]:
-        state = step(state, opts, dt)
+        state = step(state, replace(opts, dt=dt))
     assert state.t == pytest.approx(traj.t[-1])
     assert np.max(np.abs(state.n.values - traj.n[-1])) <= 1e-12
     assert np.max(np.abs(state.u.values - traj.u[-1])) <= 1e-12
@@ -581,12 +580,11 @@ def test_pb_failure_ends_run_with_partial_trajectory(
     assert header.strip() == ("x,n,u,phi" if n_phis == n_states else "x,n,u")
 
 
-def test_pb_failure_at_the_initial_state(tmp_path):
+def test_pb_failure_at_the_initial_state(monkeypatch, tmp_path):
     grid = Grid(64)
     ep, _ = paired_states(grid)
-    opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2,
-                      pb=PBSolveOptions(max_newton_iters=1))
-    traj = evolve(ep, opts)
+    monkeypatch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
+    traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.01, eps=1e-2))
     assert traj.blowup.reason == "pb_divergence"
     assert traj.blowup.step_index == 0
     assert traj.t.tolist() == [0.0] and traj.phi.shape == (0, 64)
@@ -626,7 +624,7 @@ def test_trajectory_csv_schema(tmp_path):
     grid = Grid(32)
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2, record_every=5)
-    table = TrajectoryTable(ep, opts)
+    table = TrajectoryTable(ep, opts, 2)
     traj = evolve(ep, opts, on_record=table)
     path = tmp_path / "traj.csv"
     table.write_csv(path)
@@ -706,7 +704,7 @@ def test_streamed_h2_norms_are_the_guards_norms():
 def test_trajectory_table_reads_the_guards_norms(tmp_path, fft_calls):
     for state, opts in _recorded_runs():
         records, _ = _streamed(state, opts)
-        h2_table, h3_table = TrajectoryTable(state, opts), TrajectoryTable(state, opts, s=3)
+        h2_table, h3_table = TrajectoryTable(state, opts, 2), TrajectoryTable(state, opts, 3)
         fft_calls.clear()
         for record in records:
             h2_table(*record)

@@ -44,15 +44,15 @@ def test_params_validation():
 
 
 def test_random_field_is_grid_independent():
-    coarse = random_smooth_fields(Grid(64), np.random.default_rng(42), 1)[0]
-    fine = random_smooth_fields(Grid(128), np.random.default_rng(42), 1)[0]
+    coarse = random_smooth_fields(Grid(64), np.random.default_rng(42), 1, 8)[0]
+    fine = random_smooth_fields(Grid(128), np.random.default_rng(42), 1, 8)[0]
     # same continuum function sampled at the shared points
     assert np.allclose(coarse, fine[::2], rtol=0, atol=1e-14)
 
 
 def test_random_field_reproducible():
-    a = random_smooth_fields(Grid(64), np.random.default_rng(7), 1)
-    b = random_smooth_fields(Grid(64), np.random.default_rng(7), 1)
+    a = random_smooth_fields(Grid(64), np.random.default_rng(7), 1, 8)
+    b = random_smooth_fields(Grid(64), np.random.default_rng(7), 1, 8)
     assert np.array_equal(a, b)
 
 
@@ -64,7 +64,7 @@ def _one_field(grid, rng, max_mode):
     for m in range(1, max_mode + 1):
         theta = 2.0 * np.pi * m * grid.x
         a, b = coeffs[m - 1]
-        values = values + (0.7 / m**2) * (a * np.cos(theta) + b * np.sin(theta))
+        values = values + (1.0 / m**2) * (a * np.cos(theta) + b * np.sin(theta))
     return values
 
 
@@ -72,13 +72,12 @@ def _one_field(grid, rng, max_mode):
 @pytest.mark.parametrize("max_mode", [1, 8, 31])
 def test_stacked_draw_matches_sequential_fields(n_points, max_mode):
     grid = Grid(n_points)
-    stack = random_smooth_fields(grid, np.random.default_rng(5), 3,
-                                 max_mode, amplitude=0.7)
+    stack = random_smooth_fields(grid, np.random.default_rng(5), 3, max_mode)
     rng = np.random.default_rng(5)
     assert stack.shape == (3, n_points)
     for row in stack:
         assert np.array_equal(row, _one_field(grid, rng, max_mode))
     rng = np.random.default_rng(5)
     for row in stack:
-        one = random_smooth_fields(grid, rng, 1, max_mode, amplitude=0.7)
+        one = random_smooth_fields(grid, rng, 1, max_mode)
         assert np.array_equal(row, one[0])

@@ -118,3 +118,48 @@ def test_every_top_level_definition_has_a_caller():
     used |= {name for _, name in _benchmark_imports()}
     unused = [f"{module}.{name}" for module, name in defined if name not in used]
     assert not unused, "no caller: " + ", ".join(unused)
+
+
+# the one optional parameter kept for outside readers: README, ROADMAP
+# and perfbench/workloads.py define the reproducible report by it
+PARAMETER_EXEMPTIONS = {("SweepReport.as_dict", "include_timings")}
+
+
+def test_every_optional_parameter_is_passed_by_a_caller():
+    # a default that every caller keeps is a setting no run path varies;
+    # calls resolve by name, so a method or class call counts for every
+    # definition of that name, and a method's position skips self
+    src = os.path.dirname(debye_limit.__file__)
+    src_trees = _trees(glob.glob(os.path.join(src, "*.py")))
+    optional = []  # (qualified name, callee name, parameter, position or None)
+    for tree in src_trees.values():
+        scopes = [(stmt, None) for stmt in tree.body]
+        scopes += [(item, stmt.name) for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+                   for item in stmt.body]
+        for func, owner in scopes:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            callee = owner if func.name == "__init__" else func.name
+            qualified = f"{owner}.{func.name}" if owner else func.name
+            first = len(positional) - len(args.defaults)
+            optional += [(qualified, callee, arg.arg, i - (owner is not None))
+                         for i, arg in enumerate(positional) if i >= first]
+            optional += [(qualified, callee, arg.arg, None)
+                         for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+    passed = set()  # (callee name, parameter name or position)
+    trees = {**src_trees, **_trees(glob.glob(os.path.join(PERFBENCH, "*.py")))}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (node.func.id if isinstance(node.func, ast.Name) else
+                    node.func.attr if isinstance(node.func, ast.Attribute) else None)
+            passed |= {(name, kw.arg) for kw in node.keywords}
+            passed |= {(name, i) for i in range(len(node.args))}
+    unused = [f"{qualified}({param})" for qualified, callee, param, position in optional
+              if (callee, param) not in passed and (callee, position) not in passed
+              and (qualified, param) not in PARAMETER_EXEMPTIONS]
+    assert not unused, "no caller passes: " + ", ".join(unused)

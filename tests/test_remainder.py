@@ -110,7 +110,7 @@ def test_r1_majorant_dominates_pointwise():
     for _ in range(20):
         phi0 = 0.2 * np.sin(2 * np.pi * grid.x + rng.uniform(0, 2 * np.pi))
         n0 = np.exp(phi0)
-        phi1 = random_smooth_fields(grid, rng, 1, amplitude=2.0)[0]
+        phi1 = 2.0 * random_smooth_fields(grid, rng, 1, 8)[0]
         for eps in (1e-1, 1e-2, 1e-4):
             r1 = _r1_values(phi0, phi1, n0, eps)
             maj = r1_majorant(phi0, phi1, eps)

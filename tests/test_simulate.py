@@ -9,12 +9,12 @@ record at a time.
 import numpy as np
 import pytest
 
-from debye_limit import cli, flows
+from debye_limit import cli, flows, poisson
 from debye_limit.cli import main
 from debye_limit.flows import EPState, LimitState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, _integral_values, _l2_values, hs_norm
 from debye_limit.initial import InitParams, make_initial
-from debye_limit.poisson import PBConvergenceError, PBSolveOptions
+from debye_limit.poisson import PBConvergenceError
 
 HEADER = "t,norm_n_Hs,norm_u_Hs,mass,min_n,max_n,quasineutral_residual"
 
@@ -46,15 +46,13 @@ def _oracle(traj, s):
 
 
 def _simulate(tmp_path, flow, grid, t_end, dt, s=2, eps=1e-2, init=None,
-              record_every=1, pb=None):
+              record_every=1):
     """Run ``simulate`` in process; return its exit code, its trajectory and
     snapshot texts, and the state and options of the run."""
     conf = tmp_path / "conf.ini"
     init = init or InitParams()
     lines = ["[run]", f"record_every = {record_every}", "[init]",
              f"n_amp = {init.n_amp!r}", f"u_amp = {init.u_amp!r}"]
-    if pb is not None:
-        lines += ["[pb]", *(f"{k} = {v}" for k, v in pb.items())]
     conf.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     code = main(["simulate", "--flow", flow, "--eps", repr(eps), "--grid", str(grid),
@@ -65,7 +63,7 @@ def _simulate(tmp_path, flow, grid, t_end, dt, s=2, eps=1e-2, init=None,
     g = Grid(grid)
     state = (EPState if flow == "ep" else LimitState)(0.0, *make_initial(init, g))
     opts = RunOptions(dt=dt, t_end=t_end, eps=eps if flow == "ep" else 0.0,
-                      record_every=record_every, pb=PBSolveOptions(**(pb or {})))
+                      record_every=record_every)
     return code, traj_path.read_text(), snap_path.read_text(), state, opts
 
 
@@ -93,9 +91,10 @@ def test_density_floor_blowup_equals_the_stack_oracle(tmp_path, flow, s):
     assert len(kept.t) > 3 and (traj_text, snap_text) == _oracle(kept, s)
 
 
-def test_pb_divergence_at_the_initial_state_equals_the_stack_oracle(tmp_path):
-    code, traj_text, snap_text, state, opts = _simulate(
-        tmp_path, "ep", 64, 0.01, 1e-3, pb={"max_newton_iters": 1})
+def test_pb_divergence_at_the_initial_state_equals_the_stack_oracle(tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
+    code, traj_text, snap_text, state, opts = _simulate(tmp_path, "ep", 64, 0.01, 1e-3)
     kept = evolve(state, opts)
     assert code == 3 and kept.blowup.reason == "pb_divergence"
     assert kept.t.tolist() == [0.0] and len(kept.phi) == 0
