@@ -30,7 +30,6 @@ from .energy import energy_snapshot, identity_2_12_check, kato_ponce_sample, wri
 from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_json
 from .flows import (
     EPState,
-    LimitState,
     RecordAllocationError,
     RunOptions,
     TrajectoryTable,
@@ -177,7 +176,7 @@ def cmd_simulate(cfg, args, out: str) -> int:
         grid = Grid(cfg["grid"]["n_points"])
         init = InitParams(**cfg["init"])
         opts = _run_options(cfg, "run", eps)
-        state = (EPState if flow == "ep" else LimitState)(0.0, *make_initial(init, grid))
+        state = EPState(0.0, *make_initial(init, grid))
         # sized for the whole run, so a run too long to record exits here
         table = TrajectoryTable(state, opts, cfg["run"]["s"])  # keeps no fields
     except ValueError as exc:
@@ -187,7 +186,7 @@ def cmd_simulate(cfg, args, out: str) -> int:
 
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
     table.write_csv(traj_path)
-    snap_path = write_snapshot_csv(traj, flow, out)
+    snap_path = write_snapshot_csv(traj, out)
 
     print(f"simulate: flow={flow} eps={eps:g} grid={grid.n_points} "
           f"dt={traj.dt:g} steps to t={traj.t[-1]:g}")
@@ -214,7 +213,7 @@ def cmd_sweep(cfg, args, out: str) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    _sized_run(LimitState(0.0, *make_initial(spec.init, Grid(spec.n_points))), spec.run)
+    _sized_run(EPState(0.0, *make_initial(spec.init, Grid(spec.n_points))), spec.run)
     make_output_dir(out)
     report = run_sweep(spec, jobs=args.jobs)
 
@@ -287,8 +286,7 @@ def cmd_check(cfg, args, out: str) -> int:
     if not c["kp_max_mode"] < c["kp_grid"] / 2:
         raise ConfigError(f"check needs kp_max_mode < kp_grid / 2 = "
                           f"{c['kp_grid'] // 2}, got {c['kp_max_mode']}")
-    n0, u0 = make_initial(init, grid)
-    state = EPState(0.0, n0, u0)
+    state = EPState(0.0, *make_initial(init, grid))
     # the identity check takes centered differences of uniformly spaced records
     _, n_full, tail, n_records = _sized_run(state, opts)
     if tail > 0.0 or n_full % c["record_every"]:
@@ -300,7 +298,7 @@ def cmd_check(cfg, args, out: str) -> int:
                           f"{n_records}; raise t_end or lower record_every")
     make_output_dir(out)
     ep_traj = evolve(state, opts)
-    lim_traj = evolve(LimitState(0.0, n0, u0), replace(opts, eps=0.0))
+    lim_traj = evolve(state, replace(opts, eps=0.0))
     if ep_traj.blowup is not None or lim_traj.blowup is not None:
         print("check: run blew up before t_end; no verdicts")
         return 3

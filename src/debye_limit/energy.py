@@ -22,7 +22,6 @@ import numpy as np
 from .grid import (
     MAX_DERIVATIVE_ORDER,
     Grid,
-    _check_order,
     _dealias_values,
     _derivative_values,
     _integral_values,
@@ -72,7 +71,6 @@ def energy_snapshot(rem: Remainder, gamma: int) -> EnergySnapshot:
     strictly positive; outside that bracket the weights 1/n_eps lose
     meaning and a ValueError is raised.
     """
-    _check_order(gamma, MAX_DERIVATIVE_ORDER, "gamma")
     grid = rem.grid
     eps = rem.eps
     n0, u0, u1, phi1 = rem.n0, rem.u0, rem.u1, rem.phi1
@@ -128,8 +126,6 @@ def identity_2_12_check(snapshots: EnergySnapshot, stride: int = 1) -> IdentityR
     over the window, which keeps equilibrium trajectories at exactly
     zero defect.
     """
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
     times = snapshots.t[::stride]
     if len(times) < 3:
         raise ValueError(

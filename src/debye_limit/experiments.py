@@ -25,7 +25,6 @@ import numpy as np
 
 from .flows import (
     EPState,
-    LimitState,
     RunOptions,
     _quasineutral_values,
     evolve,
@@ -233,9 +232,9 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
 
 
 def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
-    """The full flow at ``eps`` from the limit run's data, at its dt."""
+    """The full flow at ``eps`` from the limit run's initial state, at its dt."""
     opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
-    ep_traj = evolve(EPState(initial.t, initial.n, initial.u), opts)
+    ep_traj = evolve(initial, opts)
     return _member_diagnostics(spec, eps, ep_traj, lim_traj)
 
 
@@ -259,7 +258,7 @@ def _fit_with_exclusion(pairs) -> dict | None:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Run the paired flows across the eps list and assemble the report."""
     t_begin = time.perf_counter()
-    initial = LimitState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
+    initial = EPState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
     lim_traj = evolve(initial, replace(spec.run, eps=0.0))
     limit_status = "OK" if lim_traj.blowup is None else "BLOWUP"
 

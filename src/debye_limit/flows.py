@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,7 @@ HISTORY_ORDER = 4
 
 @dataclass(frozen=True)
 class EPState:
-    """Instantaneous (t, n, u) of the full flow."""
+    """Instantaneous (t, n, u) of either flow: ``RunOptions.eps`` selects it."""
 
     t: float
     n: Field
@@ -83,9 +83,7 @@ class EPState:
         return self.n.grid
 
 
-@dataclass(frozen=True)
-class LimitState(EPState):
-    """Instantaneous (t, n, u) of the quasineutral limit flow."""
+LimitState = EPState  # kept only for perfbench/microbench.py
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,6 @@ class RunOptions:
         if not (0.0 <= self.t_end < np.inf):
             raise ValueError(
                 f"t_end must be finite and nonnegative, got {self.t_end}")
-        if self.dt is not None and not np.isfinite(self.t_end / self.dt):
-            raise ValueError(
-                f"dt = {self.dt} is too small: t_end / dt overflows")
         if not (self.eps >= 0.0):
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if not (isinstance(self.record_every, (int, np.integer))
@@ -133,13 +128,12 @@ class BlowUpEvent:
     t: float
     reason: str  # "density_floor" | "norm_ceiling" | "non_finite" | "pb_divergence"
     value: float
-    step_index: int
 
 
 class BlowUpError(RuntimeError):
     def __init__(self, event: BlowUpEvent):
         super().__init__(
-            f"blow-up at t = {event.t:.6g} (step {event.step_index}): "
+            f"blow-up at t = {event.t:.6g}: "
             f"{event.reason} hit with value {event.value:.3e}"
         )
         self.event = event
@@ -178,10 +172,9 @@ class Trajectory:
 
     @property
     def final(self) -> EPState:
-        """The last recorded row as a state of its flow."""
-        cls = LimitState if self.phi is None else EPState
-        return cls(float(self.t[-1]), Field(self.grid, self.n[-1]),
-                   Field(self.grid, self.u[-1]))
+        """The last recorded row as a state."""
+        return EPState(float(self.t[-1]), Field(self.grid, self.n[-1]),
+                       Field(self.grid, self.u[-1]))
 
 
 def default_dt(state: EPState) -> float:
@@ -231,16 +224,16 @@ def rhs_limit(state: EPState) -> tuple[Field, Field]:
     return Field(grid, dn), Field(grid, du)
 
 
-def _guard_stage(n: np.ndarray, t: float, step_index: int):
+def _guard_stage(n: np.ndarray, t: float):
     if not np.isfinite(n).all():
-        raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan"), step_index))
+        raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan")))
     low = float(n.min())
     if low < DENSITY_FLOOR:
-        raise BlowUpError(BlowUpEvent(t, "density_floor", low, step_index))
+        raise BlowUpError(BlowUpEvent(t, "density_floor", low))
 
 
 def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
-               guess: tuple | None, t: float, step_index: int) -> tuple:
+               guess: tuple | None, t: float) -> tuple:
     """Potential of density n as the pair (values, band coefficients):
     the PB solve for eps > 0, else ``(ln n, None)``.
 
@@ -252,36 +245,31 @@ def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
     try:
         return _solve_phi_values(grid, n, opts.eps, opts.pb, guess)[0]
     except PBConvergenceError as err:
-        raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual,
-                                      step_index))
+        raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual))
 
 
 def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
-                 opts: RunOptions, step_index: int, phi: tuple | None = None,
-                 ahead: tuple | None = None, work: np.ndarray | None = None):
-    """One RK4 step that advances the ``(2, N)`` stack (n, u) in place, from
-    potential ``phi`` (solved if None).
+                 opts: RunOptions, phi: tuple, ahead: tuple | None, work: np.ndarray):
+    """One RK4 step that advances the guarded ``(2, N)`` stack (n, u) in
+    place, from its potential ``phi``.
 
     Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
     starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
     from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). ``work``,
-    ``(5, 2, N)`` (allocated if None), holds k1..k4 and the stage state;
-    every sum runs in the textbook operation order. Returns the stack, the
-    three stage potentials (the last is a close guess for the new state's)
-    and the guard's ``(2,)`` ``H^2`` norms.
+    ``(5, 2, N)``, holds k1..k4 and the stage state; every sum runs in the
+    textbook operation order. Returns the stack, the three stage
+    potentials (the last is a close guess for the new state's) and the
+    guard's ``(2,)`` ``H^2`` norms.
     """
-    *ks, s = np.empty((5, *state.shape)) if work is None else work
-    _guard_stage(state[0], t, step_index)
-    if phi is None:
-        phi = _potential(grid, state[0], opts, None, t, step_index)
+    *ks, s = work
     _rhs_values(grid, *state, phi[0], ks[0])
     # stage j's guess is row j - 2 of each stack, or phi itself
     guesses = [phi] * 3 if ahead is None else zip(*(a + d for a, d in zip(phi, ahead)))
     stages = []
     for j, (c, guess) in enumerate(zip((0.5 * dt, 0.5 * dt, dt), guesses)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
-        _guard_stage(s[0], t + c, step_index)
-        stages.append(_potential(grid, s[0], opts, guess, t + c, step_index))
+        _guard_stage(s[0], t + c)
+        stages.append(_potential(grid, s[0], opts, guess, t + c))
         _rhs_values(grid, *s, stages[-1][0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
     change += ks[0]
@@ -292,11 +280,11 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
 
     t_new = t + dt
     if not np.isfinite(new).all():
-        raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan"), step_index))
-    _guard_stage(new[0], t_new, step_index)
+        raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan")))
+    _guard_stage(new[0], t_new)
     norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
     if norms.max() > NORM_CEILING:
-        raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max(), step_index))
+        raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max()))
     return new, stages, norms
 
 
@@ -305,15 +293,15 @@ def step(state: EPState, opts: RunOptions) -> EPState:
     potential is re-solved at every stage.
 
     Raises :class:`BlowUpError` when a guard trips or a potential solve
-    fails. The returned state keeps the type of the input state.
+    fails.
     """
     dt = opts.dt if opts.dt is not None else default_dt(state)
-    grid = state.grid
-    (new_n, new_u), _, _ = _step_values(
-        grid, np.array((state.n.values, state.u.values)), state.t, dt, opts,
-        step_index=0)
-    return replace(state, t=state.t + dt, n=Field(grid, new_n),
-                   u=Field(grid, new_u))
+    grid, values = state.grid, np.array((state.n.values, state.u.values))
+    _guard_stage(values[0], state.t)
+    phi = _potential(grid, values[0], opts, None, state.t)
+    new_n, new_u = _step_values(grid, values, state.t, dt, opts, phi, None,
+                                np.empty((5, *values.shape)))[0]
+    return EPState(state.t + dt, Field(grid, new_n), Field(grid, new_u))
 
 
 def _extrapolation_weights(count: int) -> np.ndarray:
@@ -326,14 +314,16 @@ def _run_length(state: EPState, opts: RunOptions) -> tuple[float, int, float, in
     """A run's dt, full steps, short last step (0.0 if none) and record count.
 
     A run shorter than one auto step takes one step of its span;
-    :class:`RecordAllocationError` if ``span / dt`` overflows.
+    :class:`RecordAllocationError` if ``span / dt`` overflows, for a given
+    or an auto dt.
     """
     span = opts.t_end - state.t
     dt = opts.dt
     if dt is None:
         dt = min(default_dt(state), span) if span > 0.0 else default_dt(state)
-        if not np.isfinite(span / dt):  # RunOptions' rule for a given dt
-            raise RecordAllocationError(f"t_end / dt overflows at the auto dt = {dt:g}")
+    if not np.isfinite(span / dt):  # a given dt reads as given: 1e-320, not 9.99989e-321
+        shown = f"dt = {dt}" if opts.dt is not None else f"the auto dt = {dt:g}"
+        raise RecordAllocationError(f"t_end / dt overflows at {shown}")
     n_full = int(np.floor(span / dt + 1e-9))
     tail = span - n_full * dt
     tail = tail if tail > 1e-9 * dt else 0.0
@@ -405,10 +395,11 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
                 for acc, part in zip(ahead, history):
                     np.add.reduce(weights * part[:filled], axis=0, out=acc, initial=0.0)
             try:
+                if i == 1:  # each step guards the state it makes
+                    _guard_stage(values[0], t0)
                 # only the last step is short: each starts at a whole number of dt
                 _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt, step_dt,
-                                                opts, i, phi, ahead if filled else None,
-                                                work)
+                                                opts, phi, ahead if filled else None, work)
             except BlowUpError as err:
                 blowup = err.event
                 break
@@ -420,7 +411,7 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
             phi = stages.pop()  # freed when the state's potential replaces it
         t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
         try:
-            phi = _potential(grid, values[0], opts, phi, t_now, i)
+            phi = _potential(grid, values[0], opts, phi, t_now)
         except BlowUpError as err:  # the record goes out without a potential
             phi, blowup = None, err.event
         if i % opts.record_every == 0 or i == total_steps:
@@ -481,11 +472,12 @@ class TrajectoryTable:
         write_csv(path, self.COLUMNS, self.table[:self.rows].tolist())
 
 
-def write_snapshot_csv(traj: Trajectory, flow: str, out_dir) -> str:
+def write_snapshot_csv(traj: Trajectory, out_dir) -> str:
     """Write the last record, with its potential if it has one, as
-    ``snap_<flow>_<eps>_<t>.csv`` and return the path."""
-    t = traj.t[-1]
-    name = f"snap_{flow}_{traj.eps:g}_{t:g}.csv"
+    ``snap_<flow>_<eps>_<t>.csv`` and return the path; the flow is ``ep``
+    for ``eps > 0``, else ``limit``."""
+    flow = "ep" if traj.eps > 0.0 else "limit"
+    name = f"snap_{flow}_{traj.eps:g}_{traj.t[-1]:g}.csv"
     path = os.path.join(os.fspath(out_dir), name)
     columns = [traj.grid.x, traj.n[-1], traj.u[-1]]
     header = "x,n,u"

@@ -76,7 +76,6 @@ class PBSolution:
     phi: Field
     residual_l2: float
     iterations: int
-    linear_iterations: int  # CG iterations summed over the Newton steps
 
 
 class _Band:
@@ -230,6 +229,6 @@ def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None) -> PBSol
     guess for smooth positive densities. The residual norm of the
     returned solution is at or below ``opts.tol``.
     """
-    (phi, _), res_norm, iters, linear = _solve_phi_values(
+    (phi, _), res_norm, iters, _ = _solve_phi_values(
         n.grid, n.values, eps, opts or PBSolveOptions())
-    return PBSolution(Field(n.grid, phi), res_norm, iters, linear)
+    return PBSolution(Field(n.grid, phi), res_norm, iters)

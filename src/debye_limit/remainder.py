@@ -22,9 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
-    MAX_SOBOLEV_ORDER,
     Grid,
-    _check_order,
     _dealiased_l2_values,
     _parseval_values,
     _power,
@@ -191,7 +189,6 @@ def triple_norm(rem: Remainder, s: int) -> TripleNorm:
     The ``H^s`` norm of each ``a``-th derivative is a Parseval sum of
     ``rem.power`` against ``hs_weight(s) * |(ik)^a|**2``.
     """
-    _check_order(s, MAX_SOBOLEV_ORDER, "Sobolev order")
     grid, eps, power = rem.grid, rem.eps, rem.power
     weight = grid.hs_weight(s)
     n1_hs, u1_hs, phi1_hs = _parseval_values(power, weight)
@@ -235,8 +232,6 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     stacked transform. The potential equation's residual is formed once
     per row (``rem.res_phi``); a pair reports the larger of its two ends.
     """
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
     grid, eps = rem.grid, rem.eps
     t, n0, u0, n1, u1, phi1 = (v[::stride] for v in (
         rem.t, rem.n0, rem.u0, rem.n1, rem.u1, rem.phi1))

@@ -30,7 +30,7 @@ import pytest
 
 from debye_limit.energy import energy_snapshot, identity_2_12_check, kato_ponce_sample
 from debye_limit.experiments import BOUND_FACTOR, SweepSpec, run_sweep
-from debye_limit.flows import EPState, LimitState, RunOptions, evolve
+from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, _l2_values, derivative, hs_norm
 from debye_limit.initial import InitParams, make_initial, random_smooth_fields
 from debye_limit.poisson import solve_phi
@@ -90,7 +90,7 @@ def identity_run():
     eps = 1e-2
     ep = evolve(EPState(0.0, n0, u0),
                 RunOptions(dt=2.5e-4, t_end=0.05, eps=eps, record_every=1))
-    lim = evolve(LimitState(0.0, n0, u0),
+    lim = evolve(EPState(0.0, n0, u0),
                  RunOptions(dt=2.5e-4, t_end=0.05, eps=0.0, record_every=1))
     assert ep.blowup is None and lim.blowup is None
     return remainder_series(ep, lim)
@@ -211,8 +211,8 @@ def test_criterion_7_conservation_and_equilibrium():
     dt = 1e-5
     opts = dict(dt=dt, t_end=steps * dt, record_every=steps)
     drifts = {}
-    for label, state, eps in (("ep", EPState(0.0, n0, u0), 1e-2),
-                              ("limit", LimitState(0.0, n0, u0), 0.0)):
+    state = EPState(0.0, n0, u0)
+    for label, eps in (("ep", 1e-2), ("limit", 0.0)):
         traj = evolve(state, RunOptions(eps=eps, **opts))
         assert traj.blowup is None
         masses = [float(np.mean(n)) for n in traj.n]  # the unit interval's mass
@@ -222,9 +222,9 @@ def test_criterion_7_conservation_and_equilibrium():
     flat_u = Field(grid, np.full(128, 0.4))
     const_steps = 100
     wobble = 0.0
-    for state, eps in ((EPState(0.0, flat_n, flat_u), 1e-2),
-                       (LimitState(0.0, flat_n, flat_u), 0.0)):
-        traj = evolve(state, RunOptions(dt=1e-3, t_end=const_steps * 1e-3,
+    flat = EPState(0.0, flat_n, flat_u)
+    for eps in (1e-2, 0.0):
+        traj = evolve(flat, RunOptions(dt=1e-3, t_end=const_steps * 1e-3,
                                         eps=eps, record_every=const_steps))
         final = traj.final
         wobble = max(wobble,

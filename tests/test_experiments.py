@@ -20,7 +20,7 @@ from debye_limit.experiments import (
     write_report_csv,
     write_report_json,
 )
-from debye_limit.flows import EPState, LimitState, RunOptions, evolve
+from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from oracles import quasineutral_identity_defect
@@ -253,7 +253,7 @@ def test_member_reduction_makes_three_transform_calls(fft_calls):
     spec = _mini_spec(eps_list=(1e-2,))
     grid = Grid(spec.n_points)
     n0, u0 = make_initial(spec.init, grid)
-    lim = evolve(LimitState(0.0, n0, u0), dataclasses.replace(spec.run, eps=0.0))
+    lim = evolve(EPState(0.0, n0, u0), dataclasses.replace(spec.run, eps=0.0))
     ep = evolve(EPState(0.0, n0, u0), dataclasses.replace(spec.run, eps=1e-2))
     fft_calls.clear()
     member = _member_diagnostics(spec, 1e-2, ep, lim)
@@ -378,7 +378,7 @@ def test_report_csv_layout(mini_report, tmp_path):
 def test_gap_helpers_need_potentials():
     grid = Grid(64)
     n0, u0 = make_initial(InitParams(), grid)
-    lim = evolve(LimitState(0.0, n0, u0),
+    lim = evolve(EPState(0.0, n0, u0),
                  RunOptions(dt=1e-3, t_end=0.01, eps=0.0, record_every=2))
     with pytest.raises(ValueError, match="no recorded potentials"):
         quasineutrality_gap(lim)

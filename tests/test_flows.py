@@ -13,7 +13,6 @@ from debye_limit import flows, poisson
 from debye_limit.flows import (
     BlowUpError,
     EPState,
-    LimitState,
     RunOptions,
     TrajectoryTable,
     default_dt,
@@ -40,7 +39,8 @@ from oracles import pb_residual
 
 def paired_states(grid, params=None):
     n, u = make_initial(params or InitParams(), grid)
-    return EPState(0.0, n, u), LimitState(0.0, n, u)
+    state = EPState(0.0, n, u)  # one state starts both flows
+    return state, state
 
 
 def mode_coefficient(values, m):
@@ -56,7 +56,7 @@ def test_linear_dispersion_of_limit_flow():
     n = Field(grid, 1.0 + 1e-6 * np.sin(2 * np.pi * grid.x))
     u = Field(grid, np.zeros(64))
     opts = RunOptions(dt=1e-3, t_end=0.3, eps=0.0, record_every=1)
-    traj = evolve(LimitState(0.0, n, u), opts)
+    traj = evolve(EPState(0.0, n, u), opts)
     coeffs = [mode_coefficient(row - 1.0, 1) for row in traj.n]
     times = traj.t
     # first zero crossing of cos(2 pi t) sits at t = 0.25
@@ -94,7 +94,7 @@ def test_full_flow_dispersion_shift():
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 def test_rk4_richardson_order(eps):
     grid = Grid(64)
-    state = (EPState if eps > 0 else LimitState)(
+    state = EPState(
         0.0, *make_initial(InitParams(), grid))
     finals = {}
     for dt in (0.01, 0.005, 0.00125):
@@ -131,12 +131,25 @@ def test_momentum_conservation_exact():
         assert drift < 1e-13
 
 
+def test_one_state_type_serves_both_flows():
+    # eps alone selects the flow: the limit name is the full flow's type,
+    # and one state object starts both runs
+    assert flows.LimitState is flows.EPState
+    grid = Grid(32)
+    state, _ = paired_states(grid)
+    for eps in (0.0, 1e-2):
+        traj = evolve(state, RunOptions(dt=1e-3, t_end=3e-3, eps=eps))
+        assert (traj.phi is None) == (eps == 0.0)
+        assert traj.phi is None or traj.phi.shape == traj.n.shape
+        assert type(traj.final) is EPState
+
+
 def test_constant_state_is_equilibrium():
     grid = Grid(32)
     n = Field(grid, np.full(32, 1.3))
     u = Field(grid, np.zeros(32))
-    for cls, eps in ((EPState, 1e-2), (LimitState, 0.0)):
-        state = cls(0.0, n, u)
+    state = EPState(0.0, n, u)
+    for eps in (1e-2, 0.0):
         opts = RunOptions(dt=1e-3, t_end=0.0, eps=eps)
         nxt = step(state, opts)
         assert np.max(np.abs(nxt.n.values - n.values)) < 1e-12
@@ -185,7 +198,7 @@ def test_rhs_equals_composed_public_kernels():
         return dn, du
 
     eps = 1e-2
-    cases = [(rhs_limit(LimitState(0.0, n, u)), Field(grid, np.log(n.values))),
+    cases = [(rhs_limit(EPState(0.0, n, u)), Field(grid, np.log(n.values))),
              (rhs_ep(EPState(0.0, n, u), eps), solve_phi(n, eps).phi)]
     for (dn, du), phi in cases:
         want_dn, want_du = composed(phi)
@@ -228,8 +241,8 @@ def test_rhs_and_limit_step_fft_calls(fft_calls):
     flows._rhs_values(grid, n, u, np.log(n), np.empty((2, 64)))
     assert fft_calls == ["rfft", "irfft"]
     fft_calls.clear()
-    flows._step_values(grid, np.array((n, u)), 0.0, 1e-3,
-                       RunOptions(dt=1e-3, eps=0.0), 1)
+    flows._step_values(grid, np.array((n, u)), 0.0, 1e-3, RunOptions(dt=1e-3, eps=0.0),
+                       (np.log(n), None), None, np.empty((5, 2, 64)))
     assert len(fft_calls) == 9
 
 
@@ -243,7 +256,7 @@ def test_conservative_rhs_equals_advective_form_on_band_limited_data(n_points):
     n = Field(grid, 1.0 + 0.1 * random_smooth_fields(grid, rng, 1, max_mode=8)[0])
     u = Field(grid, 0.1 * random_smooth_fields(grid, rng, 1, max_mode=8)[0])
     eps = 1e-2
-    cases = [(rhs_limit(LimitState(0.0, n, u)), Field(grid, np.log(n.values))),
+    cases = [(rhs_limit(EPState(0.0, n, u)), Field(grid, np.log(n.values))),
              (rhs_ep(EPState(0.0, n, u), eps), solve_phi(n, eps).phi)]
     for (_, du), phi in cases:
         advective = Field(grid, u.values * derivative(u).values)
@@ -257,7 +270,7 @@ def test_recorded_states_stay_band_limited(eps):
     # every state a run records keeps its modes above N/3 at round-off:
     # the premise of the conservative form's equivalence above
     grid = Grid(64)
-    state = (EPState if eps > 0 else LimitState)(
+    state = EPState(
         0.0, *make_initial(InitParams(), grid))
     traj = evolve(state, RunOptions(dt=1e-3, t_end=0.05, eps=eps))
     spectra = np.fft.rfft(np.concatenate((traj.n, traj.u)))
@@ -571,12 +584,11 @@ def test_pb_failure_ends_run_with_partial_trajectory(
                                  record_every=1))
     assert traj.blowup.reason == "pb_divergence"
     assert traj.blowup.value == 1.5e-3
-    assert traj.blowup.step_index == 4
     assert traj.blowup.t == pytest.approx(t_event)
     assert traj.n.shape == traj.u.shape == (n_states, 32)
     assert traj.phi.shape == (n_phis, 32)
     # the last row is the snapshot; it has a potential only if one was solved
-    header = open(write_snapshot_csv(traj, "ep", tmp_path)).readline()
+    header = open(write_snapshot_csv(traj, tmp_path)).readline()
     assert header.strip() == ("x,n,u,phi" if n_phis == n_states else "x,n,u")
 
 
@@ -586,11 +598,11 @@ def test_pb_failure_at_the_initial_state(monkeypatch, tmp_path):
     monkeypatch.setattr(poisson, "MAX_NEWTON_ITERS", 1)
     traj = evolve(ep, RunOptions(dt=1e-3, t_end=0.01, eps=1e-2))
     assert traj.blowup.reason == "pb_divergence"
-    assert traj.blowup.step_index == 0
+    assert traj.blowup.t == 0.0
     assert traj.t.tolist() == [0.0] and traj.phi.shape == (0, 64)
     assert np.array_equal(traj.n, [ep.n.values])
     assert np.array_equal(traj.u, [ep.u.values])
-    header = open(write_snapshot_csv(traj, "ep", tmp_path)).readline()
+    header = open(write_snapshot_csv(traj, tmp_path)).readline()
     assert header.strip() == "x,n,u"
 
 
@@ -748,7 +760,7 @@ def test_snapshot_csv_schema(tmp_path):
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2, record_every=10 ** 9)
     traj = evolve(ep, opts)
-    out = write_snapshot_csv(traj, "ep", tmp_path)
+    out = write_snapshot_csv(traj, tmp_path)
     text = out.read_text() if hasattr(out, "read_text") else open(out).read()
     header = text.strip().split("\n")[0]
     assert header == "x,n,u,phi"

@@ -163,3 +163,25 @@ def test_every_optional_parameter_is_passed_by_a_caller():
               if (callee, param) not in passed and (callee, position) not in passed
               and (qualified, param) not in PARAMETER_EXEMPTIONS]
     assert not unused, "no caller passes: " + ", ".join(unused)
+
+
+def _is_dataclass(node):
+    return any(getattr(deco.func if isinstance(deco, ast.Call) else deco, "id", None)
+               == "dataclass" for deco in node.decorator_list)
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field that nothing reads is a value every run computes and drops;
+    # a read is an attribute load in the package or the benchmark
+    src = os.path.dirname(debye_limit.__file__)
+    src_trees = _trees(glob.glob(os.path.join(src, "*.py")))
+    fields = [(node.name, stmt.target.id)
+              for tree in src_trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    trees = {**src_trees, **_trees(glob.glob(os.path.join(PERFBENCH, "**", "*.py"),
+                                             recursive=True))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{owner}.{name}" for owner, name in fields if name not in read]
+    assert fields and not unread, "no reader: " + ", ".join(unread)

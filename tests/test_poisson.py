@@ -234,10 +234,10 @@ def test_linear_iterations_do_not_grow_with_grid(eps):
     counts = []
     for n_points in (64, 128, 256, 512, 1024):
         grid = Grid(n_points)
-        n = Field(grid, 1.0 + 0.5 * np.sin(2 * np.pi * grid.x))
-        sol = solve_phi(n, eps)
-        assert sol.linear_iterations >= sol.iterations
-        counts.append(sol.linear_iterations)
+        n = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
+        _, _, newton, cg = poisson._solve_phi_values(grid, n, eps, PBSolveOptions())
+        assert cg >= newton
+        counts.append(cg)
     assert max(counts) <= counts[0]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from debye_limit import cli, flows, poisson
 from debye_limit.cli import main
-from debye_limit.flows import EPState, LimitState, RunOptions, evolve
+from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, _integral_values, _l2_values, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import PBConvergenceError
@@ -61,7 +61,7 @@ def _simulate(tmp_path, flow, grid, t_end, dt, s=2, eps=1e-2, init=None,
     (traj_path,) = out.glob("traj_*.csv")
     (snap_path,) = out.glob("snap_*.csv")
     g = Grid(grid)
-    state = (EPState if flow == "ep" else LimitState)(0.0, *make_initial(init, g))
+    state = EPState(0.0, *make_initial(init, g))
     opts = RunOptions(dt=dt, t_end=t_end, eps=eps if flow == "ep" else 0.0,
                       record_every=record_every)
     return code, traj_path.read_text(), snap_path.read_text(), state, opts
