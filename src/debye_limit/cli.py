@@ -266,6 +266,28 @@ IDENTITY_TOL, RES_N_TOL, RES_U_TOL, RES_PHI_TOL = 1e-5, 1e-3, 1e-3, 1e-8
 KP_RATIO_MAX, KP_REFINE_RTOL = 10.0, 0.05
 
 
+def _paired_check(state, opts: RunOptions, gamma: int, out: str):
+    """Both runs of ``check``, their ledger and residual table; None after a blow-up,
+    else the fine identity report, its halving ratio and the residual maxima."""
+    ep_traj = evolve(state, opts)
+    lim_traj = evolve(state, replace(opts, eps=0.0))
+    if ep_traj.blowup is not None or lim_traj.blowup is not None:
+        return None
+    rems = remainder_series(ep_traj, lim_traj)
+    del ep_traj, lim_traj  # rems keeps the limit rows as views; no stack outlives this
+    snaps = energy_snapshot(rems, gamma)
+    fine = identity_2_12_check(snaps, stride=1)
+    coarse = identity_2_12_check(snaps, stride=2)
+    defects = {i + 1: d for i, d in enumerate(fine.defects)}
+    write_ledger_csv(snaps, defects, os.path.join(out, "check_ledger.csv"))
+    residuals = remainder_residual(rems, stride=2)
+    write_csv(os.path.join(out, "check_residuals.csv"),
+              "t,res_n,res_u,res_phi", zip(rems.t[::2][1:], *residuals))
+    fine_residuals = remainder_residual(rems, stride=1)[:2]  # res_n, res_u
+    return fine, _ratio(coarse.defect, fine.defect), [
+        np.max(r) for r in (*residuals, *fine_residuals)]
+
+
 def cmd_check(cfg, args, out: str) -> int:
     c = cfg["check"]
     if not (c["eps"] >= MIN_REMAINDER_EPS):
@@ -297,26 +319,11 @@ def cmd_check(cfg, args, out: str) -> int:
         raise ConfigError(f"check needs at least 5 recorded states, got "
                           f"{n_records}; raise t_end or lower record_every")
     make_output_dir(out)
-    ep_traj = evolve(state, opts)
-    lim_traj = evolve(state, replace(opts, eps=0.0))
-    if ep_traj.blowup is not None or lim_traj.blowup is not None:
+    paired = _paired_check(state, opts, c["gamma"], out)
+    if paired is None:
         print("check: run blew up before t_end; no verdicts")
         return 3
-    rems = remainder_series(ep_traj, lim_traj)
-    snaps = energy_snapshot(rems, c["gamma"])
-    fine = identity_2_12_check(snaps, stride=1)
-    coarse = identity_2_12_check(snaps, stride=2)
-    ratio = _ratio(coarse.defect, fine.defect)
-
-    defects = {i + 1: d for i, d in enumerate(fine.defects)}
-    write_ledger_csv(snaps, defects, os.path.join(out, "check_ledger.csv"))
-
-    residuals = remainder_residual(rems, stride=2)
-    write_csv(os.path.join(out, "check_residuals.csv"),
-              "t,res_n,res_u,res_phi", zip(rems.t[::2][1:], *residuals))
-    res_n, res_u, res_phi = (np.max(r) for r in residuals)
-    res_n_fine, res_u_fine, _ = (np.max(r) for r in
-                                 remainder_residual(rems, stride=1))
+    fine, ratio, (res_n, res_u, res_phi, res_n_fine, res_u_fine) = paired
 
     kp_base = _kp_battery(kp_grid, c["seed"], c["kp_pairs"], c["kp_max_mode"])
     # the repeat runs on the same grid, so the gate sees its warm caches

@@ -196,8 +196,12 @@ def _sup(values) -> float:
 
 def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
     rems = remainder_series(ep_traj, lim_traj)
-    # the full flow at the remainders' times
+    # the full flow's own errors first: its records go before the remainder diagnostics
     ep_n, phi = (v[:len(rems.t)] for v in (ep_traj.n, ep_traj.phi))
+    full_errors = {"phi_l2": _sup(_l2_values(rems.grid, phi - np.log(ep_n))),
+                   "qn_gap": quasineutrality_gap(ep_traj)}
+    ev, wall_time = ep_traj.blowup, ep_traj.wall_time
+    del ep_traj, ep_n, phi
     # first, so that its stack and the triple norms' cached spectra never meet
     residuals = remainder_residual(rems)
     triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
@@ -215,27 +219,24 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
         density, potential = elliptic_ratio_pair(tn)
         elliptic[f"k{s}"] = {"density": _sup(density),
                              "potential": _sup(potential)}
-    errors["phi_l2"] = _sup(_l2_values(rems.grid, phi - np.log(ep_n)))
-    errors["qn_gap"] = quasineutrality_gap(ep_traj)
     row = {
         "eps": eps,
-        "status": "OK" if ep_traj.blowup is None else "BLOWUP",
+        "status": "OK" if ev is None else "BLOWUP",
         "sup_norms": sup_norms,
-        "errors": errors,
+        "errors": {**errors, **full_errors},
         "elliptic": elliptic,
-        "wall_time": ep_traj.wall_time,
+        "wall_time": wall_time,
     }
-    if ep_traj.blowup is not None:
-        ev = ep_traj.blowup
+    if ev is not None:
         row["blowup"] = {"t": ev.t, "reason": ev.reason, "value": ev.value}
     return MemberResult(row=row, triple_norms=triple_norms, residuals=residuals)
 
 
 def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
-    """The full flow at ``eps`` from the limit run's initial state, at its dt."""
+    """The full flow at ``eps`` from the limit run's initial state, at its dt.
+    Only the diagnostics hold its trajectory (on CPython >= 3.11), and drop it early."""
     opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
-    ep_traj = evolve(initial, opts)
-    return _member_diagnostics(spec, eps, ep_traj, lim_traj)
+    return _member_diagnostics(spec, eps, evolve(initial, opts), lim_traj)
 
 
 def _fit_with_exclusion(pairs) -> dict | None:

@@ -166,8 +166,9 @@ class Field:
 
 
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
+    """``d^order`` of the values; order 0 returns ``values`` itself, not a copy."""
     if order == 0:
-        return np.asarray(values, dtype=np.float64).copy()
+        return values
     return np.fft.irfft(grid.derivative_symbol(order) * np.fft.rfft(values),
                         grid.n_points)
 

@@ -43,6 +43,15 @@ __all__ = [
 # unit round-off those differences are under one ulp of the fields, so
 # the remainders keep no correct digit (and far below it they overflow).
 MIN_REMAINDER_EPS = sys.float_info.epsilon
+# Bytes of the (4, B, N) flux stack of one block of remainder_residual; the
+# residual kernels take B rows at a time, so their temporaries are O(B N)
+BLOCK_BYTES = 2 ** 21
+
+
+def _blocks(rows: int, grid: Grid):
+    """Slices of ``rows`` in blocks of ``BLOCK_BYTES // (32 N)`` rows, at least 1."""
+    size = max(1, BLOCK_BYTES // (32 * grid.n_points))
+    return (slice(a, min(a + size, rows)) for a in range(0, rows, size))
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,8 @@ class Remainder:
     ``(T, N)`` arrays, one row per time. From :func:`remainder_series`,
     ``n0`` and ``u0`` are read-only views of the limit flow's record
     stacks, which every member of a sweep shares. Each diagnostic below
-    runs on the whole stack, and a one-row stack gives the same bits as
-    that row of a longer one. Diagnostics read the spectral ``power``.
+    runs on the stack or on blocks of its rows, and a one-row stack gives
+    the same bits as that row of a longer one. Diagnostics read ``power``.
     """
 
     grid: Grid
@@ -84,11 +93,14 @@ class Remainder:
     def res_phi(self) -> np.ndarray:
         """L2 residual of the time-local potential equation, per row.
 
-        Formed on first use and kept, so residual passes at several
-        strides share it.
+        Formed on first use, in row blocks, and kept, so residual passes at
+        several strides share it.
         """
-        return _res_phi_values(self.grid, self.eps, self.n0, self.n1,
-                               self.phi1)
+        out = np.empty(len(self.t))
+        for b in _blocks(len(out), self.grid):
+            out[b] = _res_phi_values(self.grid, self.eps, self.n0[b], self.n1[b],
+                                     self.phi1[b])
+        return out
 
 
 @dataclass(frozen=True)
@@ -229,8 +241,8 @@ def remainder_residual(rem: Remainder, stride: int = 1):
     ``u1_t + (u0 u1 + eps u1^2/2 + phi1)_x``, take the centered difference
     about each pair's midpoint and the fluxes averaged there (second
     order in the gap); each is dealiased once, its L2 norm read from one
-    stacked transform. The potential equation's residual is formed once
-    per row (``rem.res_phi``); a pair reports the larger of its two ends.
+    stacked transform per block of pairs. The potential equation's residual
+    is formed once per row (``rem.res_phi``); a pair reports its larger end.
     """
     grid, eps = rem.grid, rem.eps
     t, n0, u0, n1, u1, phi1 = (v[::stride] for v in (
@@ -243,28 +255,32 @@ def remainder_residual(rem: Remainder, stride: int = 1):
         return 0.5 * (v[:-1] + v[1:])
 
     res_phi = rem.res_phi[::stride]
-    # one (4, P, N) stack, filled row by row in place in an order that
-    # keeps at most four (P, N) arrays beside it, and freed once
-    # transformed
-    stack = np.empty((4,) + n1[1:].shape)
-    u1m, u0m = mid(u1), mid(u0)
-    np.multiply(u0m, u1m, out=stack[3])
-    stack[3] += eps * (0.5 * u1m * u1m)
-    stack[3] += mid(phi1)
-    np.multiply(mid(n0), u1m, out=stack[2])
-    n1m = mid(n1)
-    stack[2] += u0m * n1m
-    n1m *= u1m  # for eps n1m u1m; n1m is not read again
-    stack[2] += eps * n1m
-    del n1m, u1m, u0m
-    np.divide(n1[1:] - n1[:-1], dt_gap, out=stack[0])
-    np.divide(u1[1:] - u1[:-1], dt_gap, out=stack[1])
-    fhat = np.fft.rfft(stack)
-    del stack
-    # each equation's spectrum, formed in the rows of its time difference
-    fhat[2:] *= grid.derivative_symbol(1)
-    fhat[:2] += fhat[2:]
-    res_n, res_u = _dealiased_l2_values(grid, fhat[:2])
+    res_n, res_u = np.empty((2, len(dt_gap)))
+    for b in _blocks(len(dt_gap), grid):
+        n0b, u0b, n1b, u1b, phi1b = (v[b.start:b.stop + 1]  # the rows pairs b join
+                                     for v in (n0, u0, n1, u1, phi1))
+        # one (4, B, N) stack, filled row by row in place in an order that
+        # keeps at most four (B, N) arrays beside it, and freed once
+        # transformed
+        stack = np.empty((4,) + n1b[1:].shape)
+        u1m, u0m = mid(u1b), mid(u0b)
+        np.multiply(u0m, u1m, out=stack[3])
+        stack[3] += eps * (0.5 * u1m * u1m)
+        stack[3] += mid(phi1b)
+        np.multiply(mid(n0b), u1m, out=stack[2])
+        n1m = mid(n1b)
+        stack[2] += u0m * n1m
+        n1m *= u1m  # for eps n1m u1m; n1m is not read again
+        stack[2] += eps * n1m
+        del n1m, u1m, u0m
+        np.divide(n1b[1:] - n1b[:-1], dt_gap[b], out=stack[0])
+        np.divide(u1b[1:] - u1b[:-1], dt_gap[b], out=stack[1])
+        fhat = np.fft.rfft(stack)
+        del stack
+        # each equation's spectrum, formed in the rows of its time difference
+        fhat[2:] *= grid.derivative_symbol(1)
+        fhat[:2] += fhat[2:]
+        res_n[b], res_u[b] = _dealiased_l2_values(grid, fhat[:2])
     return res_n, res_u, np.maximum(res_phi[:-1], res_phi[1:])
 
 

@@ -1,10 +1,12 @@
 """Command-line behaviour: exit codes, output files, precedence rules."""
 
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections.abc import Mapping
 from pathlib import Path
@@ -865,6 +867,42 @@ def test_kato_ponce_battery_does_not_depend_on_the_block_size(monkeypatch, block
     got = cli._kp_battery(grid, 4, 10, 6)
     assert len(got) == 3 and all(a.shape == (10, 3) for a in got)
     assert all(map(np.array_equal, got, expected))
+
+
+def test_check_holds_no_record_stack_during_the_battery(tmp_path, monkeypatch):
+    # the paired-run stage drops both runs' records, the remainder stack and
+    # its energies before the Kato-Ponce battery (whose numpy.random import
+    # adds megabytes of its own), so what is traced on entry to the battery
+    # is less than one run's (R, N) record stack. With both runs and the
+    # remainder stack still alive it is about nine of them: measured 17-19 KB
+    # against 450 KB, for a bound of 52 KB.
+    keys = {"n_points": 64, "dt": 1e-3, "record_every": 1, "t_end": 0.1,
+            "kp_pairs": 3, "kp_grid": 32, "kp_max_mode": 4}
+    conf = tmp_path / "check.ini"
+    conf.write_text(_ini({"check": keys}))
+    argv = ["check", "--config", str(conf), "--out", str(tmp_path)]
+    main(argv)  # a first run loads what numpy and the grids set up lazily
+
+    held = []
+    real = cli._kp_battery
+
+    def battery(*args):
+        gc.collect()  # argparse's parser is a cycle that gc frees at its leisure
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_kp_battery", battery)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) in (0, 4)
+    finally:
+        if started:
+            tracemalloc.stop()
+    stack_bytes = 8 * 101 * keys["n_points"]  # 101 records
+    assert len(held) == 3 and held[0] - before < stack_bytes
 
 
 def test_kato_ponce_fine_battery_peak_memory(peak_alloc):

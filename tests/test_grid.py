@@ -8,6 +8,7 @@ from debye_limit.grid import (
     MAX_SOBOLEV_ORDER,
     Field,
     Grid,
+    _derivative_values,
     _integral_values,
     _l2_values,
     dealias,
@@ -89,6 +90,9 @@ def test_derivative_order_zero_is_identity():
     grid = Grid(32)
     f = Field(grid, np.linspace(0.0, 1.0, 32) ** 2)
     assert np.array_equal(derivative(f, 0).values, f.values)
+    # the value kernel hands back its input, which its callers only read;
+    # the Field wrapper copies it
+    assert _derivative_values(grid, f.values, 0) is f.values
 
 
 def test_integral_of_derivative_vanishes():

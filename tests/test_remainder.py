@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from debye_limit import remainder
 from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import (Field, Grid, _dealias_values, _derivative_values,
                               _l2_values, hs_norm)
@@ -259,6 +260,59 @@ def test_remainder_residual_keeps_few_stacks_alive(peak_alloc):
     rems.res_phi  # formed once per stack, and not part of this peak
     stack_bytes = 8 * (len(rems.t) - 1) * rems.grid.n_points
     assert peak_alloc(remainder_residual, rems) < 9.0 * stack_bytes
+
+
+def _block_bytes(rows, grid):
+    """A ``remainder.BLOCK_BYTES`` that makes blocks of ``rows`` rows on ``grid``."""
+    return rows * 32 * grid.n_points
+
+
+def test_residual_peaks_are_set_by_the_block_not_the_stack(peak_alloc,
+                                                            monkeypatch):
+    # in blocks of 2 rows both residual kernels hold a few (2, N) arrays at
+    # a time, whatever the stack's length. Measured at N = 64 and 51 rows:
+    # 13.2 KB for the potential residual and 18.6 KB for the others, against
+    # a bound of 24.6 KB, under one (51, N) array (26.1 KB); in one block
+    # the latter take 8.3 (P, N) arrays
+    ep, lim = paired_run(t_end=0.05, record_every=1)
+    rems = remainder_series(ep, lim)
+    monkeypatch.setattr(remainder, "BLOCK_BYTES", _block_bytes(2, rems.grid))
+    block = 8 * 2 * rems.grid.n_points  # bytes of one (2, N) array
+    assert peak_alloc(lambda: rems.res_phi) < 24 * block
+    assert peak_alloc(remainder_residual, rems) < 24 * block
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_blocked_residuals_equal_the_one_block_ones(monkeypatch, block_rows):
+    # a stacked transform gives each row the bits of a single call, so
+    # blocks of any size give the residuals of one block, on stacks of
+    # 0, 1 and 2 rows too; the potential residual is formed block by block
+    ep, lim = paired_run(eps=1e-2, t_end=0.02, dt=1e-3, record_every=2)
+    rems = remainder_series(ep, lim)
+    stacks = [_rows(rems, slice(0, count)) for count in (0, 1, 2, 11)]
+
+    def residuals(stack):
+        fresh = _rows(stack, slice(None))  # res_phi not yet formed
+        return (fresh.res_phi, *remainder_residual(fresh, 1),
+                *remainder_residual(fresh, 2))
+
+    whole = [residuals(stack) for stack in stacks]
+    calls = []
+    real = remainder._res_phi_values
+
+    def counting(grid, eps, n0, n1, phi1):
+        calls.append(len(n0))
+        return real(grid, eps, n0, n1, phi1)
+
+    monkeypatch.setattr(remainder, "_res_phi_values", counting)
+    monkeypatch.setattr(remainder, "BLOCK_BYTES", _block_bytes(block_rows, rems.grid))
+    for stack, want in zip(stacks, whole):
+        calls.clear()
+        got = residuals(stack)
+        assert len(got[0]) == len(stack.t) and len(got[1]) == max(len(stack.t) - 1, 0)
+        assert all(map(np.array_equal, got, want)), (len(stack.t), block_rows)
+        assert calls == [min(block_rows, len(stack.t) - a)
+                         for a in range(0, len(stack.t), block_rows)]
 
 
 def test_remainder_residual_validates_inputs():
