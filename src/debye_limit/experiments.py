@@ -3,10 +3,12 @@
 A sweep integrates the limit flow once and the full flow at every eps
 in the list, from identical initial data on one shared grid with one
 shared dt (so time-discretization error cancels in the differences).
-Each member reduces its paired trajectories on the spot to its report
-row and the ``(T,)`` series of its remainder CSV (triple norms and
-equation residuals); neither its trajectory nor its remainder stack
-outlives that reduction, so a pool worker sends back only series. The
+Each member streams its full flow into its remainder rows, each formed
+against the limit record at the same time, so the member keeps no
+full-flow record stack. It reduces its remainder stack on the spot to
+its report row and the ``(T,)`` series of its remainder CSV (triple
+norms and equation residuals); the stack does not outlive that
+reduction, so a pool worker sends back only series. The
 sweep then fits convergence orders across eps and assembles PASS/FAIL
 verdicts from the rows by the rules and constants defined here.
 
@@ -23,26 +25,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .flows import (
-    EPState,
-    RunOptions,
-    _quasineutral_values,
-    evolve,
-)
-from .grid import (
-    MAX_SOBOLEV_ORDER,
-    Grid,
-    _l2_values,
-)
+from .flows import EPState, RunOptions, _quasineutral_values, evolve
+from .grid import MAX_SOBOLEV_ORDER, Grid, _l2_values
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
-from .remainder import (
-    MIN_REMAINDER_EPS,
-    elliptic_ratio_pair,
-    remainder_residual,
-    remainder_series,
-    triple_norm,
-)
+from .remainder import (MIN_REMAINDER_EPS, Remainder, RemainderRows, elliptic_ratio_pair,
+                        remainder_residual, remainder_series, triple_norm)
 
 __all__ = [
     "fit_order",
@@ -51,7 +39,6 @@ __all__ = [
     "MemberResult",
     "SweepReport",
     "run_sweep",
-    "quasineutrality_gap",
     "write_report_json",
     "write_report_csv",
 ]
@@ -182,26 +169,16 @@ class SweepReport:
         return out
 
 
-def quasineutrality_gap(traj) -> float:
-    """sup over recorded times of ||exp(phi) - n||_L2 for a full-flow run."""
-    if traj.phi is None:
-        raise ValueError("trajectory has no recorded potentials")
-    return _sup(_quasineutral_values(traj.grid, traj.n[:len(traj.phi)], traj.phi))
-
-
 def _sup(values) -> float:
     """max of a (T,) series; NaN when a run recorded no potential at all."""
     return float(np.max(values)) if np.size(values) else float("nan")
 
 
-def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> MemberResult:
-    rems = remainder_series(ep_traj, lim_traj)
-    # the full flow's own errors first: its records go before the remainder diagnostics
-    ep_n, phi = (v[:len(rems.t)] for v in (ep_traj.n, ep_traj.phi))
-    full_errors = {"phi_l2": _sup(_l2_values(rems.grid, phi - np.log(ep_n))),
-                   "qn_gap": quasineutrality_gap(ep_traj)}
-    ev, wall_time = ep_traj.blowup, ep_traj.wall_time
-    del ep_traj, ep_n, phi
+def _member_diagnostics(spec: SweepSpec, rems: Remainder, traj,
+                        full_errors: dict) -> MemberResult:
+    """A member's report row and remainder-CSV series from its remainder stack,
+    its streamed run ``traj`` (status, wall time) and the full flow's errors."""
+    eps, ev = rems.eps, traj.blowup
     # first, so that its stack and the triple norms' cached spectra never meet
     residuals = remainder_residual(rems)
     triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
@@ -225,7 +202,7 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
         "sup_norms": sup_norms,
         "errors": {**errors, **full_errors},
         "elliptic": elliptic,
-        "wall_time": wall_time,
+        "wall_time": traj.wall_time,
     }
     if ev is not None:
         row["blowup"] = {"t": ev.t, "reason": ev.reason, "value": ev.value}
@@ -233,10 +210,23 @@ def _member_diagnostics(spec: SweepSpec, eps: float, ep_traj, lim_traj) -> Membe
 
 
 def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
-    """The full flow at ``eps`` from the limit run's initial state, at its dt.
-    Only the diagnostics hold its trajectory (on CPython >= 3.11), and drop it early."""
+    """The full flow at ``eps`` from the limit run's initial state, at its dt,
+    streamed into its remainder rows and its own errors: it keeps one record."""
     opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
-    return _member_diagnostics(spec, eps, evolve(initial, opts), lim_traj)
+    rows, grid = RemainderRows(lim_traj, opts), lim_traj.grid
+    phi_l2, qn_gap = [], []  # of each record with a potential
+
+    def take(t, n, u, phi, norms):
+        rows(t, n, u, phi, norms)
+        if phi is not None:
+            phi_l2.append(_l2_values(grid, phi - np.log(n)))
+            qn_gap.append(_quasineutral_values(grid, n, phi))
+
+    traj = evolve(initial, opts, on_record=take)
+    rems = remainder_series(rows)
+    # phi_l2 is read over the rows paired with the limit run, qn_gap over all
+    return _member_diagnostics(spec, rems, traj, {"phi_l2": _sup(phi_l2[:len(rems.t)]),
+                                                  "qn_gap": _sup(qn_gap)})
 
 
 def _fit_with_exclusion(pairs) -> dict | None:

@@ -21,16 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    _dealiased_l2_values,
-    _parseval_values,
-    _power,
-)
+from .flows import _record_arrays
+from .grid import Grid, _dealiased_l2_values, _parseval_values, _power
 from .io_utils import write_csv
 
 __all__ = [
     "Remainder",
+    "RemainderRows",
     "TripleNorm",
     "remainder_series",
     "triple_norm",
@@ -129,27 +126,47 @@ class TripleNorm:
     phi1_xx_hs: np.ndarray
 
 
-def remainder_series(ep_traj, lim_traj) -> Remainder:
-    """Remainder stack at every recorded time common to the paired runs.
+class RemainderRows:
+    """An ``on_record`` consumer for ``evolve`` that forms the remainder row of
+    each full-flow record against the limit run ``lim_traj`` as it comes.
 
-    Each row holds the divided differences ``(n - n0)/eps``,
-    ``(u - u0)/eps`` and ``(phi - ln n0)/eps`` of the paired states, with
-    the full flow's recorded potential ``phi``.
+    A record at time ``t`` gives the row ``(n - n0)/eps``, ``(u - u0)/eps``
+    and ``(phi - ln n0)/eps`` against the limit record at the same time, with
+    the full flow's potential ``phi``; a record without a potential, or past
+    the limit run's last record, gives none. ``opts`` are the full flow's run
+    options. The rows are sized for every limit record before any step
+    (:class:`RecordAllocationError` if they do not fit);
+    :func:`remainder_series` stacks the ones taken.
     """
-    if not (ep_traj.eps > 0.0):
-        raise ValueError("first trajectory must be a full-flow run")
-    if lim_traj.eps != 0.0:
-        raise ValueError("second trajectory must be a limit-flow run")
-    count = min(len(ep_traj.phi), len(lim_traj.t))
-    t = ep_traj.t[:count]
-    if np.any(np.abs(t - lim_traj.t[:count]) > 1e-12 * np.maximum(1.0, np.abs(t))):
-        raise ValueError("state times of the paired runs differ")
-    eps = ep_traj.eps
-    n0, u0 = lim_traj.n[:count], lim_traj.u[:count]
-    n1 = (ep_traj.n[:count] - n0) / eps
-    u1 = (ep_traj.u[:count] - u0) / eps
-    phi1 = (ep_traj.phi[:count] - np.log(n0)) / eps
-    return Remainder(lim_traj.grid, eps, t, n0, u0, n1, u1, phi1)
+
+    def __init__(self, lim_traj, opts):
+        if not (opts.eps > 0.0):
+            raise ValueError("the streamed run must be a full-flow run, eps > 0")
+        if lim_traj.eps != 0.0:
+            raise ValueError("the paired trajectory must be a limit-flow run")
+        self.lim, self.eps, self.count = lim_traj, opts.eps, 0
+        records = len(lim_traj.t)
+        self.t, self.stacks = _record_arrays(lim_traj.grid, opts, records, records,
+                                             (3, records, lim_traj.grid.n_points))
+
+    def __call__(self, t, n, u, phi, norms):  # norms: the guard's, not read
+        row, lim, eps = self.count, self.lim, self.eps
+        if phi is None or row == len(lim.t):
+            return
+        if abs(t - lim.t[row]) > 1e-12 * max(1.0, abs(t)):
+            raise ValueError("state times of the paired runs differ")
+        n0 = lim.n[row]
+        self.t[row] = t
+        self.stacks[:, row] = ((n - n0) / eps, (u - lim.u[row]) / eps,
+                               (phi - np.log(n0)) / eps)
+        self.count += 1
+
+
+def remainder_series(rows: RemainderRows) -> Remainder:
+    """The remainder stack of the rows that ``rows`` took, in record order."""
+    count, lim = rows.count, rows.lim
+    return Remainder(lim.grid, rows.eps, rows.t[:count], lim.n[:count], lim.u[:count],
+                     *rows.stacks[:, :count])
 
 
 def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,16 +60,45 @@ def _keeping(real, kept):
     return wrapper
 
 
+def _keeping_records(real, returned, trajectories):
+    """``evolve`` that appends each result to ``returned`` and each run, with
+    every record kept, to ``trajectories``: a streamed run's records are
+    copied as they pass its ``on_record`` consumer."""
+    def wrapper(state, opts, on_record=None):
+        if on_record is None:
+            traj = real(state, opts)
+            returned.append(traj)
+            trajectories.append(traj)
+            return traj
+        records = []
+
+        def keep(t, n, u, phi, norms):
+            records.append((t, n.copy(), u.copy(), None if phi is None else phi.copy()))
+            on_record(t, n, u, phi, norms)
+
+        traj = real(state, opts, on_record=keep)
+        t, n, u, phi = zip(*records)
+        phi = [p for p in phi if p is not None]
+        returned.append(traj)
+        trajectories.append(replace(
+            traj, t=np.array(t), n=np.array(n), u=np.array(u),
+            phi=np.reshape(phi, (len(phi), traj.grid.n_points)) if opts.eps > 0.0 else None))
+        return traj
+    return wrapper
+
+
 def _record_sweep(patch):
     """Wrap ``experiments.evolve`` and ``remainder_series`` through ``patch``.
 
-    Returns the lists the wrappers fill: ``trajectories`` gets every run
-    a sweep integrates (the limit flow first, then each member's full
-    flow) and ``remainders`` every member's remainder stack.
+    Returns the lists the wrappers fill, one entry per run a sweep
+    integrates (the limit flow first, then each member's full flow):
+    ``returned`` gets what ``evolve`` returned (a member streams its
+    records and keeps the last) and ``trajectories`` the run with every
+    record kept; ``remainders`` gets every member's remainder stack.
     """
-    records = SimpleNamespace(trajectories=[], remainders=[])
-    patch.setattr(experiments, "evolve",
-                  _keeping(experiments.evolve, records.trajectories))
+    records = SimpleNamespace(returned=[], trajectories=[], remainders=[])
+    patch.setattr(experiments, "evolve", _keeping_records(
+        experiments.evolve, records.returned, records.trajectories))
     patch.setattr(experiments, "remainder_series",
                   _keeping(experiments.remainder_series, records.remainders))
     return records
@@ -76,7 +106,7 @@ def _record_sweep(patch):
 
 @pytest.fixture
 def sweep_records(monkeypatch):
-    """The trajectories and remainder stacks an in-process sweep builds.
+    """The runs and remainder stacks an in-process sweep builds.
 
     A sweep member reduces them to series and keeps none of them, but
     ``experiments`` looks ``evolve`` and ``remainder_series`` up on its

@@ -2,7 +2,9 @@
 
 None of these is on a run path: each restates a quantity by another
 route (pointwise instead of on the solver's band, an integral bound
-instead of the rest term itself) or supplies seeded test data.
+instead of the rest term itself, two kept trajectories paired after the
+fact instead of a run streamed into its remainder rows) or supplies
+seeded test data.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import numpy as np
 from debye_limit.flows import _quasineutral_values
 from debye_limit.grid import Field, _dealias_values, _derivative_values, _l2_values
 from debye_limit.initial import random_smooth_fields
+from debye_limit.remainder import Remainder
 
 
 def random_smooth_field(grid, rng, max_mode=8):
@@ -52,3 +55,35 @@ def quasineutral_identity_defect(traj):
     lap_norm = _l2_values(grid, _derivative_values(grid, phi, 2))
     defect = np.abs(gap - traj.eps * lap_norm)
     return float(np.max(defect)) if defect.size else float("nan")
+
+
+def paired_remainder(ep_traj, lim_traj):
+    """Remainder stack of two kept trajectories, paired after the run.
+
+    Each row holds ``(n - n0)/eps``, ``(u - u0)/eps`` and
+    ``(phi - ln n0)/eps`` at every recorded time common to the runs, with
+    the full flow's recorded potential; ``RemainderRows`` forms the same
+    rows while the full flow runs.
+    """
+    if not (ep_traj.eps > 0.0):
+        raise ValueError("first trajectory must be a full-flow run")
+    if lim_traj.eps != 0.0:
+        raise ValueError("second trajectory must be a limit-flow run")
+    count = min(len(ep_traj.phi), len(lim_traj.t))
+    t = ep_traj.t[:count]
+    if np.any(np.abs(t - lim_traj.t[:count]) > 1e-12 * np.maximum(1.0, np.abs(t))):
+        raise ValueError("state times of the paired runs differ")
+    eps = ep_traj.eps
+    n0, u0 = lim_traj.n[:count], lim_traj.u[:count]
+    n1 = (ep_traj.n[:count] - n0) / eps
+    u1 = (ep_traj.u[:count] - u0) / eps
+    phi1 = (ep_traj.phi[:count] - np.log(n0)) / eps
+    return Remainder(lim_traj.grid, eps, t, n0, u0, n1, u1, phi1)
+
+
+def quasineutrality_gap(traj):
+    """sup over recorded times of ||exp(phi) - n||_L2 for a kept full-flow run."""
+    if traj.phi is None:
+        raise ValueError("trajectory has no recorded potentials")
+    values = _quasineutral_values(traj.grid, traj.n[:len(traj.phi)], traj.phi)
+    return float(np.max(values)) if np.size(values) else float("nan")

@@ -34,7 +34,7 @@ from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, _l2_values, derivative, hs_norm
 from debye_limit.initial import InitParams, make_initial, random_smooth_fields
 from debye_limit.poisson import solve_phi
-from debye_limit.remainder import _r1_values, remainder_series
+from debye_limit.remainder import RemainderRows, _r1_values, remainder_series
 from oracles import quasineutral_identity_defect, r1_majorant, random_smooth_field
 
 EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -86,14 +86,13 @@ def small_eps_sweep(record_sweep):
 @pytest.fixture(scope="module")
 def identity_run():
     grid = Grid(256)
-    n0, u0 = make_initial(InitParams(), grid)
-    eps = 1e-2
-    ep = evolve(EPState(0.0, n0, u0),
-                RunOptions(dt=2.5e-4, t_end=0.05, eps=eps, record_every=1))
-    lim = evolve(EPState(0.0, n0, u0),
-                 RunOptions(dt=2.5e-4, t_end=0.05, eps=0.0, record_every=1))
+    state = EPState(0.0, *make_initial(InitParams(), grid))
+    opts = RunOptions(dt=2.5e-4, t_end=0.05, eps=1e-2, record_every=1)
+    lim = evolve(state, RunOptions(dt=2.5e-4, t_end=0.05, eps=0.0, record_every=1))
+    rows = RemainderRows(lim, opts)
+    ep = evolve(state, opts, on_record=rows)
     assert ep.blowup is None and lim.blowup is None
-    return remainder_series(ep, lim)
+    return remainder_series(rows)
 
 
 def test_criterion_1_first_order_convergence(small_eps_sweep):

@@ -817,8 +817,9 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("t_end, records", [("0", 1), ("3e-3", 4), ("4e-3", 5)])
 def test_check_counts_its_records_before_any_run(tmp_path, monkeypatch, capsys,
                                                   t_end, records):
-    trajectories = []
+    trajectories, series = [], []
     _recording(monkeypatch, cli, "evolve", trajectories)
+    _recording(monkeypatch, cli, "remainder_series", series)
     conf = tmp_path / "conf.ini"
     conf.write_text(_ini({"check": SMALL_CHECK_KEYS}))
     code = main(["check", "--t-end", t_end, "--config", str(conf),
@@ -827,10 +828,13 @@ def test_check_counts_its_records_before_any_run(tmp_path, monkeypatch, capsys,
     if records < 5:
         assert code == 2
         assert f"at least 5 recorded states, got {records};" in err
-        assert trajectories == []
+        assert trajectories == [] and series == []
     else:
         assert code in (0, 4)
-        assert [len(traj.t) for traj in trajectories] == [records] * 2
+        # the limit run keeps its records; the full flow streams each into
+        # its remainder row and keeps the last
+        assert [len(traj.t) for traj in trajectories] == [records, 1]
+        assert [len(rems.t) for rems in series] == [records]
 
 
 def test_kato_ponce_repeat_runs_on_the_battery_grid(tmp_path, monkeypatch, capsys):

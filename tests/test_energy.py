@@ -12,8 +12,8 @@ from debye_limit.energy import (
 from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import Field, Grid, _l2_values
 from debye_limit.initial import InitParams, make_initial, random_smooth_fields
-from debye_limit.remainder import Remainder, remainder_series
-from oracles import random_smooth_field
+from debye_limit.remainder import Remainder
+from oracles import paired_remainder, random_smooth_field
 
 
 def _rem(grid, eps, t=(0.0,), n1=None, u1=None, phi1=None, n0=None, u0=None):
@@ -103,7 +103,7 @@ def _paired_run(n_points=64, eps=1e-2, dt=1e-4, t_end=0.01):
                 RunOptions(dt=dt, t_end=t_end, eps=eps, record_every=1))
     lim = evolve(EPState(0.0, n0, u0),
                  RunOptions(dt=dt, t_end=t_end, eps=0.0, record_every=1))
-    return remainder_series(ep, lim)
+    return paired_remainder(ep, lim)
 
 
 def test_identity_defect_second_order_in_spacing():

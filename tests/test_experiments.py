@@ -8,22 +8,24 @@ import json
 import numpy as np
 import pytest
 
-from debye_limit import flows, poisson
+from debye_limit import experiments, flows, poisson
 from debye_limit.experiments import (
     BOUND_FACTOR,
     SweepSpec,
     _member_diagnostics,
+    _run_member,
     fit_order,
     gronwall_monitor,
-    quasineutrality_gap,
     run_sweep,
     write_report_csv,
     write_report_json,
 )
 from debye_limit.flows import EPState, RunOptions, evolve
-from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, hs_norm
+from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, _l2_values, hs_norm
 from debye_limit.initial import InitParams, make_initial
-from oracles import quasineutral_identity_defect
+from debye_limit.poisson import PBConvergenceError
+from debye_limit.remainder import RemainderRows, remainder_series
+from oracles import paired_remainder, quasineutral_identity_defect, quasineutrality_gap
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
 
@@ -217,14 +219,16 @@ def test_report_keeps_only_series(mini_report, mini_parallel_report):
 
 def test_members_share_the_read_only_limit_rows(sweep_records):
     # each member's remainder reads the limit flow through views of its
-    # record stacks, so no stack may be written through any of them
+    # record stacks, so no stack may be written through any of them; a
+    # member streams its full flow into its remainder rows and keeps one record
     run_sweep(_mini_spec())
-    lim, *eps_trajs = sweep_records.trajectories
-    assert len(eps_trajs) == len(sweep_records.remainders) == len(EPS_MINI)
-    for ep, rems in zip(eps_trajs, sweep_records.remainders):
+    lim, *members = sweep_records.returned
+    assert len(members) == len(sweep_records.remainders) == len(EPS_MINI)
+    for ep, rems in zip(members, sweep_records.remainders):
         assert np.shares_memory(rems.n0, lim.n)
         assert np.shares_memory(rems.u0, lim.u)
-        assert ep.phi.shape == ep.n.shape == lim.n.shape == (21, 64)
+        assert ep.phi.shape == ep.n.shape == (1, 64)
+        assert rems.n1.shape == rems.u1.shape == rems.phi1.shape == lim.n.shape == (21, 64)
         for stack in (lim.t, lim.n, lim.u, ep.t, ep.n, ep.u, ep.phi,
                       rems.n0, rems.u0):
             with pytest.raises(ValueError, match="read-only"):
@@ -251,14 +255,94 @@ def test_member_reduction_makes_three_transform_calls(fft_calls):
     # one stacked transform each for the remainder spectra, the two
     # evolution residuals and the potential residual
     spec = _mini_spec(eps_list=(1e-2,))
-    grid = Grid(spec.n_points)
-    n0, u0 = make_initial(spec.init, grid)
-    lim = evolve(EPState(0.0, n0, u0), dataclasses.replace(spec.run, eps=0.0))
-    ep = evolve(EPState(0.0, n0, u0), dataclasses.replace(spec.run, eps=1e-2))
+    state = EPState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
+    lim = evolve(state, dataclasses.replace(spec.run, eps=0.0))
+    rows = RemainderRows(lim, dataclasses.replace(spec.run, eps=1e-2))
+    ep = evolve(state, dataclasses.replace(spec.run, eps=1e-2), on_record=rows)
+    rems = remainder_series(rows)
     fft_calls.clear()
-    member = _member_diagnostics(spec, 1e-2, ep, lim)
+    member = _member_diagnostics(spec, rems, ep, {})
     assert len(fft_calls) <= 3
     assert member.row["status"] == "OK" and len(member.residuals[0]) == 20
+
+
+def _fail_solve(monkeypatch, call):
+    """Make the ``call``-th potential solve of the flows fail, counting anew
+    at each run's first solve (``call = 1``)."""
+    real, calls = flows._solve_phi_values, []
+
+    def solve(grid, n, *args):
+        calls.append(1)
+        if len(calls) == call:
+            raise PBConvergenceError("planted failure", 1.0)
+        return real(grid, n, *args)
+
+    monkeypatch.setattr(flows, "_solve_phi_values", solve)
+    return calls
+
+
+# (limit t_end, the failing solve or None, streamed rows); a run's solves are
+# its state's, then 3 stages and the new state's per step, so solve 41 is
+# that of the state after step 10, the third record at record_every 5
+STREAM_CASES = {"default": (0.1, None, 21), "first_solve_fails": (0.1, 1, 0),
+                "last_record_has_no_potential": (0.1, 41, 2),
+                "limit_ends_first": (0.05, None, 11)}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_streamed_member_equals_the_paired_trajectories(monkeypatch, sweep_records,
+                                                         case):
+    # a member forms its remainder rows and its full flow's errors while the
+    # run streams; they equal the bits of the old route, two kept
+    # trajectories paired after the run, whether the last record has no
+    # potential or the limit run ends before the member
+    lim_t_end, failing, count = STREAM_CASES[case]
+    spec = _mini_spec(eps_list=(1e-2,))
+    initial = EPState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
+    lim = evolve(initial, dataclasses.replace(spec.run, eps=0.0, t_end=lim_t_end))
+    calls = _fail_solve(monkeypatch, failing or 0)
+    member = _run_member(spec, initial, lim, 1e-2)
+    calls.clear()
+    ep = evolve(initial, dataclasses.replace(spec.run, eps=1e-2, dt=lim.dt))
+    assert (ep.blowup is None) == (failing is None) == (member.row["status"] == "OK")
+    assert [len(traj.t) for traj in sweep_records.returned] == [1]
+
+    (rems,), want = sweep_records.remainders, paired_remainder(ep, lim)
+    assert len(rems.t) == count
+    for name in ("t", "n0", "u0", "n1", "u1", "phi1"):
+        assert np.array_equal(getattr(rems, name), getattr(want, name)), name
+    phi_l2 = _l2_values(lim.grid, ep.phi[:count] - np.log(ep.n[:count]))
+    errors = member.row["errors"]
+    assert np.array_equal(errors["phi_l2"], np.max(phi_l2) if count else np.nan,
+                          equal_nan=True)
+    assert np.array_equal(errors["qn_gap"], quasineutrality_gap(ep), equal_nan=True)
+    if case == "limit_ends_first":  # the gap reads every record of the member
+        assert len(ep.phi) == 21
+
+
+def test_member_keeps_no_full_flow_record_stack(monkeypatch, peak_alloc):
+    # a member streams its full flow into its remainder rows, so up to its
+    # diagnostics it holds those rows' three (R, N) stacks and no record
+    # stack of its own. Measured at N = 64 and R = 206: 3.7 stacks, against
+    # 8.2 when the member kept its records and paired them after the run
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    spec = _mini_spec(eps_list=(1e-2,), run=RunOptions(t_end=0.5))
+    initial = EPState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
+    lim = evolve(initial, dataclasses.replace(spec.run, eps=0.0))
+    monkeypatch.setattr(experiments, "remainder_residual", stop)
+
+    def member():
+        with pytest.raises(Stop):
+            _run_member(spec, initial, lim, 1e-2)
+
+    stack_bytes = 8 * len(lim.t) * spec.n_points
+    assert len(lim.t) == 206
+    assert peak_alloc(member) < 5 * stack_bytes
 
 
 def test_sweep_pool_is_capped_at_the_member_count(monkeypatch):

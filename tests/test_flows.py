@@ -25,6 +25,7 @@ from debye_limit.flows import (
 from debye_limit.grid import (
     Field,
     Grid,
+    _derivative_values,
     _hs_norm_values,
     _integral_values,
     _l2_values,
@@ -129,6 +130,35 @@ def test_momentum_conservation_exact():
         drift = abs(_integral_values(grid, traj.final.u.values)
                     - _integral_values(grid, state.u.values))
         assert drift < 1e-13
+
+
+def _energy(grid, eps, n, u, phi):
+    """Mean over the unit torus of the flow's conserved energy density:
+    ``n u^2/2 + (phi - 1) e^phi + eps phi_x^2/2`` for the full flow (with
+    ``n = e^phi - eps phi_xx``), ``n u^2/2 + n ln n - n`` for the limit flow."""
+    if eps == 0.0:
+        return np.mean(n * u * u / 2 + n * np.log(n) - n)
+    phi_x = _derivative_values(grid, phi, 1)
+    return np.mean(n * u * u / 2 + (phi - 1) * np.exp(phi) + eps * phi_x * phi_x / 2)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-1, 1e-2, 1e-4])
+def test_energy_is_conserved(eps):
+    # the drift over every record, relative to the fluctuation energy
+    # E(0) + 1 (the uniform state at unit density has E = -1). Measured at
+    # N = 128 and t_end = 0.1: 3.6e-13 for the limit flow, 7.4e-14, 1.3e-13
+    # and 3.1e-13 at eps 1e-1, 1e-2 and 1e-4 (round-off and the PB
+    # tolerance, not the time error); the bound leaves a margin of 28 or
+    # more. A u^2 flux, an RK4 weight of 1.98, a stage time of 0.49 dt or a
+    # limit potential ln n (1 + 1e-4) moves it to 7.8e-8 or more in some flow
+    grid = Grid(128)
+    energies = []
+    evolve(EPState(0.0, *make_initial(InitParams(), grid)), RunOptions(t_end=0.1, eps=eps),
+           on_record=lambda t, n, u, phi, norms: energies.append(
+               _energy(grid, eps, n, u, phi)))
+    assert len(energies) > 80
+    drift = np.max(np.abs(np.array(energies) - energies[0])) / (energies[0] + 1.0)
+    assert drift < 1e-11, drift
 
 
 def test_one_state_type_serves_both_flows():

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from debye_limit import remainder
-from debye_limit.flows import EPState, RunOptions, evolve
+from debye_limit.flows import EPState, RecordAllocationError, RunOptions, evolve
 from debye_limit.grid import (Field, Grid, _dealias_values, _derivative_values,
                               _l2_values, hs_norm)
 from debye_limit.initial import InitParams, make_initial, random_smooth_fields
 from debye_limit.remainder import (
     Remainder,
+    RemainderRows,
     _r1_values,
     elliptic_ratio_pair,
     remainder_residual,
@@ -19,7 +20,8 @@ from debye_limit.remainder import (
     triple_norm,
     write_remainder_csv,
 )
-from oracles import quasineutral_identity_defect, r1_majorant, random_smooth_field
+from oracles import (paired_remainder, quasineutral_identity_defect, quasineutrality_gap,
+                     r1_majorant, random_smooth_field)
 
 
 def paired_run(eps=1e-2, n_points=64, t_end=0.05, dt=1e-3, record_every=10):
@@ -32,6 +34,16 @@ def paired_run(eps=1e-2, n_points=64, t_end=0.05, dt=1e-3, record_every=10):
                  RunOptions(dt=dt, t_end=t_end, eps=0.0,
                             record_every=record_every))
     return ep, lim
+
+
+def streamed_remainder(eps=1e-2, n_points=64, t_end=0.05, dt=1e-3, record_every=10):
+    """The remainder stack of ``paired_run``'s runs by the package's route: the
+    limit run kept, the full flow streamed into its remainder rows."""
+    state = EPState(0.0, *make_initial(InitParams(), Grid(n_points)))
+    opts = RunOptions(dt=dt, t_end=t_end, eps=eps, record_every=record_every)
+    rows = RemainderRows(evolve(state, replace(opts, eps=0.0)), opts)
+    assert len(evolve(state, opts, on_record=rows).t) == 1
+    return remainder_series(rows)
 
 
 def _rows(rem, index):
@@ -51,7 +63,7 @@ def _one_row(grid, eps, n1=None, u1=None, phi1=None):
 
 def test_remainder_reconstructs_ep_state():
     ep, lim = paired_run()
-    rems = remainder_series(ep, lim)
+    rems = streamed_remainder()
     eps = ep.eps
     assert np.array_equal(rems.t, ep.t)
     assert np.array_equal(rems.n0, lim.n) and np.array_equal(rems.u0, lim.u)
@@ -63,8 +75,7 @@ def test_remainder_reconstructs_ep_state():
 
 
 def test_remainder_is_zero_at_matched_start():
-    ep, lim = paired_run(t_end=0.0)
-    rem = remainder_series(ep, lim)
+    rem = streamed_remainder(t_end=0.0)
     assert rem.n1.shape == (1, 64)
     assert np.max(np.abs(rem.n1)) == 0.0
     assert np.max(np.abs(rem.u1)) == 0.0
@@ -74,14 +85,20 @@ def test_remainder_is_zero_at_matched_start():
 
 def test_remainder_series_rejects_mismatched_runs():
     ep, lim = paired_run(t_end=0.01)
-    shifted = replace(lim, t=lim.t + 0.5)
+    state, opts = EPState(0.0, *make_initial(InitParams(), lim.grid)), \
+        RunOptions(dt=1e-3, t_end=0.01, eps=ep.eps, record_every=10)
+    shifted = RemainderRows(replace(lim, t=lim.t + 0.5), opts)
     with pytest.raises(ValueError, match="times"):
-        remainder_series(ep, shifted)
+        evolve(state, opts, on_record=shifted)
     with pytest.raises(ValueError, match="full-flow"):
-        remainder_series(lim, lim)
+        RemainderRows(lim, replace(opts, eps=0.0))
     with pytest.raises(ValueError, match="limit-flow"):
-        remainder_series(ep, ep)
-    rem = remainder_series(ep, lim)
+        RemainderRows(ep, opts)
+    # the rows are sized for every limit record before the run
+    endless = replace(lim, t=np.broadcast_to(0.0, (10 ** 15,)))
+    with pytest.raises(RecordAllocationError, match="do not fit in memory"):
+        RemainderRows(endless, opts)
+    rem = paired_remainder(ep, lim)
     with pytest.raises(ValueError, match="shape"):
         replace(rem, n1=rem.n1[:-1])
 
@@ -178,7 +195,7 @@ def test_eps_weighted_terms_vanish_in_limit():
 def test_residuals_second_order_in_spacing():
     ep, lim = paired_run(eps=1e-2, n_points=64, t_end=0.08, dt=5e-4,
                          record_every=1)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
 
     def max_res(stride):
         res_n, res_u, _ = remainder_residual(rems, stride)
@@ -194,7 +211,7 @@ def test_residuals_second_order_in_spacing():
 def test_res_phi_collapses_to_solver_tolerance():
     ep, lim = paired_run(eps=1e-2, n_points=64, t_end=0.02, dt=1e-3,
                          record_every=2)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     _, _, res_phi = remainder_residual(rems)
     # the potential equation holds at solver tolerance scaled by 1/eps
     assert np.max(res_phi) <= 1e-12 / 1e-2 * 10.0
@@ -241,7 +258,7 @@ def test_residuals_match_the_advective_oracle(eps, stride):
     # which is round-off near 1e-11, to 7.9e-14 absolute; the bounds
     # leave margins of about 500 and 12
     ep, lim = paired_run(eps=eps, t_end=0.02, dt=1e-3, record_every=2)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     res_n, res_u, res_phi = remainder_residual(rems, stride)
     want_n, want_u, want_phi = _advective_residual(rems, stride)
     assert len(res_n) == len(want_n) == 10 // stride
@@ -256,7 +273,7 @@ def test_remainder_residual_keeps_few_stacks_alive(peak_alloc):
     # Measured at N = 64: 8.3 (P, N) float arrays, against 12.4 when each
     # midpoint and flux was an array of its own
     ep, lim = paired_run(t_end=0.05, record_every=1)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     rems.res_phi  # formed once per stack, and not part of this peak
     stack_bytes = 8 * (len(rems.t) - 1) * rems.grid.n_points
     assert peak_alloc(remainder_residual, rems) < 9.0 * stack_bytes
@@ -275,7 +292,7 @@ def test_residual_peaks_are_set_by_the_block_not_the_stack(peak_alloc,
     # a bound of 24.6 KB, under one (51, N) array (26.1 KB); in one block
     # the latter take 8.3 (P, N) arrays
     ep, lim = paired_run(t_end=0.05, record_every=1)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     monkeypatch.setattr(remainder, "BLOCK_BYTES", _block_bytes(2, rems.grid))
     block = 8 * 2 * rems.grid.n_points  # bytes of one (2, N) array
     assert peak_alloc(lambda: rems.res_phi) < 24 * block
@@ -288,7 +305,7 @@ def test_blocked_residuals_equal_the_one_block_ones(monkeypatch, block_rows):
     # blocks of any size give the residuals of one block, on stacks of
     # 0, 1 and 2 rows too; the potential residual is formed block by block
     ep, lim = paired_run(eps=1e-2, t_end=0.02, dt=1e-3, record_every=2)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     stacks = [_rows(rems, slice(0, count)) for count in (0, 1, 2, 11)]
 
     def residuals(stack):
@@ -317,7 +334,7 @@ def test_blocked_residuals_equal_the_one_block_ones(monkeypatch, block_rows):
 
 def test_remainder_residual_validates_inputs():
     ep, lim = paired_run(record_every=10)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     with pytest.raises(ValueError, match="time-ordered"):
         remainder_residual(_rows(rems, slice(None, None, -1)))
     with pytest.raises(ValueError, match="step cannot be zero"):  # numpy's slice check
@@ -328,7 +345,7 @@ def test_remainder_residual_validates_inputs():
 
 def test_elliptic_ratios_positive_and_finite():
     ep, lim = paired_run(record_every=10)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     for k in (0, 1, 2):
         dens, pot = elliptic_ratio_pair(triple_norm(rems, k))
         assert np.all(np.isfinite(dens[1:]) & (dens[1:] >= 0.0))
@@ -337,7 +354,7 @@ def test_elliptic_ratios_positive_and_finite():
 
 def test_remainder_csv_schema(tmp_path):
     ep, lim = paired_run(record_every=10)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     path = tmp_path / "rem.csv"
     norms = {s: triple_norm(rems, s) for s in (0, 2)}
     write_remainder_csv(norms, remainder_residual(rems), path)
@@ -355,12 +372,11 @@ def test_stacked_diagnostics_are_row_identical():
     # function on that row alone (pairs: on the two rows they join), which
     # lets stacks of different lengths share one kernel
     from debye_limit.energy import energy_snapshot
-    from debye_limit.experiments import quasineutrality_gap
     from debye_limit.flows import _quasineutral_values
 
     ep, lim = paired_run(eps=1e-2, n_points=64, t_end=0.02, dt=1e-3,
                          record_every=2)
-    rems = remainder_series(ep, lim)
+    rems = paired_remainder(ep, lim)
     count = len(rems.t)
     assert count == 11
     for s in (0, 1, 2):
