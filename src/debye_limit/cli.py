@@ -28,13 +28,26 @@ from .config import (SCHEMA, ConfigError, default_config, load_config_file,
                      merge_config, parse_value)
 from .energy import energy_snapshot, identity_2_12_check, kato_ponce_sample, write_ledger_csv
 from .experiments import SweepSpec, run_sweep, write_report_csv, write_report_json
-from .flows import (EPState, RecordAllocationError, RunOptions, TrajectoryTable,
-                    _record_arrays, _run_length, evolve, write_snapshot_csv)
+from .flows import (
+    EPState,
+    RecordAllocationError,
+    RunOptions,
+    TrajectoryTable,
+    _record_arrays,
+    _run_length,
+    evolve,
+    write_snapshot_csv,
+)
 from .grid import MAX_DERIVATIVE_ORDER, Grid, _check_order
 from .initial import InitParams, make_initial, random_smooth_fields
 from .io_utils import OutputError, make_output_dir, write_csv
-from .remainder import (MIN_REMAINDER_EPS, RemainderRows, remainder_residual,
-                        remainder_series, write_remainder_csv)
+from .remainder import (
+    MIN_REMAINDER_EPS,
+    RemainderRows,
+    remainder_residual,
+    remainder_series,
+    write_remainder_csv,
+)
 
 _D = default_config()
 
@@ -255,14 +268,13 @@ KP_RATIO_MAX, KP_REFINE_RTOL = 10.0, 0.05
 
 
 def _paired_check(state, opts: RunOptions, gamma: int, out: str):
-    """Both runs of ``check``, their ledger and residual table; None after a blow-up,
-    else the fine identity report, its halving ratio and the residual maxima.
-    The full flow streams into its remainder rows against the limit run's records."""
+    """Both runs of ``check`` (the full flow streamed into its remainder rows),
+    their ledger and residual table; None after a blow-up, else the fine identity
+    report, its halving ratio and the residual maxima."""
     lim_traj = evolve(state, replace(opts, eps=0.0))
-    if lim_traj.blowup is not None:
-        return None
     rows = RemainderRows(lim_traj, opts)
-    if evolve(state, opts, on_record=rows).blowup is not None:
+    if (lim_traj.blowup is not None
+            or evolve(state, opts, on_record=rows).blowup is not None):
         return None
     rems = remainder_series(rows)
     snaps = energy_snapshot(rems, gamma)

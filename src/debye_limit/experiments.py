@@ -3,12 +3,11 @@
 A sweep integrates the limit flow once and the full flow at every eps
 in the list, from identical initial data on one shared grid with one
 shared dt (so time-discretization error cancels in the differences).
-Each member streams its full flow into its remainder rows, each formed
-against the limit record at the same time, so the member keeps no
-full-flow record stack. It reduces its remainder stack on the spot to
-its report row and the ``(T,)`` series of its remainder CSV (triple
-norms and equation residuals); the stack does not outlive that
-reduction, so a pool worker sends back only series. The
+Each member streams its full flow into its remainder rows (it keeps no
+record stack) and reduces them on the spot to its report row and the
+``(T,)`` series of its remainder CSV (triple norms and equation
+residuals); the stack does not outlive that reduction, so a pool worker
+sends back only series. The
 sweep then fits convergence orders across eps and assembles PASS/FAIL
 verdicts from the rows by the rules and constants defined here.
 
@@ -25,12 +24,27 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .flows import EPState, RunOptions, _quasineutral_values, evolve
-from .grid import MAX_SOBOLEV_ORDER, Grid, _l2_values
+from .flows import (
+    EPState,
+    RunOptions,
+    _quasineutral_values,
+    evolve,
+)
+from .grid import (
+    MAX_SOBOLEV_ORDER,
+    Grid,
+    _l2_values,
+)
 from .initial import InitParams, make_initial
 from .io_utils import atomic_write_text, write_csv
-from .remainder import (MIN_REMAINDER_EPS, Remainder, RemainderRows, elliptic_ratio_pair,
-                        remainder_residual, remainder_series, triple_norm)
+from .remainder import (
+    MIN_REMAINDER_EPS,
+    RemainderRows,
+    elliptic_ratio_pair,
+    remainder_residual,
+    remainder_series,
+    triple_norm,
+)
 
 __all__ = [
     "fit_order",
@@ -174,11 +188,22 @@ def _sup(values) -> float:
     return float(np.max(values)) if np.size(values) else float("nan")
 
 
-def _member_diagnostics(spec: SweepSpec, rems: Remainder, traj,
-                        full_errors: dict) -> MemberResult:
-    """A member's report row and remainder-CSV series from its remainder stack,
-    its streamed run ``traj`` (status, wall time) and the full flow's errors."""
-    eps, ev = rems.eps, traj.blowup
+def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
+    """The full flow at ``eps`` from the limit run's initial state, at its dt,
+    streamed into its remainder rows and its own errors, and reduced to the
+    member's report row and remainder-CSV series."""
+    opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
+    rows, grid = RemainderRows(lim_traj, opts), lim_traj.grid
+    phi_l2, qn_gap = [], []  # of each record with a potential
+
+    def take(t, n, u, phi, norms):
+        rows(t, n, u, phi, norms)
+        if phi is not None:
+            phi_l2.append(_l2_values(grid, phi - np.log(n)))
+            qn_gap.append(_quasineutral_values(grid, n, phi))
+
+    traj = evolve(initial, opts, on_record=take)
+    rems, ev = remainder_series(rows), traj.blowup
     # first, so that its stack and the triple norms' cached spectra never meet
     residuals = remainder_residual(rems)
     triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
@@ -200,33 +225,14 @@ def _member_diagnostics(spec: SweepSpec, rems: Remainder, traj,
         "eps": eps,
         "status": "OK" if ev is None else "BLOWUP",
         "sup_norms": sup_norms,
-        "errors": {**errors, **full_errors},
+        # phi_l2 is read over the rows paired with the limit run, qn_gap over all
+        "errors": {**errors, "phi_l2": _sup(phi_l2[:len(rems.t)]), "qn_gap": _sup(qn_gap)},
         "elliptic": elliptic,
         "wall_time": traj.wall_time,
     }
     if ev is not None:
         row["blowup"] = {"t": ev.t, "reason": ev.reason, "value": ev.value}
     return MemberResult(row=row, triple_norms=triple_norms, residuals=residuals)
-
-
-def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
-    """The full flow at ``eps`` from the limit run's initial state, at its dt,
-    streamed into its remainder rows and its own errors: it keeps one record."""
-    opts = replace(spec.run, eps=eps, dt=lim_traj.dt)
-    rows, grid = RemainderRows(lim_traj, opts), lim_traj.grid
-    phi_l2, qn_gap = [], []  # of each record with a potential
-
-    def take(t, n, u, phi, norms):
-        rows(t, n, u, phi, norms)
-        if phi is not None:
-            phi_l2.append(_l2_values(grid, phi - np.log(n)))
-            qn_gap.append(_quasineutral_values(grid, n, phi))
-
-    traj = evolve(initial, opts, on_record=take)
-    rems = remainder_series(rows)
-    # phi_l2 is read over the rows paired with the limit run, qn_gap over all
-    return _member_diagnostics(spec, rems, traj, {"phi_l2": _sup(phi_l2[:len(rems.t)]),
-                                                  "qn_gap": _sup(qn_gap)})
 
 
 def _fit_with_exclusion(pairs) -> dict | None:

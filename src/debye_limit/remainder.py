@@ -22,7 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .flows import _record_arrays
-from .grid import Grid, _dealiased_l2_values, _parseval_values, _power
+from .grid import (
+    Grid,
+    _dealiased_l2_values,
+    _parseval_values,
+    _power,
+)
 from .io_utils import write_csv
 
 __all__ = [
@@ -127,15 +132,11 @@ class TripleNorm:
 
 
 class RemainderRows:
-    """An ``on_record`` consumer for ``evolve`` that forms the remainder row of
-    each full-flow record against the limit run ``lim_traj`` as it comes.
-
-    A record at time ``t`` gives the row ``(n - n0)/eps``, ``(u - u0)/eps``
-    and ``(phi - ln n0)/eps`` against the limit record at the same time, with
-    the full flow's potential ``phi``; a record without a potential, or past
-    the limit run's last record, gives none. ``opts`` are the full flow's run
-    options. The rows are sized for every limit record before any step
-    (:class:`RecordAllocationError` if they do not fit);
+    """An ``on_record`` consumer for ``evolve``: the remainder row ``(n - n0)/eps``,
+    ``(u - u0)/eps``, ``(phi - ln n0)/eps`` of each full-flow record with a
+    potential ``phi``, against the record of the limit run ``lim_traj`` at the same
+    time, up to its last one. ``opts`` are the full flow's. The rows are sized
+    before any step (:class:`RecordAllocationError` if they do not fit);
     :func:`remainder_series` stacks the ones taken.
     """
 

@@ -12,7 +12,6 @@ from debye_limit import experiments, flows, poisson
 from debye_limit.experiments import (
     BOUND_FACTOR,
     SweepSpec,
-    _member_diagnostics,
     _run_member,
     fit_order,
     gronwall_monitor,
@@ -24,7 +23,7 @@ from debye_limit.flows import EPState, RunOptions, evolve
 from debye_limit.grid import MAX_SOBOLEV_ORDER, Field, Grid, _l2_values, hs_norm
 from debye_limit.initial import InitParams, make_initial
 from debye_limit.poisson import PBConvergenceError
-from debye_limit.remainder import RemainderRows, remainder_series
+from debye_limit.remainder import remainder_series
 from oracles import paired_remainder, quasineutral_identity_defect, quasineutrality_gap
 
 EPS_MINI = (1e-1, 1e-2, 1e-3)
@@ -251,17 +250,21 @@ def test_member_errors_match_the_trajectory_differences(sweep_records):
                     want, rel=1e-12, abs=0.0), (row["eps"], name, s)
 
 
-def test_member_reduction_makes_three_transform_calls(fft_calls):
+def test_member_reduction_makes_three_transform_calls(monkeypatch, fft_calls):
     # one stacked transform each for the remainder spectra, the two
-    # evolution residuals and the potential residual
+    # evolution residuals and the potential residual, counted from the
+    # moment the member's remainder stack is assembled
     spec = _mini_spec(eps_list=(1e-2,))
     state = EPState(0.0, *make_initial(spec.init, Grid(spec.n_points)))
     lim = evolve(state, dataclasses.replace(spec.run, eps=0.0))
-    rows = RemainderRows(lim, dataclasses.replace(spec.run, eps=1e-2))
-    ep = evolve(state, dataclasses.replace(spec.run, eps=1e-2), on_record=rows)
-    rems = remainder_series(rows)
-    fft_calls.clear()
-    member = _member_diagnostics(spec, rems, ep, {})
+
+    def assemble(rows):
+        rems = remainder_series(rows)
+        fft_calls.clear()
+        return rems
+
+    monkeypatch.setattr(experiments, "remainder_series", assemble)
+    member = _run_member(spec, state, lim, 1e-2)
     assert len(fft_calls) <= 3
     assert member.row["status"] == "OK" and len(member.residuals[0]) == 20
 
