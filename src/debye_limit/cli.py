@@ -158,9 +158,10 @@ def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions
 
 
 def _sized_run(state, opts: RunOptions) -> tuple:
-    """``_run_length(state, opts)``, once stacks for all its records were
-    allocated as ``evolve`` allocates them: a run too long to record
-    exits 2 before the output directory exists."""
+    """``_run_length(state, opts)``, once a ``(3, R, N)`` stack for its
+    ``R`` records was allocated, as :class:`RemainderRows` allocates its
+    rows (the limit run's ``(2, R, N)`` stacks are smaller): a run too
+    long to record exits 2 before the output directory exists."""
     length = _run_length(state, opts)
     _record_arrays(state.grid, opts, length[3], (3, length[3], state.grid.n_points))
     return length

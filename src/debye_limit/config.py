@@ -14,9 +14,6 @@ from dataclasses import asdict
 from .flows import RunOptions
 from .initial import InitParams
 
-__all__ = ["ConfigError", "default_config", "load_config_file", "merge_config",
-           "parse_value"]
-
 
 class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""

@@ -30,15 +30,6 @@ from .grid import (
 from .io_utils import write_csv
 from .remainder import Remainder
 
-__all__ = [
-    "EnergySnapshot",
-    "energy_snapshot",
-    "IdentityReport",
-    "identity_2_12_check",
-    "kato_ponce_sample",
-    "write_ledger_csv",
-]
-
 
 @dataclass(frozen=True)
 class EnergySnapshot:

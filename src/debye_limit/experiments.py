@@ -46,17 +46,6 @@ from .remainder import (
     triple_norm,
 )
 
-__all__ = [
-    "fit_order",
-    "gronwall_monitor",
-    "SweepSpec",
-    "MemberResult",
-    "SweepReport",
-    "run_sweep",
-    "write_report_json",
-    "write_report_csv",
-]
-
 ORDER_BAND = (0.85, 1.15)
 R_SQUARED_MIN = 0.99
 ELLIPTIC_FACTOR = 3.0
@@ -204,11 +193,10 @@ def _run_member(spec: SweepSpec, initial, lim_traj, eps: float) -> MemberResult:
 
     traj = evolve(initial, opts, on_record=take)
     rems, ev = remainder_series(rows), traj.blowup
-    # first, so that its stack and the triple norms' cached spectra never meet
     residuals = remainder_residual(rems)
-    triple_norms, sup_norms, errors, elliptic = {}, {}, {}, {}
-    for s in spec.s_list:
-        tn = triple_norms[s] = triple_norm(rems, s)
+    triple_norms = triple_norm(rems, spec.s_list)
+    sup_norms, errors, elliptic = {}, {}, {}
+    for s, tn in triple_norms.items():
         sup_norms[f"s{s}"] = {
             "n1_Hs": _sup(tn.n1_hs),
             "u1_triple": _sup(tn.u1_triple),

@@ -34,23 +34,6 @@ from .grid import (MAX_SOBOLEV_ORDER, Field, Grid, _check_order, _hs_norm_values
 from .io_utils import write_csv
 from .poisson import PBConvergenceError, PBSolveOptions, _solve_phi_values
 
-__all__ = [
-    "EPState",
-    "LimitState",
-    "RunOptions",
-    "BlowUpEvent",
-    "BlowUpError",
-    "Trajectory",
-    "default_dt",
-    "rhs_ep",
-    "rhs_limit",
-    "step",
-    "evolve",
-    "RecordAllocationError",
-    "TrajectoryTable",
-    "write_snapshot_csv",
-]
-
 # Sobolev order of the blow-up norm monitor.
 GUARD_NORM_ORDER = 2
 # The blow-up guards: a run ends when min n falls below DENSITY_FLOOR or

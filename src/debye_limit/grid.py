@@ -32,16 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "MAX_DERIVATIVE_ORDER",
-    "MAX_SOBOLEV_ORDER",
-    "Grid",
-    "Field",
-    "derivative",
-    "hs_norm",
-    "dealias",
-]
-
 # Sobolev orders above this are meaningless at the resolutions we run;
 # derivative orders are capped at twice this value.
 MAX_SOBOLEV_ORDER = 8

@@ -15,8 +15,6 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["InitParams", "make_initial", "random_smooth_fields"]
-
 
 @dataclass(frozen=True)
 class InitParams:

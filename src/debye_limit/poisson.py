@@ -30,13 +30,6 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = [
-    "PBSolveOptions",
-    "PBSolution",
-    "PBConvergenceError",
-    "solve_phi",
-]
-
 
 # CG for one Newton correction stops once its residual is below
 # CG_RTOL times the Newton residual or CG_FLOOR times the Newton tol,

@@ -30,17 +30,6 @@ from .grid import (
 )
 from .io_utils import write_csv
 
-__all__ = [
-    "Remainder",
-    "RemainderRows",
-    "TripleNorm",
-    "remainder_series",
-    "triple_norm",
-    "remainder_residual",
-    "elliptic_ratio_pair",
-    "write_remainder_csv",
-]
-
 # The remainders divide O(eps) differences of the flows by eps. Below the
 # unit round-off those differences are under one ulp of the fields, so
 # the remainders keep no correct digit (and far below it they overflow).
@@ -66,7 +55,7 @@ class Remainder:
     ``n0`` and ``u0`` are read-only views of the limit flow's record
     stacks, which every member of a sweep shares. Each diagnostic below
     runs on the stack or on blocks of its rows, and a one-row stack gives
-    the same bits as that row of a longer one. Diagnostics read ``power``.
+    the same bits as that row of a longer one.
     """
 
     grid: Grid
@@ -84,12 +73,6 @@ class Remainder:
         for name in ("n0", "u0", "n1", "u1", "phi1"):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        """``|rfft|**2`` of ``(n1, u1, phi1)``, ``(3, T, N//2 + 1)``; formed
-        on first use and kept, like ``res_phi``."""
-        return _power(np.fft.rfft(np.array((self.n1, self.u1, self.phi1))))
 
     @cached_property
     def res_phi(self) -> np.ndarray:
@@ -213,28 +196,35 @@ def _g_rest(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def triple_norm(rem: Remainder, s: int) -> TripleNorm:
-    """eps-weighted ``H^s`` norms of every row of the stack.
+def triple_norm(rem: Remainder, s_list) -> dict:
+    """eps-weighted ``H^s`` norms of every row of the stack, ``{s: TripleNorm}``
+    for each order ``s`` of ``s_list``.
 
-    The ``H^s`` norm of each ``a``-th derivative is a Parseval sum of
-    ``rem.power`` against ``hs_weight(s) * |(ik)^a|**2``.
+    The ``H^s`` norm of each ``a``-th derivative is a Parseval sum of the
+    spectrum ``|rfft|**2`` of ``(n1, u1, phi1)``, ``(3, T, N//2 + 1)``, against
+    ``hs_weight(s) * |(ik)^a|**2``. The spectrum is formed once per call, read
+    at every order and not kept.
     """
-    grid, eps, power = rem.grid, rem.eps, rem.power
-    weight = grid.hs_weight(s)
-    n1_hs, u1_hs, phi1_hs = _parseval_values(power, weight)
-    du1_hs, dphi1_hs = _parseval_values(
-        power[1:], weight * _power(grid.derivative_symbol(1)))
-    d2phi1_hs = _parseval_values(power[2], weight * _power(grid.derivative_symbol(2)))
-    # squares as products: a Python float's ** calls pow(), which can round
-    # differently from numpy's elementwise square of the same value
-    u1_triple = np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs))
-    phi1_triple = np.sqrt(
-        phi1_hs * phi1_hs + eps * (dphi1_hs * dphi1_hs)
-        + eps**2 * (d2phi1_hs * d2phi1_hs)
-    )
-    combined = np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple)
-    return TripleNorm(rem.t, eps, s, n1_hs, u1_hs, u1_triple, phi1_triple, combined,
-                      phi1_hs, dphi1_hs, d2phi1_hs)
+    grid, eps = rem.grid, rem.eps
+    power = _power(np.fft.rfft(np.array((rem.n1, rem.u1, rem.phi1))))
+    d1, d2 = (_power(grid.derivative_symbol(a)) for a in (1, 2))
+    norms = {}
+    for s in s_list:
+        weight = grid.hs_weight(s)
+        n1_hs, u1_hs, phi1_hs = _parseval_values(power, weight)
+        du1_hs, dphi1_hs = _parseval_values(power[1:], weight * d1)
+        d2phi1_hs = _parseval_values(power[2], weight * d2)
+        # squares as products: a Python float's ** calls pow(), which can round
+        # differently from numpy's elementwise square of the same value
+        u1_triple = np.sqrt(u1_hs * u1_hs + eps * (du1_hs * du1_hs))
+        phi1_triple = np.sqrt(
+            phi1_hs * phi1_hs + eps * (dphi1_hs * dphi1_hs)
+            + eps**2 * (d2phi1_hs * d2phi1_hs)
+        )
+        combined = np.sqrt(u1_triple * u1_triple + phi1_triple * phi1_triple)
+        norms[s] = TripleNorm(rem.t, eps, s, n1_hs, u1_hs, u1_triple, phi1_triple,
+                              combined, phi1_hs, dphi1_hs, d2phi1_hs)
+    return norms
 
 
 def _res_phi_values(grid: Grid, eps: float, n0: np.ndarray, n1: np.ndarray,

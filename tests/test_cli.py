@@ -528,32 +528,38 @@ def _recording(monkeypatch, module, name, sink):
 
 
 def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
-    # one triple norm stack per (member, s), covering every recorded
-    # snapshot, and the elliptic ratios read those norms instead of
-    # forming their own
+    # one triple norm call per member, covering every order and every
+    # recorded snapshot from one spectrum, and the elliptic ratios read
+    # those norms instead of forming their own
     from debye_limit import energy, experiments, remainder
 
     series, norms, ratios, ffts_in_ratios, inside = [], [], [], [], []
+    ffts_in_norms, in_norm = [], []
     _recording(monkeypatch, experiments, "remainder_series", series)
     for module in (remainder, experiments, energy):
         if hasattr(module, "triple_norm"):
             _recording(monkeypatch, module, "triple_norm", norms)
     # every H^s norm starts with a real FFT: count those inside the ratios
-    real_rfft, real_ratio = np.fft.rfft, experiments.elliptic_ratio_pair
+    # and inside the triple norms
+    real_rfft = np.fft.rfft
 
     def counting_rfft(*args, **kwargs):
         ffts_in_ratios.extend(inside)
+        ffts_in_norms.extend(in_norm)
         return real_rfft(*args, **kwargs)
 
-    def flagged_ratio(*args):
-        inside.append(1)
-        try:
-            return real_ratio(*args)
-        finally:
-            inside.pop()
+    def flagged(real, flag):
+        def wrapper(*args):
+            flag.append(1)
+            try:
+                return real(*args)
+            finally:
+                flag.pop()
+        return wrapper
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    monkeypatch.setattr(experiments, "elliptic_ratio_pair", flagged_ratio)
+    for name, flag in (("elliptic_ratio_pair", inside), ("triple_norm", in_norm)):
+        monkeypatch.setattr(experiments, name, flagged(getattr(experiments, name), flag))
     _recording(monkeypatch, experiments, "elliptic_ratio_pair", ratios)
     conf = tmp_path / "conf.ini"
     conf.write_text(SMALL_SWEEP)
@@ -563,9 +569,11 @@ def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
     s_count = 3  # the default s_list 0 1 2
     snapshots = sum(len(rems.t) for rems in series)
     assert len(series) == 3 and snapshots > 3
-    assert len(norms) == len(series) * s_count
-    assert [len(tn.t) for tn in norms] == [
-        len(rems.t) for rems in series for _ in range(s_count)]
+    assert len(norms) == len(series)
+    assert [list(tns) for tns in norms] == [[0, 1, 2]] * len(series)
+    assert [[len(tn.t) for tn in tns.values()] for tns in norms] == [
+        [len(rems.t)] * s_count for rems in series]
+    assert len(ffts_in_norms) == len(series)  # one spectrum per call
     assert len(ratios) == len(series) * s_count
     assert not ffts_in_ratios
 

@@ -153,7 +153,7 @@ def test_triple_norm_closed_form():
     # as the plain H^2 norm of sin
     grid = Grid(128)
     sin = Field(grid, np.sin(2 * np.pi * grid.x))
-    tn = triple_norm(_one_row(grid, 1.0, phi1=sin.values), 0)
+    tn = triple_norm(_one_row(grid, 1.0, phi1=sin.values), (0,))[0]
     assert abs(tn.phi1_triple[0] - 28.27564211603687) < 1e-11
     assert tn.u1_triple[0] == 0.0
     assert tn.combined[0] == pytest.approx(tn.phi1_triple[0], rel=1e-15)
@@ -165,9 +165,8 @@ def test_triple_norm_combination():
     u1 = random_smooth_field(grid, rng)
     phi1 = random_smooth_field(grid, rng)
     for eps in (1e-1, 1e-3):
-        for s in (0, 1, 2):
-            rem = _one_row(grid, eps, u1=u1.values, phi1=phi1.values)
-            tn = triple_norm(rem, s)
+        rem = _one_row(grid, eps, u1=u1.values, phi1=phi1.values)
+        for s, tn in triple_norm(rem, (0, 1, 2)).items():
             want_u = np.sqrt(hs_norm(u1, s) ** 2
                              + eps * hs_norm_d(u1, s, 1) ** 2)
             assert tn.u1_triple[0] == pytest.approx(want_u, rel=1e-12)
@@ -188,7 +187,7 @@ def test_eps_weighted_terms_vanish_in_limit():
     rng = np.random.default_rng(19)
     grid = Grid(64)
     phi1 = random_smooth_field(grid, rng)
-    tn = triple_norm(_one_row(grid, 1e-12, phi1=phi1.values), 1)
+    tn = triple_norm(_one_row(grid, 1e-12, phi1=phi1.values), (1,))[1]
     assert tn.phi1_triple[0] == pytest.approx(hs_norm(phi1, 1), rel=1e-5)
 
 
@@ -346,8 +345,8 @@ def test_remainder_residual_validates_inputs():
 def test_elliptic_ratios_positive_and_finite():
     ep, lim = paired_run(record_every=10)
     rems = paired_remainder(ep, lim)
-    for k in (0, 1, 2):
-        dens, pot = elliptic_ratio_pair(triple_norm(rems, k))
+    for tn in triple_norm(rems, (0, 1, 2)).values():
+        dens, pot = elliptic_ratio_pair(tn)
         assert np.all(np.isfinite(dens[1:]) & (dens[1:] >= 0.0))
         assert np.all(np.isfinite(pot[1:]) & (pot[1:] > 0.0))
 
@@ -356,7 +355,7 @@ def test_remainder_csv_schema(tmp_path):
     ep, lim = paired_run(record_every=10)
     rems = paired_remainder(ep, lim)
     path = tmp_path / "rem.csv"
-    norms = {s: triple_norm(rems, s) for s in (0, 2)}
+    norms = triple_norm(rems, (0, 2))
     write_remainder_csv(norms, remainder_residual(rems), path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,"
@@ -379,10 +378,11 @@ def test_stacked_diagnostics_are_row_identical():
     rems = paired_remainder(ep, lim)
     count = len(rems.t)
     assert count == 11
-    for s in (0, 1, 2):
-        whole = triple_norm(rems, s)
-        for i in range(count):
-            row = triple_norm(_rows(rems, slice(i, i + 1)), s)
+    wholes = triple_norm(rems, (0, 1, 2))
+    for i in range(count):
+        rows = triple_norm(_rows(rems, slice(i, i + 1)), (0, 1, 2))
+        for s, whole in wholes.items():
+            row = rows[s]
             for name in ("t", "n1_hs", "u1_triple", "phi1_triple", "combined",
                          "phi1_hs", "phi1_x_hs", "phi1_xx_hs"):
                 assert np.array_equal(getattr(row, name),
