@@ -33,8 +33,6 @@ from .flows import (
     RecordAllocationError,
     RunOptions,
     TrajectoryTable,
-    _record_arrays,
-    _run_length,
     evolve,
     write_snapshot_csv,
 )
@@ -44,6 +42,7 @@ from .io_utils import OutputError, make_output_dir, write_csv
 from .remainder import (
     MIN_REMAINDER_EPS,
     RemainderRows,
+    _sized_run,
     remainder_residual,
     remainder_series,
     write_remainder_csv,
@@ -157,16 +156,6 @@ def _run_options(cfg, section: str, eps: float, record_every=None) -> RunOptions
     )
 
 
-def _sized_run(state, opts: RunOptions) -> tuple:
-    """``_run_length(state, opts)``, once a ``(3, R, N)`` stack for its
-    ``R`` records was allocated, as :class:`RemainderRows` allocates its
-    rows (the limit run's ``(2, R, N)`` stacks are smaller): a run too
-    long to record exits 2 before the output directory exists."""
-    length = _run_length(state, opts)
-    _record_arrays(state.grid, opts, length[3], (3, length[3], state.grid.n_points))
-    return length
-
-
 def cmd_simulate(cfg, args, out: str) -> int:
     flow = cfg["run"]["flow"]
     if flow not in ("ep", "limit"):
@@ -224,7 +213,7 @@ def cmd_sweep(cfg, args, out: str) -> int:
     write_report_json(report, json_path)
     write_report_csv(report, csv_path)
     for member in report.members:
-        rem_path = os.path.join(out, f"remainder_{member.row['eps']:g}.csv")
+        rem_path = os.path.join(out, f"remainder_{member.row['eps']!r}.csv")
         write_remainder_csv(member.triple_norms, member.residuals, rem_path)
 
     for name, fit in report.fits.items():
@@ -235,9 +224,7 @@ def cmd_sweep(cfg, args, out: str) -> int:
         print(f"sweep: verdict {name}: {verdict}")
     print(f"sweep: wrote {json_path} and {csv_path}")
 
-    blew_up = report.limit_status != "OK" or any(
-        r["status"] != "OK" for r in report.rows)
-    if blew_up:
+    if report.blew_up:
         return 3
     if any(v == "FAIL" for v in report.verdicts.values()):
         return 4

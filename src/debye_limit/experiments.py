@@ -82,16 +82,17 @@ def fit_order(pairs) -> dict:
             "eps_used": eps.tolist()}
 
 
-def gronwall_monitor(sups, bound_factor: float, blew_up: bool) -> str:
-    """Uniform-boundedness verdict of ``(eps, sup-in-time value)`` pairs,
-    one per sweep member: PASS when every sup stays within
-    ``bound_factor`` times the value at the largest eps; INCONCLUSIVE
-    when a run blew up before t_end.
+def gronwall_monitor(families, bound_factor: float, blew_up: bool) -> str:
+    """Uniform-boundedness verdict of one or more families of ``(eps,
+    sup-in-time value)`` pairs, one pair per sweep member: PASS when in
+    every family each sup stays within ``bound_factor`` times the family's
+    value at the largest eps; INCONCLUSIVE when a run blew up before t_end.
     """
-    _, ref_value = max(sups, key=lambda pair: pair[0])
+    refs = [max(sups, key=lambda pair: pair[0])[1] for sups in families]
     if blew_up:
         return "INCONCLUSIVE"
-    return "PASS" if all(sup <= bound_factor * ref_value for _, sup in sups) else "FAIL"
+    ok = all(sup <= bound_factor * ref for sups, ref in zip(families, refs) for _, sup in sups)
+    return "PASS" if ok else "FAIL"
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,7 @@ class SweepReport:
     verdicts: dict
     wall_time_total: float
     members: list  # MemberResult objects; not serialized
+    blew_up: bool  # the limit run or a member ended before t_end; not serialized
 
     def as_dict(self, include_timings: bool = True) -> dict:
         rows = [{k: v for k, v in row.items() if include_timings or k != "wall_time"}
@@ -259,8 +261,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     rows = [m.row for m in members]
     fits, verdicts = {}, {}
     ok_rows = [row for row in rows if row["status"] == "OK"]
-    member_blowup = len(ok_rows) < len(rows)
-    any_blowup = member_blowup or limit_status != "OK"
+    blew_up = limit_status != "OK" or len(ok_rows) < len(rows)
 
     if spec.fit_ready() and len(ok_rows) >= 3:
         keys = [f"{v}_H{s}" for s in spec.s_list for v in ("n", "u")] + ["qn_gap"]
@@ -283,15 +284,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
     for s in spec.s_list:
         sups = [(row["eps"], row["sup_norms"][f"s{s}"]["combined"]) for row in rows]
-        verdicts[f"gronwall_s{s}"] = gronwall_monitor(sups, BOUND_FACTOR, member_blowup)
+        verdicts[f"gronwall_s{s}"] = gronwall_monitor([sups], BOUND_FACTOR, blew_up)
 
     for k in spec.s_list:
-        # PASS only when both families pass; INCONCLUSIVE after a blow-up
-        sides = set()
-        for side in ("density", "potential"):
-            pairs = [(row["eps"], row["elliptic"][f"k{k}"][side]) for row in rows]
-            sides.add(gronwall_monitor(pairs, ELLIPTIC_FACTOR, any_blowup))
-        verdicts[f"elliptic_k{k}"] = "FAIL" if "FAIL" in sides else sides.pop()
+        families = [[(row["eps"], row["elliptic"][f"k{k}"][side]) for row in rows]
+                    for side in ("density", "potential")]
+        verdicts[f"elliptic_k{k}"] = gronwall_monitor(families, ELLIPTIC_FACTOR, blew_up)
 
     spec_echo = {
         "eps_list": list(spec.eps_list),
@@ -305,7 +303,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         "init": asdict(spec.init),
     }
     return SweepReport(spec=spec_echo, dt=lim_traj.dt, limit_status=limit_status,
-                       rows=rows, fits=fits, verdicts=verdicts,
+                       rows=rows, fits=fits, verdicts=verdicts, blew_up=blew_up,
                        wall_time_total=time.perf_counter() - t_begin, members=members)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import _record_arrays
+from .flows import _record_arrays, _run_length
 from .grid import (
     Grid,
     _dealiased_l2_values,
@@ -114,13 +114,27 @@ class TripleNorm:
     phi1_xx_hs: np.ndarray
 
 
+def _row_stack(grid: Grid, opts, records: int) -> np.ndarray:
+    """The ``(3, R, N)`` remainder rows of ``R`` records, or RecordAllocationError."""
+    return _record_arrays(grid, opts, records, (3, records, grid.n_points))[0]
+
+
+def _sized_run(state, opts) -> tuple:
+    """``_run_length(state, opts)`` once its records' remainder rows fit: the
+    pre-flight probe by which a paired run too long to record exits 2 before
+    any output (the limit run's ``(2, R, N)`` stacks are smaller)."""
+    length = _run_length(state, opts)
+    _row_stack(state.grid, opts, length[3])
+    return length
+
+
 class RemainderRows:
     """An ``on_record`` consumer for ``evolve``: the remainder row ``(n - n0)/eps``,
     ``(u - u0)/eps``, ``(phi - ln n0)/eps`` of each full-flow record with a
     potential ``phi``, against the record of the limit run ``lim_traj`` at the same
     time, up to its last one. ``opts`` are the full flow's. The rows are sized
     before any step (:class:`RecordAllocationError` if they do not fit);
-    :func:`remainder_series` stacks the ones taken.
+    :func:`remainder_series` stacks the ones taken, at the limit records' times.
     """
 
     def __init__(self, lim_traj, opts):
@@ -129,9 +143,7 @@ class RemainderRows:
         if lim_traj.eps != 0.0:
             raise ValueError("the paired trajectory must be a limit-flow run")
         self.lim, self.eps, self.count = lim_traj, opts.eps, 0
-        records = len(lim_traj.t)
-        self.t, self.stacks = _record_arrays(lim_traj.grid, opts, records, records,
-                                             (3, records, lim_traj.grid.n_points))
+        self.stacks = _row_stack(lim_traj.grid, opts, len(lim_traj.t))
 
     def __call__(self, t, n, u, phi, norms):  # norms: the guard's, not read
         row, lim, eps = self.count, self.lim, self.eps
@@ -140,7 +152,6 @@ class RemainderRows:
         if abs(t - lim.t[row]) > 1e-12 * max(1.0, abs(t)):
             raise ValueError("state times of the paired runs differ")
         n0 = lim.n[row]
-        self.t[row] = t
         self.stacks[:, row] = ((n - n0) / eps, (u - lim.u[row]) / eps,
                                (phi - np.log(n0)) / eps)
         self.count += 1
@@ -149,7 +160,7 @@ class RemainderRows:
 def remainder_series(rows: RemainderRows) -> Remainder:
     """The remainder stack of the rows that ``rows`` took, in record order."""
     count, lim = rows.count, rows.lim
-    return Remainder(lim.grid, rows.eps, rows.t[:count], lim.n[:count], lim.u[:count],
+    return Remainder(lim.grid, rows.eps, lim.t[:count], lim.n[:count], lim.u[:count],
                      *rows.stacks[:, :count])
 
 

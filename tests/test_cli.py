@@ -351,6 +351,61 @@ record_every = 5
     assert (tmp_path / "remainder_0.01.csv").exists()
 
 
+def test_sweep_names_each_remainder_file_by_its_eps(tmp_path, capsys):
+    # two eps values that agree to 6 digits: each member keeps its own file
+    conf = tmp_path / "conf.ini"
+    conf.write_text("""
+[grid]
+n_points = 32
+[run]
+t_end = 0.004
+dt = 1e-3
+[sweep]
+eps_list = 0.01 0.0100000001
+s_list = 0
+record_every = 1
+""")
+    assert main(["sweep", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert [row["eps"] for row in report["rows"]] == [0.01, 0.0100000001]
+    for eps in (0.01, 0.0100000001):
+        lines = (tmp_path / f"remainder_{eps!r}.csv").read_text().strip().split("\n")
+        assert len(lines) == 6  # the header and one row per record
+        assert {float(line.split(",")[1]) for line in lines[1:]} == {eps}
+    assert len(list(tmp_path.glob("remainder_*.csv"))) == 2
+
+
+def test_sweep_limit_blowup_makes_every_uniformity_verdict_inconclusive(tmp_path,
+                                                                         capsys):
+    # the limit run ends at the density floor near t = 0.557 while the
+    # member runs to t_end: the paired records stop short of t_end, so no
+    # verdict of uniformity in eps can be read from them
+    conf = tmp_path / "conf.ini"
+    conf.write_text("""
+[grid]
+n_points = 64
+[init]
+n_amp = 0.9
+[run]
+t_end = 0.6
+[sweep]
+eps_list = 0.1
+s_list = 0
+record_every = 4
+""")
+    code = main(["sweep", "--config", str(conf), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert report["limit_status"] == "BLOWUP"
+    assert [row["status"] for row in report["rows"]] == ["OK"]
+    last = (tmp_path / "remainder_0.1.csv").read_text().strip().split("\n")[-1]
+    assert float(last.split(",")[0]) < 0.6
+    assert report["verdicts"] == {"gronwall_s0": "INCONCLUSIVE",
+                                  "elliptic_k0": "INCONCLUSIVE"}
+    assert "verdict gronwall_s0: INCONCLUSIVE" in out
+
+
 def test_sweep_failed_verdict_exits_four(tmp_path, capsys):
     # the golden sweep: its eps = 1e-1 member lies outside the small-eps
     # regime, so the density order and the elliptic ratios fail

@@ -78,12 +78,16 @@ def test_fit_order_validation():
 
 def test_gronwall_pass_and_fail():
     flat = [(1e-1, 1.0), (1e-2, 1.0), (1e-3, 1.0)]
-    assert gronwall_monitor(flat, BOUND_FACTOR, False) == "PASS"
+    assert gronwall_monitor([flat], BOUND_FACTOR, False) == "PASS"
 
     blown = [(1e-1, 1.0), (1e-2, 10.0)]
-    assert gronwall_monitor(blown, BOUND_FACTOR, False) == "FAIL"
+    assert gronwall_monitor([blown], BOUND_FACTOR, False) == "FAIL"
     # a generous factor turns the same data into a PASS
-    assert gronwall_monitor(blown, 100.0, False) == "PASS"
+    assert gronwall_monitor([blown], 100.0, False) == "PASS"
+    # one failing family fails the verdict, in either place
+    assert gronwall_monitor([flat, blown], BOUND_FACTOR, False) == "FAIL"
+    assert gronwall_monitor([blown, flat], BOUND_FACTOR, False) == "FAIL"
+    assert gronwall_monitor([blown, flat], 100.0, False) == "PASS"
 
 
 def test_gronwall_reference_is_largest_eps_any_order():
@@ -91,24 +95,34 @@ def test_gronwall_reference_is_largest_eps_any_order():
     # the 1.0 of the first pair it would read FAIL
     members = [(1e-3, 1.0), (1e-1, 3.0), (1e-2, 5.0)]
     for order in itertools.permutations(members):
-        assert gronwall_monitor(list(order), 2.0, False) == "PASS"
+        assert gronwall_monitor([list(order)], 2.0, False) == "PASS"
     # the same values with the 1.0 at the largest eps
-    assert gronwall_monitor([(1e-1, 1.0), (1e-3, 3.0), (1e-2, 5.0)],
-                            2.0, False) == "FAIL"
+    late = [(1e-1, 1.0), (1e-3, 3.0), (1e-2, 5.0)]
+    assert gronwall_monitor([late], 2.0, False) == "FAIL"
+    # each family is measured against its own value at the largest eps
+    assert gronwall_monitor([members, [(1e-1, 10.0), (1e-2, 20.0)]], 2.0, False) == "PASS"
+    assert gronwall_monitor([members, late], 2.0, False) == "FAIL"
 
 
 def test_gronwall_inconclusive_on_blowup():
     members = [(1e-1, 1.0), (1e-2, 1.0)]
-    assert gronwall_monitor(members, BOUND_FACTOR, True) == "INCONCLUSIVE"
+    assert gronwall_monitor([members], BOUND_FACTOR, True) == "INCONCLUSIVE"
+    # a blow-up outranks a failing family
+    blown = [(1e-1, 1.0), (1e-2, 10.0)]
+    assert gronwall_monitor([members, blown], BOUND_FACTOR, True) == "INCONCLUSIVE"
 
 
 def test_gronwall_single_member_passes():
-    assert gronwall_monitor([(1e-2, 3.0)], BOUND_FACTOR, False) == "PASS"
+    assert gronwall_monitor([[(1e-2, 3.0)]], BOUND_FACTOR, False) == "PASS"
 
 
 def test_gronwall_validation():
-    with pytest.raises(ValueError):
-        gronwall_monitor([], BOUND_FACTOR, False)
+    # an empty family has no reference value, even beside a full one and
+    # after a blow-up
+    for families in ([[]], [[(1e-2, 3.0)], []]):
+        for blew_up in (False, True):
+            with pytest.raises(ValueError):
+                gronwall_monitor(families, BOUND_FACTOR, blew_up)
 
 
 # -------------------------------------------------------------------- spec
@@ -399,6 +413,7 @@ def test_sweep_duplicate_eps_identical_rows():
     first, second = rep.rows
     assert first["errors"] == second["errors"]
     assert first["sup_norms"] == second["sup_norms"]
+    assert not rep.blew_up
 
 
 def test_sweep_blowup_member_gates_verdicts(monkeypatch):
@@ -410,6 +425,8 @@ def test_sweep_blowup_member_gates_verdicts(monkeypatch):
         assert rep.verdicts[f"gronwall_s{s}"] == "INCONCLUSIVE"
         assert rep.verdicts[f"elliptic_k{s}"] == "INCONCLUSIVE"
     assert rep.fits == {}
+    # the report carries the one blow-up flag, outside its serialized form
+    assert rep.blew_up and "blew_up" not in rep.as_dict()
 
 
 def test_sweep_shorter_than_one_auto_step(sweep_records):
