@@ -176,8 +176,9 @@ def cmd_simulate(cfg, args, out: str) -> int:
     traj = evolve(state, opts, on_record=table)
 
     traj_path = os.path.join(out, f"traj_{flow}_{eps:g}.csv")
+    snap_path = os.path.join(out, f"snap_{flow}_{eps:g}_{traj.t[-1]:g}.csv")
     table.write_csv(traj_path)
-    snap_path = write_snapshot_csv(traj, out)
+    write_snapshot_csv(traj, snap_path)
 
     print(f"simulate: flow={flow} eps={eps:g} grid={grid.n_points} "
           f"dt={traj.dt:g} steps to t={traj.t[-1]:g}")
@@ -212,9 +213,10 @@ def cmd_sweep(cfg, args, out: str) -> int:
     csv_path = os.path.join(out, "sweep_rows.csv")
     write_report_json(report, json_path)
     write_report_csv(report, csv_path)
-    for member in report.members:
-        rem_path = os.path.join(out, f"remainder_{member.row['eps']!r}.csv")
-        write_remainder_csv(member.triple_norms, member.residuals, rem_path)
+    # an exact-duplicate eps names the same file, which is written once
+    remainders = {f"remainder_{m.row['eps']!r}.csv": m for m in report.members}
+    for name, member in remainders.items():
+        write_remainder_csv(member.triple_norms, member.residuals, os.path.join(out, name))
 
     for name, fit in report.fits.items():
         print(f"sweep: fit {name}: slope={fit['slope']:.4f} "

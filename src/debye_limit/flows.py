@@ -23,7 +23,6 @@ explodes, and ``evolve`` returns whatever was recorded up to the event.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -207,10 +206,12 @@ def rhs_limit(state: EPState) -> tuple[Field, Field]:
     return Field(grid, dn), Field(grid, du)
 
 
-def _guard_stage(n: np.ndarray, t: float):
-    if not np.isfinite(n).all():
+def _guard_stage(rows: np.ndarray, t: float):
+    """Guard a row stack whose row 0 is the density: one finiteness scan of
+    all of it, then the floor on row 0."""
+    if not np.isfinite(rows).all():
         raise BlowUpError(BlowUpEvent(t, "non_finite", float("nan")))
-    low = float(n.min())
+    low = float(rows[0].min())
     if low < DENSITY_FLOOR:
         raise BlowUpError(BlowUpEvent(t, "density_floor", low))
 
@@ -251,7 +252,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     stages = []
     for j, (c, guess) in enumerate(zip((0.5 * dt, 0.5 * dt, dt), guesses)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
-        _guard_stage(s[0], t + c)
+        _guard_stage(s[:1], t + c)
         stages.append(_potential(grid, s[0], opts, guess, t + c))
         _rhs_values(grid, *s, stages[-1][0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
@@ -262,9 +263,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     new = np.add(state, change, out=state)
 
     t_new = t + dt
-    if not np.isfinite(new).all():
-        raise BlowUpError(BlowUpEvent(t_new, "non_finite", float("nan")))
-    _guard_stage(new[0], t_new)
+    _guard_stage(new, t_new)
     norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
     if norms.max() > NORM_CEILING:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max()))
@@ -280,7 +279,7 @@ def step(state: EPState, opts: RunOptions) -> EPState:
     """
     dt = opts.dt if opts.dt is not None else default_dt(state)
     grid, values = state.grid, np.array((state.n.values, state.u.values))
-    _guard_stage(values[0], state.t)
+    _guard_stage(values[:1], state.t)
     phi = _potential(grid, values[0], opts, None, state.t)
     new_n, new_u = _step_values(grid, values, state.t, dt, opts, phi, None,
                                 np.empty((5, *values.shape)))[0]
@@ -379,7 +378,7 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
                     np.add.reduce(weights * part[:filled], axis=0, out=acc, initial=0.0)
             try:
                 if i == 1:  # each step guards the state it makes
-                    _guard_stage(values[0], t0)
+                    _guard_stage(values[:1], t0)
                 # only the last step is short: each starts at a whole number of dt
                 _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt, step_dt,
                                                 opts, phi, ahead if filled else None, work)
@@ -455,17 +454,11 @@ class TrajectoryTable:
         write_csv(path, self.COLUMNS, self.table[:self.rows].tolist())
 
 
-def write_snapshot_csv(traj: Trajectory, out_dir) -> str:
-    """Write the last record, with its potential if it has one, as
-    ``snap_<flow>_<eps>_<t>.csv`` and return the path; the flow is ``ep``
-    for ``eps > 0``, else ``limit``."""
-    flow = "ep" if traj.eps > 0.0 else "limit"
-    name = f"snap_{flow}_{traj.eps:g}_{traj.t[-1]:g}.csv"
-    path = os.path.join(os.fspath(out_dir), name)
+def write_snapshot_csv(traj: Trajectory, path) -> None:
+    """Write the last record to ``path``, with its potential if it has one."""
     columns = [traj.grid.x, traj.n[-1], traj.u[-1]]
     header = "x,n,u"
     if traj.phi is not None and len(traj.phi) == len(traj.t):
         columns.append(traj.phi[-1])
         header += ",phi"
     write_csv(path, header, zip(*(col.tolist() for col in columns)))
-    return path

@@ -2,8 +2,8 @@
 
 All writers in this package go through :func:`atomic_write_text` so a
 crashed or interrupted process never leaves a half-written file behind:
-the text lands in a temporary file in the destination directory and is
-moved into place with ``os.replace``.
+the text lands in a temporary file in the destination directory, which
+must exist, and is moved into place with ``os.replace``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def atomic_write_text(path, text: str) -> None:
     ``OSError`` on the way is raised as an :class:`OutputError`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    make_output_dir(directory)
     tmp_path = ""  # removed below if the write stops before the rename
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")

@@ -175,8 +175,8 @@ def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
     """
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    expphi0 = np.exp(phi0)
-    gap = float(np.max(np.abs(n0 - expphi0), initial=0.0))
+    delta = n0 - np.exp(phi0)
+    gap = float(np.max(np.abs(delta), initial=0.0))
     if gap > 1e-10:
         raise ValueError(
             f"n0 and exp(phi0) disagree by {gap:.3e}; the limit relation "
@@ -192,7 +192,7 @@ def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
     z = eps * phi1
     return (
         -np.sqrt(eps) * n0 * _g_rest(z) * phi1 ** 2
-        + eps ** (-1.5) * (n0 - expphi0) * np.exp(z)
+        + eps ** (-1.5) * delta * np.exp(z)
     )
 
 

@@ -633,6 +633,26 @@ def test_sweep_forms_each_triple_norm_once(tmp_path, monkeypatch, capsys):
     assert not ffts_in_ratios
 
 
+def test_sweep_writes_each_remainder_file_once(tmp_path, monkeypatch, capsys):
+    # an exact-duplicate eps is still run and reduced, but its file is
+    # written once
+    names, real = [], cli.write_remainder_csv
+
+    def counting(norms, residuals, path):
+        names.append(os.path.basename(path))
+        real(norms, residuals, path)
+
+    monkeypatch.setattr(cli, "write_remainder_csv", counting)
+    conf = tmp_path / "conf.ini"
+    conf.write_text(_ini({"grid": {"n_points": 32},
+                          "run": {"t_end": 0.004, "dt": 1e-3},
+                          "sweep": {"eps_list": "1e-2 1e-2 1e-3"}}))
+    main(["sweep", "--config", str(conf), "--out", str(tmp_path)])
+    assert sorted(names) == ["remainder_0.001.csv", "remainder_0.01.csv"]
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert [row["eps"] for row in report["rows"]] == [1e-2, 1e-2, 1e-3]
+
+
 @pytest.mark.parametrize("max_mode, want", [("15", (0, 4)), ("16", (2,)),
                                              ("10000000000000", (2,))])
 def test_kp_max_mode_must_stay_below_nyquist(tmp_path, capsys, max_mode, want):

@@ -92,6 +92,33 @@ def test_full_flow_dispersion_shift():
     assert abs(omega - want) < 0.01 * want
 
 
+def _simple_wave(x, t, amp):
+    """u solving u = amp sin(2 pi (x - (1 + u) t)) pointwise by Newton: the
+    limit flow's simple wave from u0 = amp sin(2 pi x), n0 = exp(u0), exact
+    before the breaking time 1 / (2 pi amp)."""
+    u = amp * np.sin(2 * np.pi * x)
+    for _ in range(30):  # quadratic convergence: round-off within 10
+        phase = 2 * np.pi * (x - (1.0 + u) * t)
+        u = u - (u - amp * np.sin(phase)) / (1.0 + 2 * np.pi * amp * t * np.cos(phase))
+    return u
+
+
+def test_limit_flow_matches_the_exact_simple_wave():
+    # with n0 = exp(u0) the invariant u - ln n stays 0, so u is carried at
+    # speed 1 + u (Whitham, Linear and Nonlinear Waves, ch. 6); at a quarter
+    # of the breaking time the error is the dt^4 of RK4, 8.5e-11 at N = 128
+    # (5.3e-12 at N = 256); a 0.49 for an RK4 stage's 0.5 reads 8.6e-6
+    grid, amp = Grid(128), 0.1
+    u0 = amp * np.sin(2 * np.pi * grid.x)
+    state = EPState(0.0, Field(grid, np.exp(u0)), Field(grid, u0))
+    t_end = 0.25 / (2 * np.pi * amp)
+    final = evolve(state, RunOptions(t_end=t_end, eps=0.0, record_every=10 ** 9)).final
+    assert final.t == t_end
+    u = _simple_wave(grid.x, t_end, amp)
+    assert np.max(np.abs(final.u.values - u)) < 1e-9
+    assert np.max(np.abs(final.n.values - np.exp(u))) < 1e-9
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 def test_rk4_richardson_order(eps):
     grid = Grid(64)
@@ -434,6 +461,29 @@ def test_norm_ceiling_value_is_the_larger_h2_norm(monkeypatch, u_amp):
     assert info.value.event.value == max(norms)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("call, row, t_event", [(8, 1, 0.002), (5, 0, 0.0015)])
+def test_non_finite_guard(monkeypatch, eps, call, row, t_event):
+    # an inf in one derivative: in the u row of step 2's k4 (call 8) only
+    # the end-of-step guard can read it (its H^2 norm is NaN, which passes
+    # the ceiling), in the n row of step 2's k1 (call 5) the stage it feeds
+    calls, rhs = [], flows._rhs_values
+
+    def planting(*args):
+        out = rhs(*args)
+        calls.append(1)
+        if len(calls) == call:
+            out[row, 7] = np.inf
+        return out
+
+    monkeypatch.setattr(flows, "_rhs_values", planting)
+    state, _ = paired_states(Grid(64))
+    traj = evolve(state, RunOptions(dt=1e-3, t_end=0.01, eps=eps))
+    assert traj.blowup.reason == "non_finite"
+    assert traj.blowup.t == pytest.approx(t_event)
+    assert len(traj.t) == 2
+
+
 def test_evolve_returns_partial_trajectory_on_blowup(monkeypatch):
     grid = Grid(64)
     ep, _ = paired_states(grid)
@@ -676,8 +726,9 @@ def test_pb_failure_ends_run_with_partial_trajectory(
     assert traj.n.shape == traj.u.shape == (n_states, 32)
     assert traj.phi.shape == (n_phis, 32)
     # the last row is the snapshot; it has a potential only if one was solved
-    header = open(write_snapshot_csv(traj, tmp_path)).readline()
-    assert header.strip() == ("x,n,u,phi" if n_phis == n_states else "x,n,u")
+    write_snapshot_csv(traj, tmp_path / "snap.csv")
+    header = (tmp_path / "snap.csv").read_text().split("\n")[0]
+    assert header == ("x,n,u,phi" if n_phis == n_states else "x,n,u")
 
 
 def test_pb_failure_at_the_initial_state(monkeypatch, tmp_path):
@@ -690,8 +741,9 @@ def test_pb_failure_at_the_initial_state(monkeypatch, tmp_path):
     assert traj.t.tolist() == [0.0] and traj.phi.shape == (0, 64)
     assert np.array_equal(traj.n, [ep.n.values])
     assert np.array_equal(traj.u, [ep.u.values])
-    header = open(write_snapshot_csv(traj, tmp_path)).readline()
-    assert header.strip() == "x,n,u"
+    write_snapshot_csv(traj, tmp_path / "snap.csv")
+    header = (tmp_path / "snap.csv").read_text().split("\n")[0]
+    assert header == "x,n,u"
 
 
 def test_state_validation():
@@ -848,7 +900,6 @@ def test_snapshot_csv_schema(tmp_path):
     ep, _ = paired_states(grid)
     opts = RunOptions(dt=1e-3, t_end=0.01, eps=1e-2, record_every=10 ** 9)
     traj = evolve(ep, opts)
-    out = write_snapshot_csv(traj, tmp_path)
-    text = out.read_text() if hasattr(out, "read_text") else open(out).read()
-    header = text.strip().split("\n")[0]
+    write_snapshot_csv(traj, tmp_path / "snap.csv")
+    header = (tmp_path / "snap.csv").read_text().split("\n")[0]
     assert header == "x,n,u,phi"
