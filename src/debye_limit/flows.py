@@ -216,20 +216,23 @@ def _guard_stage(rows: np.ndarray, t: float):
         raise BlowUpError(BlowUpEvent(t, "density_floor", low))
 
 
-def _potential(grid: Grid, n: np.ndarray, opts: RunOptions,
-               guess: tuple | None, t: float) -> tuple:
-    """Potential of density n as the pair (values, band coefficients):
-    the PB solve for eps > 0, else ``(ln n, None)``.
+def _potential(grid: Grid, n: np.ndarray, opts: RunOptions, guess: tuple | None,
+               t: float, refine: bool = False) -> tuple[tuple, tuple]:
+    """Potential of density n as the pair (values, band coefficients), and
+    the pair a stage history keeps of it: the PB solve and its ``refine``d
+    pair for eps > 0, else ``(ln n, None)`` for both.
 
     ``guess``, a pair of the same kind, warm-starts Newton. A failed
     solve ends the run like a guard does, as a ``pb_divergence`` blow-up.
     """
     if opts.eps == 0.0:
-        return np.log(n), None
+        phi = np.log(n), None
+        return phi, phi
     try:
-        return _solve_phi_values(grid, n, opts.eps, opts.pb, guess)[0]
+        solve = _solve_phi_values(grid, n, opts.eps, opts.pb, guess, refine)
     except PBConvergenceError as err:
         raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual))
+    return solve[0], solve[4]
 
 
 def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
@@ -239,22 +242,26 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
 
     Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
     starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
-    from ``ahead``, a pair of ``(3, ...)`` stacks (zero if None). ``work``,
-    ``(5, 2, N)``, holds k1..k4 and the stage state; every sum runs in the
-    textbook operation order. Returns the stack, the three stage
-    potentials (the last is a close guess for the new state's) and the
-    guard's ``(2,)`` ``H^2`` norms.
+    from ``ahead``, a pair of ``(3, ...)`` stacks. Without ``ahead`` it
+    starts from the potential of the stage before it, ``phi`` for stage 2.
+    ``work``, ``(5, 2, N)``, holds k1..k4 and the stage state; every sum
+    runs in the textbook operation order. Returns the stack, the three
+    pairs a stage history keeps (see :func:`_potential`), stage 4's
+    potential (a close guess for the new state's) and the guard's
+    ``(2,)`` ``H^2`` norms.
     """
     *ks, s = work
     _rhs_values(grid, *state, phi[0], ks[0])
-    # stage j's guess is row j - 2 of each stack, or phi itself
-    guesses = [phi] * 3 if ahead is None else zip(*(a + d for a, d in zip(phi, ahead)))
-    stages = []
-    for j, (c, guess) in enumerate(zip((0.5 * dt, 0.5 * dt, dt), guesses)):
+    # stage j's guess is row j - 2 of each stack
+    guesses = None if ahead is None else list(zip(*(a + d for a, d in zip(phi, ahead))))
+    kept = []
+    for j, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
         _guard_stage(s[:1], t + c)
-        stages.append(_potential(grid, s[0], opts, guess, t + c))
-        _rhs_values(grid, *s, stages[-1][0], ks[j + 1])
+        phi, kept_j = _potential(grid, s[0], opts, phi if guesses is None else guesses[j],
+                                 t + c, refine=True)
+        kept.append(kept_j)
+        _rhs_values(grid, *s, phi[0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
     change += ks[0]
     change += np.multiply(ks[2], 2.0, out=ks[2])
@@ -267,7 +274,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
     if norms.max() > NORM_CEILING:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max()))
-    return new, stages, norms
+    return new, kept, phi, norms
 
 
 def step(state: EPState, opts: RunOptions) -> EPState:
@@ -280,7 +287,7 @@ def step(state: EPState, opts: RunOptions) -> EPState:
     dt = opts.dt if opts.dt is not None else default_dt(state)
     grid, values = state.grid, np.array((state.n.values, state.u.values))
     _guard_stage(values[:1], state.t)
-    phi = _potential(grid, values[0], opts, None, state.t)
+    phi = _potential(grid, values[0], opts, None, state.t)[0]
     new_n, new_u = _step_values(grid, values, state.t, dt, opts, phi, None,
                                 np.empty((5, *values.shape)))[0]
     return EPState(state.t + dt, Field(grid, new_n), Field(grid, new_u))
@@ -339,10 +346,19 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
     serves as the first stage of the next step and is recorded with
     recorded states. Stage j = 2, 3, 4 starts from it plus the
     extrapolation of its own last ``HISTORY_ORDER`` full-step differences
-    ``phi_j - phi``, smooth in the step index at fixed dt. The state's
-    potential is not extrapolated: one Newton step from stage 4's keeps it
-    near round-off, not just under ``tol``. Potentials ride along as
-    (values, band coefficients) pairs. On blow-up the records end at the
+    ``phi_j - phi``, smooth in the step index at fixed dt; in the first
+    step, with no history yet, it starts from the stage before it. The
+    history must be clean to round-off: the weights (4, -6, 4, -1) amplify
+    an error in it up to 15 times. A stage guess that passes ``tol`` with
+    no Newton step still carries an error near ``tol``, so recording it
+    as it is fed that error forward, and the guesses settled at about
+    three times ``tol``, each paying a Newton step. Such a stage records
+    the guess plus one preconditioned Richardson correction instead,
+    while the step itself uses the verified guess. The state's potential
+    is not extrapolated: one Newton step from stage 4's keeps it near
+    round-off, not just under ``tol``, and it is the reference of every
+    stage difference. Potentials ride along as (values, band
+    coefficients) pairs. On blow-up the records end at the
     last one and are returned with the event attached instead of
     propagating the error.
     """
@@ -380,8 +396,9 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
                 if i == 1:  # each step guards the state it makes
                     _guard_stage(values[:1], t0)
                 # only the last step is short: each starts at a whole number of dt
-                _, stages, norms = _step_values(grid, values, t0 + (i - 1) * dt, step_dt,
-                                                opts, phi, ahead if filled else None, work)
+                _, stages, last, norms = _step_values(
+                    grid, values, t0 + (i - 1) * dt, step_dt, opts, phi,
+                    ahead if filled else None, work)
             except BlowUpError as err:
                 blowup = err.event
                 break
@@ -390,10 +407,10 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
                     part[1:] = part[:-1]
                     np.subtract(p, a, out=part[0])
                 filled = min(filled + 1, HISTORY_ORDER)
-            phi = stages.pop()  # freed when the state's potential replaces it
+            phi = last  # freed when the state's potential replaces it
         t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt
         try:
-            phi = _potential(grid, values[0], opts, phi, t_now)
+            phi = _potential(grid, values[0], opts, phi, t_now)[0]
         except BlowUpError as err:  # the record goes out without a potential
             phi, blowup = None, err.event
         if i % opts.record_every == 0 or i == total_steps:

@@ -46,10 +46,16 @@ def write_csv(path, header: str, rows) -> None:
     """Atomically write a CSV file from a header string and row tuples.
 
     Floats (``np.float64`` too) get 17 significant digits and other cells
-    ``str``, through one ``%`` call per row.
+    ``str``, through one ``%`` call per row. The row format is built once
+    per tuple of cell types and reused for every row of those types.
     """
     lines = [header]
+    formats = {}
     for row in map(tuple, rows):
-        lines.append(",".join(["%.17g" if isinstance(v, float) else "%s"
-                               for v in row]) % row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                ["%.17g" if issubclass(kind, float) else "%s" for kind in kinds])
+        lines.append(fmt % row)
     atomic_write_text(path, "\n".join(lines) + "\n")

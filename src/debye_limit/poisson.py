@@ -117,6 +117,13 @@ def _band_residual(band: _Band, eps_k2: np.ndarray, phi_hat: np.ndarray,
     return band.project(n - exp_phi) - eps_k2 * phi_hat
 
 
+def _preconditioner(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray) -> np.ndarray:
+    """The Fourier symbol ``eps k^2 + mean(e^phi)`` of the band Jacobian's
+    constant-coefficient part: CG's preconditioner, and the inverse that
+    turns a residual into the history correction of a guess."""
+    return eps_k2 + np.add.reduce(exp_phi) / band.n_points  # the bits of mean()
+
+
 def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
                  residual: np.ndarray, res_norm: float, tol: float,
                  work: np.ndarray) -> tuple[np.ndarray, int]:
@@ -131,7 +138,7 @@ def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
     vectors, updated in place; the correction returned is its first row.
     """
     delta, r, z, p, ap, tmp = work
-    symbol = eps_k2 + np.add.reduce(exp_phi) / band.n_points  # the bits of mean()
+    symbol = _preconditioner(band, eps_k2, exp_phi)
     target = max(CG_RTOL * res_norm, CG_FLOOR * tol)
     delta.fill(0.0)
     np.copyto(r, residual)
@@ -160,11 +167,17 @@ def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
 
 def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOptions,
                       guess: tuple[np.ndarray, np.ndarray] | None = None,
-                      ) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int]:
-    """Damped Newton-CG; returns (phi, residual, Newton and CG counts).
+                      refine: bool = False,
+                      ) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int, tuple]:
+    """Damped Newton-CG; returns (phi, residual, Newton and CG counts, kept).
 
-    ``guess`` and ``phi`` are pairs (values, band coefficients), so a warm
-    start transforms nothing; the default guess is ln n on the band.
+    ``guess``, ``phi`` and ``kept`` are pairs (values, band coefficients),
+    so a warm start transforms nothing; the default guess is ln n on the
+    band. ``kept`` is ``phi``, except when ``refine`` is set and the guess
+    passes the exit test as it is: then it is the guess plus one
+    preconditioned Richardson correction, residual / (eps k^2 + mean e^phi),
+    for a caller that extrapolates later guesses from it (one more
+    transform, for its values).
     """
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -189,7 +202,11 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
     linear_iters = 0
     for iteration in range(MAX_NEWTON_ITERS + 1):
         if res_norm <= opts.tol:
-            return (phi, phi_hat), res_norm, iteration, linear_iters
+            kept = phi, phi_hat
+            if refine and iteration == 0:
+                kept_hat = phi_hat + residual / _preconditioner(band, eps_k2, exp_phi)
+                kept = band.values(kept_hat), kept_hat
+            return (phi, phi_hat), res_norm, iteration, linear_iters, kept
         if iteration == MAX_NEWTON_ITERS:
             raise PBConvergenceError(f"Newton did not reach tol={opts.tol:.1e} within "
                                      f"{MAX_NEWTON_ITERS} iterations", res_norm)
@@ -222,6 +239,6 @@ def solve_phi(n: Field, eps: float, opts: PBSolveOptions | None = None) -> PBSol
     guess for smooth positive densities. The residual norm of the
     returned solution is at or below ``opts.tol``.
     """
-    (phi, _), res_norm, iters, _ = _solve_phi_values(
+    (phi, _), res_norm, iters, _, _ = _solve_phi_values(
         n.grid, n.values, eps, opts or PBSolveOptions())
     return PBSolution(Field(n.grid, phi), res_norm, iters)

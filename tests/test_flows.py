@@ -647,10 +647,29 @@ def test_stage_history_at_large_amplitude(pb_counts):
     assert sum(cg for _, cg in pb_counts) <= 1000
 
 
+# Stage solves that take a Newton step in steps 6-40 (105 stage solves)
+# at dt = 2.5e-4. A guess accepted at tol with no step is recorded with
+# one preconditioned Richardson correction, which keeps the history clean
+# to round-off: this reads 0, 0 and 22; recording the accepted guesses as
+# they were read 78 at each eps, every guess settling near 3 tol.
+@pytest.mark.parametrize("eps, most", [(1e-1, 10), (1e-2, 10), (1e-4, 35)])
+def test_stage_history_keeps_steady_stage_solves_step_free(pb_counts, eps, most):
+    grid = Grid(64)
+    ep, _ = paired_states(grid)
+    steps, dt = 40, 2.5e-4
+    traj = evolve(ep, RunOptions(dt=dt, t_end=steps * dt, eps=eps, record_every=10))
+    assert traj.blowup is None
+    assert len(pb_counts) == 4 * steps + 1
+    newton = np.array([count for count, _ in pb_counts[1:]]).reshape(steps, 4)
+    assert np.count_nonzero(newton[5:, :3]) <= most
+    # the potential of every state takes one step from stage 4's
+    assert set(newton[:, 3]) == {1}
+
+
 def test_stage_history_changes_work_not_results():
-    # the public step() has no history, so every stage starts from the
-    # state's potential; both paths solve each stage to tol, and the
-    # states they reach agree to the Newton tolerance (about 1e-15 here)
+    # the public step() has no history, so each stage starts from the
+    # potential of the stage before it; both paths solve each stage to
+    # tol, and the states they reach agree to the Newton tolerance (3e-15)
     grid = Grid(64)
     ep, _ = paired_states(grid, InitParams(n_amp=0.3))
     opts = RunOptions(dt=1e-3, t_end=0.0205, eps=1e-3, record_every=5)
@@ -668,9 +687,10 @@ def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
     # every guess a run passes, extrapolated or not, is a (values,
     # coefficients) pair, so a warm solve transforms no guess: it makes
     # 1 transform call for its first residual and 2 per Newton step and
-    # per CG iteration, so 1 for a solve that takes no step and 3 + 2 k
-    # for one step of k CG iterations, not the 5 + 2 k of a projected
-    # guess
+    # per CG iteration, so 3 + 2 k for one step of k CG iterations, not
+    # the 5 + 2 k of a projected guess. A stage solve that takes no step
+    # makes 1 more, for the values of the corrected pair its history
+    # keeps: 2 calls. The state's solve keeps no corrected pair.
     solves = []
     real = flows._solve_phi_values
 
@@ -683,9 +703,11 @@ def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
     monkeypatch.setattr(flows, "_solve_phi_values", counting)
     _warm_run(1e-2)
     assert len(solves) == 4 * 21 + 1
-    warm = solves[1:]  # past the cold solve
+    warm = solves[1:]  # past the cold solve, 4 per step: stages 2-4, the state
     assert {0, 1, 2} <= {newton for _, newton, _ in warm}
-    assert all(calls == 1 + 2 * newton + 2 * cg for calls, newton, cg in warm)
+    for i, (calls, newton, cg) in enumerate(warm):
+        stage = i % 4 != 3
+        assert calls == 1 + 2 * newton + 2 * cg + (stage and newton == 0)
 
 
 def test_large_amplitude_run_ends_at_the_density_floor():

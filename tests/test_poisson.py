@@ -228,6 +228,31 @@ def test_matches_dense_oracle(n_points, eps, amp):
     assert _l2_values(grid, pb_residual(grid, sol.phi.values, n.values, eps)) <= opts.tol
 
 
+# band error of the oracle solution perturbed by 1.3e-7, before over after
+# one correction, at N = 64: 130, 32, 16 and 15 for these eps. The
+# correction contracts by about the spread of e^phi against its mean, so
+# at amplitude 0.5 the factors fall to 26, 6.4, 3.2 and 3.0.
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6])
+def test_refined_guess_shrinks_its_error_against_dense_oracle(eps):
+    grid = Grid(64)
+    x = grid.x
+    n = 1.0 + 0.1 * (np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x))
+    want = dense_oracle_phi(grid, n, eps, PBSolveOptions())
+    # a perturbation on the band: its mean, a low, a middle and the top mode
+    wiggle = 1e-7 * (0.5 + np.sin(2 * np.pi * x) + np.cos(6 * np.pi * x)
+                     + np.sin(2 * np.pi * (64 // 3) * x))
+    guess = poisson._band(grid).limited(want + wiggle)
+    # a loose tol accepts the guess with no Newton step, and the solve
+    # returns it unchanged beside the corrected pair
+    phi, _, newton, _, kept = poisson._solve_phi_values(
+        grid, n, eps, PBSolveOptions(tol=1.0), guess, refine=True)
+    assert newton == 0 and phi[0] is guess[0]
+    assert np.array_equal(kept[0], np.fft.irfft(kept[1], 64))
+    before = _l2_values(grid, guess[0] - want)
+    assert before > 1e-7
+    assert _l2_values(grid, kept[0] - want) <= before / 5.0
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-4])
 def test_linear_iterations_do_not_grow_with_grid(eps):
     # the preconditioned CG count is set by the data, not by N
@@ -235,7 +260,7 @@ def test_linear_iterations_do_not_grow_with_grid(eps):
     for n_points in (64, 128, 256, 512, 1024):
         grid = Grid(n_points)
         n = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
-        _, _, newton, cg = poisson._solve_phi_values(grid, n, eps, PBSolveOptions())
+        _, _, newton, cg, _ = poisson._solve_phi_values(grid, n, eps, PBSolveOptions())
         assert cg >= newton
         counts.append(cg)
     assert max(counts) <= counts[0]
@@ -314,8 +339,8 @@ def test_warm_solve_transform_calls(fft_calls, eps):
     n = 1.0 + 0.1 * wave
     phi = poisson._solve_phi_values(grid, n, eps, opts)[0]
     fft_calls.clear()
-    _, _, newton, cg = poisson._solve_phi_values(grid, n * (1.0 + 1e-7 * wave),
-                                                 eps, opts, phi)
+    _, _, newton, cg, _ = poisson._solve_phi_values(grid, n * (1.0 + 1e-7 * wave),
+                                                    eps, opts, phi)
     assert newton == 1
     assert len(fft_calls) == 3 + 2 * cg
 
