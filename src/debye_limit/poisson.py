@@ -19,6 +19,17 @@ is larger, so CG does not chase digits that the Newton exit test never
 reads. The Boltzmann nonlinearity pins the constant mode, so no mean
 normalization is applied. In the eps -> 0 limit the potential
 degenerates to ln n, the default initial guess.
+
+A caller that extrapolates later guesses from earlier solutions (the
+successive right-hand sides of a time integration) asks for a
+``refine``d pair. A guess that passes the exit test as it is carries an
+error near ``tol``, and an order-4 extrapolation amplifies the errors of
+its history up to 15 times, so a history of such guesses holds the next
+guesses at about three times ``tol``, each then paying a Newton step. The
+guess plus one preconditioned Richardson correction,
+``residual / (eps k^2 + mean(exp(phi)))``, is clean to round-off where
+the residual is linear in the error, and costs one inverse transform on
+top of the residual the exit test already formed.
 """
 
 from __future__ import annotations
