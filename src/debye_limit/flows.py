@@ -217,19 +217,18 @@ def _guard_stage(rows: np.ndarray, t: float):
 
 
 def _potential(grid: Grid, n: np.ndarray, opts: RunOptions, guess: tuple | None,
-               t: float, refine: bool = False) -> tuple[tuple, tuple]:
+               t: float) -> tuple[tuple, np.ndarray | None]:
     """Potential of density n as the pair (values, band coefficients), and
-    the pair a stage history keeps of it: the PB solve and its ``refine``d
-    pair for eps > 0, else ``(ln n, None)`` for both.
+    the band coefficients a stage history keeps of it: the PB solve and its
+    corrected coefficients for eps > 0, else ``((ln n, None), None)``.
 
     ``guess``, a pair of the same kind, warm-starts Newton. A failed
     solve ends the run like a guard does, as a ``pb_divergence`` blow-up.
     """
     if opts.eps == 0.0:
-        phi = np.log(n), None
-        return phi, phi
+        return (np.log(n), None), None
     try:
-        solve = _solve_phi_values(grid, n, opts.eps, opts.pb, guess, refine)
+        solve = _solve_phi_values(grid, n, opts.eps, opts.pb, guess)
     except PBConvergenceError as err:
         raise BlowUpError(BlowUpEvent(t, "pb_divergence", err.last_residual))
     return solve[0], solve[4]
@@ -241,25 +240,28 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     place, from its potential ``phi``.
 
     Potentials are the pairs of :func:`_potential`. Stage j = 2, 3, 4
-    starts its solve from ``phi`` plus a guess of ``phi_j - phi``, taken
-    from ``ahead``, a pair of ``(3, ...)`` stacks. Without ``ahead`` it
-    starts from the potential of the stage before it, ``phi`` for stage 2.
-    ``work``, ``(5, 2, N)``, holds k1..k4 and the stage state; every sum
-    runs in the textbook operation order. Returns the stack, the three
-    pairs a stage history keeps (see :func:`_potential`), stage 4's
-    potential (a close guess for the new state's) and the guard's
-    ``(2,)`` ``H^2`` norms.
+    starts its solve from ``phi`` plus a guess of ``phi_j - phi``, row
+    j - 2 of ``ahead``, a ``(3, K)`` stack of band coefficients; the three
+    guesses' values come from one stacked inverse transform, whose rows
+    have the bits of single ones. Without ``ahead`` a stage starts from the
+    potential of the stage before it, ``phi`` for stage 2. ``work``,
+    ``(5, 2, N)``, holds k1..k4 and the stage state; every sum runs in the
+    textbook operation order. Returns the three band coefficient arrays a
+    stage history keeps (see :func:`_potential`), stage 4's potential (a
+    close guess for the new state's) and the guard's ``(2,)`` ``H^2``
+    norms.
     """
     *ks, s = work
     _rhs_values(grid, *state, phi[0], ks[0])
-    # stage j's guess is row j - 2 of each stack
-    guesses = None if ahead is None else list(zip(*(a + d for a, d in zip(phi, ahead))))
+    if ahead is not None:
+        coeffs = phi[1] + ahead
+        guesses = list(zip(np.fft.irfft(coeffs, grid.n_points), coeffs))
     kept = []
     for j, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
         _guard_stage(s[:1], t + c)
-        phi, kept_j = _potential(grid, s[0], opts, phi if guesses is None else guesses[j],
-                                 t + c, refine=True)
+        phi, kept_j = _potential(grid, s[0], opts, phi if ahead is None else guesses[j],
+                                 t + c)
         kept.append(kept_j)
         _rhs_values(grid, *s, phi[0], ks[j + 1])
     change = np.multiply(ks[1], 2.0, out=s)  # (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
@@ -267,14 +269,14 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     change += np.multiply(ks[2], 2.0, out=ks[2])
     change += ks[3]
     change *= dt / 6.0
-    new = np.add(state, change, out=state)
+    state += change
 
     t_new = t + dt
-    _guard_stage(new, t_new)
-    norms = _hs_norm_values(grid, new, GUARD_NORM_ORDER)
+    _guard_stage(state, t_new)
+    norms = _hs_norm_values(grid, state, GUARD_NORM_ORDER)
     if norms.max() > NORM_CEILING:
         raise BlowUpError(BlowUpEvent(t_new, "norm_ceiling", norms.max()))
-    return new, kept, phi, norms
+    return kept, phi, norms
 
 
 def step(state: EPState, opts: RunOptions) -> EPState:
@@ -288,9 +290,8 @@ def step(state: EPState, opts: RunOptions) -> EPState:
     grid, values = state.grid, np.array((state.n.values, state.u.values))
     _guard_stage(values[:1], state.t)
     phi = _potential(grid, values[0], opts, None, state.t)[0]
-    new_n, new_u = _step_values(grid, values, state.t, dt, opts, phi, None,
-                                np.empty((5, *values.shape)))[0]
-    return EPState(state.t + dt, Field(grid, new_n), Field(grid, new_u))
+    _step_values(grid, values, state.t, dt, opts, phi, None, np.empty((5, *values.shape)))
+    return EPState(state.t + dt, Field(grid, values[0]), Field(grid, values[1]))
 
 
 def _extrapolation_weights(count: int) -> np.ndarray:
@@ -352,15 +353,15 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
     an error in it up to 15 times. A stage guess that passes ``tol`` with
     no Newton step still carries an error near ``tol``, so recording it
     as it is fed that error forward, and the guesses settled at about
-    three times ``tol``, each paying a Newton step. Such a stage records
-    the guess plus one preconditioned Richardson correction instead,
-    while the step itself uses the verified guess. The state's potential
-    is not extrapolated: one Newton step from stage 4's keeps it near
-    round-off, not just under ``tol``, and it is the reference of every
-    stage difference. Potentials ride along as (values, band
-    coefficients) pairs. On blow-up the records end at the
-    last one and are returned with the event attached instead of
-    propagating the error.
+    three times ``tol``, each paying a Newton step. So each stage records
+    its solution plus one preconditioned Richardson correction, while the
+    step itself uses the verified solution. The state's potential is not
+    extrapolated: one Newton step from stage 4's keeps it near round-off,
+    not just under ``tol``, and it is the reference of every stage
+    difference. Potentials ride along as (values, band coefficients)
+    pairs, and the history holds band coefficients only. On blow-up the
+    records end at the last one and are returned with the event attached
+    instead of propagating the error.
     """
     t_start = time.perf_counter()
     grid = state.grid
@@ -375,12 +376,12 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):  # a huge state trips step 1
         norms = _hs_norm_values(grid, values, GUARD_NORM_ORDER)
     t0, phi, blowup = state.t, None, None
-    # stage differences phi_j - phi of the last steps, newest first, as (values,
-    # band coefficients) stacks for the full flow; ahead extrapolates them
-    history = (np.empty((HISTORY_ORDER, 3, grid.n_points)),
-               np.empty((HISTORY_ORDER, 3, np.count_nonzero(grid.keep)), complex)
-               ) if opts.eps > 0.0 else ()
-    ahead = tuple(np.empty(part.shape[1:], part.dtype) for part in history)
+    # stage differences phi_j - phi of the last steps, newest first, in band
+    # coefficients for the full flow; ahead extrapolates them
+    history = ahead = None
+    if opts.eps > 0.0:
+        history = np.empty((HISTORY_ORDER, 3, np.count_nonzero(grid.keep)), complex)
+        ahead = np.empty(history.shape[1:], complex)
     tables = [_extrapolation_weights(c)[:, None, None] for c in range(HISTORY_ORDER + 1)]
     filled = rows = phi_rows = 0
     for i in range(total_steps + 1):
@@ -390,22 +391,20 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
                 # a difference is O(dt), so the short last step scales it;
                 # each sum is 0 + w_0 h_0 + w_1 h_1 + ..., in that order
                 weights = (step_dt / dt) * tables[filled]
-                for acc, part in zip(ahead, history):
-                    np.add.reduce(weights * part[:filled], axis=0, out=acc, initial=0.0)
+                np.add.reduce(weights * history[:filled], axis=0, out=ahead, initial=0.0)
             try:
                 if i == 1:  # each step guards the state it makes
                     _guard_stage(values[:1], t0)
                 # only the last step is short: each starts at a whole number of dt
-                _, stages, last, norms = _step_values(
+                stages, last, norms = _step_values(
                     grid, values, t0 + (i - 1) * dt, step_dt, opts, phi,
                     ahead if filled else None, work)
             except BlowUpError as err:
                 blowup = err.event
                 break
             if opts.eps > 0.0:
-                for part, a, p in zip(history, phi, zip(*stages)):
-                    part[1:] = part[:-1]
-                    np.subtract(p, a, out=part[0])
+                history[1:] = history[:-1]
+                np.subtract(stages, phi[1], out=history[0])
                 filled = min(filled + 1, HISTORY_ORDER)
             phi = last  # freed when the state's potential replaces it
         t_now = opts.t_end if i == total_steps and i > 0 else t0 + i * dt

@@ -20,16 +20,17 @@ reads. The Boltzmann nonlinearity pins the constant mode, so no mean
 normalization is applied. In the eps -> 0 limit the potential
 degenerates to ln n, the default initial guess.
 
-A caller that extrapolates later guesses from earlier solutions (the
-successive right-hand sides of a time integration) asks for a
-``refine``d pair. A guess that passes the exit test as it is carries an
+Every solve also returns the band coefficients of its answer plus one
+preconditioned Richardson correction, ``residual / (eps k^2 +
+mean(exp(phi)))``, for a caller that extrapolates later guesses from
+earlier solutions (the successive right-hand sides of a time
+integration). A guess that passes the exit test as it is carries an
 error near ``tol``, and an order-4 extrapolation amplifies the errors of
 its history up to 15 times, so a history of such guesses holds the next
-guesses at about three times ``tol``, each then paying a Newton step. The
-guess plus one preconditioned Richardson correction,
-``residual / (eps k^2 + mean(exp(phi)))``, is clean to round-off where
-the residual is linear in the error, and costs one inverse transform on
-top of the residual the exit test already formed.
+guesses at about three times ``tol``, each then paying a Newton step.
+The correction is clean to round-off where the residual is linear in the
+error, and it reads the residual the exit test already formed, so it
+costs no transform.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _band_residual(band: _Band, eps_k2: np.ndarray, phi_hat: np.ndarray,
 def _preconditioner(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray) -> np.ndarray:
     """The Fourier symbol ``eps k^2 + mean(e^phi)`` of the band Jacobian's
     constant-coefficient part: CG's preconditioner, and the inverse that
-    turns a residual into the history correction of a guess."""
+    turns a residual into the correction of a solution a history keeps."""
     return eps_k2 + np.add.reduce(exp_phi) / band.n_points  # the bits of mean()
 
 
@@ -178,17 +179,15 @@ def _newton_step(band: _Band, eps_k2: np.ndarray, exp_phi: np.ndarray,
 
 def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOptions,
                       guess: tuple[np.ndarray, np.ndarray] | None = None,
-                      refine: bool = False,
-                      ) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int, tuple]:
+                      ) -> tuple[tuple[np.ndarray, np.ndarray], float, int, int, np.ndarray]:
     """Damped Newton-CG; returns (phi, residual, Newton and CG counts, kept).
 
-    ``guess``, ``phi`` and ``kept`` are pairs (values, band coefficients),
-    so a warm start transforms nothing; the default guess is ln n on the
-    band. ``kept`` is ``phi``, except when ``refine`` is set and the guess
-    passes the exit test as it is: then it is the guess plus one
-    preconditioned Richardson correction, residual / (eps k^2 + mean e^phi),
-    for a caller that extrapolates later guesses from it (one more
-    transform, for its values).
+    ``guess`` and ``phi`` are pairs (values, band coefficients), so a warm
+    start transforms nothing; the default guess is ln n on the band.
+    ``kept`` holds band coefficients only: those of ``phi`` plus one
+    preconditioned Richardson correction, residual / (eps k^2 + mean
+    e^phi), formed from the exit test's residual with no transform, for a
+    caller that extrapolates later guesses from it.
     """
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -213,10 +212,7 @@ def _solve_phi_values(grid: Grid, n: np.ndarray, eps: float, opts: PBSolveOption
     linear_iters = 0
     for iteration in range(MAX_NEWTON_ITERS + 1):
         if res_norm <= opts.tol:
-            kept = phi, phi_hat
-            if refine and iteration == 0:
-                kept_hat = phi_hat + residual / _preconditioner(band, eps_k2, exp_phi)
-                kept = band.values(kept_hat), kept_hat
+            kept = phi_hat + residual / _preconditioner(band, eps_k2, exp_phi)
             return (phi, phi_hat), res_norm, iteration, linear_iters, kept
         if iteration == MAX_NEWTON_ITERS:
             raise PBConvergenceError(f"Newton did not reach tol={opts.tol:.1e} within "

@@ -648,8 +648,8 @@ def test_stage_history_at_large_amplitude(pb_counts):
 
 
 # Stage solves that take a Newton step in steps 6-40 (105 stage solves)
-# at dt = 2.5e-4. A guess accepted at tol with no step is recorded with
-# one preconditioned Richardson correction, which keeps the history clean
+# at dt = 2.5e-4. Each stage solution is recorded with one
+# preconditioned Richardson correction, which keeps the history clean
 # to round-off: this reads 0, 0 and 22; recording the accepted guesses as
 # they were read 78 at each eps, every guess settling near 3 tol.
 @pytest.mark.parametrize("eps, most", [(1e-1, 10), (1e-2, 10), (1e-4, 35)])
@@ -688,26 +688,35 @@ def test_run_carries_potentials_with_their_band_coefficients(monkeypatch,
     # coefficients) pair, so a warm solve transforms no guess: it makes
     # 1 transform call for its first residual and 2 per Newton step and
     # per CG iteration, so 3 + 2 k for one step of k CG iterations, not
-    # the 5 + 2 k of a projected guess. A stage solve that takes no step
-    # makes 1 more, for the values of the corrected pair its history
-    # keeps: 2 calls. The state's solve keeps no corrected pair.
-    solves = []
+    # the 5 + 2 k of a projected guess. The corrected coefficients a
+    # stage history keeps cost none. Each step adds 2 calls per right-hand
+    # side and 1 for the guard's norms, and a step that has a history adds
+    # one stacked call for the values of its three stage guesses, each
+    # row the bits of a single inverse transform.
+    solves, guesses = [], []
     real = flows._solve_phi_values
 
-    def counting(*args, **kwargs):
+    def counting(grid, n, eps, opts, guess=None):
         before = len(fft_calls)
-        out = real(*args, **kwargs)
+        out = real(grid, n, eps, opts, guess)
         solves.append((len(fft_calls) - before, out[2], out[3]))
+        guesses.append(guess)
         return out
 
     monkeypatch.setattr(flows, "_solve_phi_values", counting)
     _warm_run(1e-2)
-    assert len(solves) == 4 * 21 + 1
-    warm = solves[1:]  # past the cold solve, 4 per step: stages 2-4, the state
+    steps = 21
+    assert len(solves) == 4 * steps + 1
+    total = len(fft_calls)
+    cold, *warm = solves  # past the cold solve, 4 per step: stages 2-4, the state
+    assert cold[0] == 3 + 2 * cold[1] + 2 * cold[2]  # 2 to project ln n
     assert {0, 1, 2} <= {newton for _, newton, _ in warm}
-    for i, (calls, newton, cg) in enumerate(warm):
-        stage = i % 4 != 3
-        assert calls == 1 + 2 * newton + 2 * cg + (stage and newton == 0)
+    for calls, newton, cg in warm:
+        assert calls == 1 + 2 * newton + 2 * cg
+    # the first step has no history: its stages chain from the stage before
+    assert total == 1 + sum(calls for calls, _, _ in solves) + 9 * steps + steps - 1
+    for values, coeffs in guesses[1:]:
+        assert np.array_equal(values, np.fft.irfft(coeffs, 64))
 
 
 def test_large_amplitude_run_ends_at_the_density_floor():
