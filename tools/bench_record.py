@@ -9,12 +9,18 @@ the sibling directories ``parent/`` and ``change/`` of one temporary
 directory, so that their paths have the same length (the end-to-end
 times move with it). ``perfbench/run.py --workload all --trace 0`` then
 runs ten pairs of times at its default run length, the parent first in
-even pairs, and ``--trace 1`` runs once on REV for the per-layer metrics.
+even pairs, and ``--trace 1`` runs once on each side, the parent first,
+for the per-layer metrics. A count (unit ``count``: transform calls,
+solves, steps) is the same in every run of one tree, so one traced run a
+side gives the exact change in counted work, where the timed pairs
+resolve a few percent at best.
 
 The file, written to the working directory, holds both commits, the
 machine facts of run.py's ``perfbench: machine`` line, each pair's two
-result objects (the last line of run.py's standard output), the traced
-result object, and a summary of every end-to-end metric of each
+result objects (the last line of run.py's standard output), each side's
+traced result object, every count metric of each workload on both sides
+with its difference (change minus parent; None where a side lacks it),
+and a summary of every end-to-end metric of each
 workload, plus ``compute_s = wall_s - setup_s``, which has no bound: the
 change/parent ratio of each pair, the pairs the change won and lost in
 the metric's ``better`` direction of BENCHMARK.json (a tie counts for
@@ -51,17 +57,32 @@ def _values(result: dict) -> dict:
     return values
 
 
+def _counts(traced: dict) -> dict:
+    """``{workload/metric: {parent, change, difference}}`` of every count
+    metric of the two traced result objects."""
+    sides = {side: {key: metric["value"] for key, metric in traced[side]["metrics"].items()
+                    if metric["unit"] == "count"} for side in SIDES}
+    counts = {}
+    for key in sorted(set().union(*sides.values())):
+        parent, change = (sides[side].get(key) for side in SIDES)
+        counts[key] = {"parent": parent, "change": change,
+                       "difference": None if None in (parent, change) else change - parent}
+    return counts
+
+
 def record_pairs(run, better: dict, pairs: int) -> dict:
-    """Run ``pairs`` alternated pairs and one traced run, and summarize them.
+    """Run ``pairs`` alternated pairs and one traced run a side, and
+    summarize them.
 
     ``run(side, trace)`` returns the (machine facts, result object) of one
     ``run.py --workload all`` on ``side``, "parent" or "change"; pair ``i``
-    runs the parent first when ``i`` is even, and the traced run comes
-    last, on the change. ``better`` maps each end-to-end metric name to
-    "lower" or "higher". Returns the machine facts of the first run, the
-    pairs, the traced result, the summary of every metric that each
-    untraced run reports and ``correct``: every run read ``correct: true``
-    with no failed flow run.
+    runs the parent first when ``i`` is even, and the traced runs come
+    last, the parent's first. ``better`` maps each end-to-end metric name
+    to "lower" or "higher". Returns the machine facts of the first run, the
+    pairs, the traced results by side, their count metrics
+    (see :func:`_counts`), the summary of every metric that each untraced
+    run reports and ``correct``: every run read ``correct: true`` with no
+    failed flow run.
     """
     direction = {**better, "compute_s": "lower"}
     machine, records = None, []
@@ -71,7 +92,7 @@ def record_pairs(run, better: dict, pairs: int) -> dict:
             facts, pair[side] = run(side, 0)
             machine = machine or facts
         records.append(pair)
-    _, traced = run("change", 1)
+    traced = {side: run(side, 1)[1] for side in SIDES}
 
     values = [{side: _values(pair[side]) for side in SIDES} for pair in records]
     keys = set.intersection(*(set(v[side]) for v in values for side in SIDES))
@@ -92,9 +113,10 @@ def record_pairs(run, better: dict, pairs: int) -> dict:
                         "change_median": statistics.median(change),
                         "parent_iqr": q3 - q1}
     correct = all(r["correct"] and r["failed"] == 0
-                  for r in [traced, *(pair[side] for pair in records for side in SIDES)])
+                  for r in [*traced.values(), *(pair[side] for pair in records
+                                                for side in SIDES)])
     return {"machine": machine, "pairs": records, "trace1": traced,
-            "summary": summary, "correct": correct}
+            "counts": _counts(traced), "summary": summary, "correct": correct}
 
 
 def _run(root: Path, trace: int) -> tuple[dict, dict]:
