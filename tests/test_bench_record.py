@@ -83,7 +83,8 @@ def test_pairs_alternate_and_are_summarized(bench_record):
     assert (compute["wins"], compute["losses"]) == (2, 1)
 
 
-@pytest.mark.parametrize("bad", ["parent", "change", "parent_traced", "change_traced"])
+@pytest.mark.parametrize("bad", ["parent", "change", pytest.param("change_traced", id="traced"),
+                                 "parent_traced"])
 def test_a_run_that_is_not_correct_marks_the_record(bench_record, bad):
     results = {side: [_result(1.0, 10.0)] * 2 for side in ("parent", "change")}
     results.update(parent_traced=_traced(), change_traced=_traced())
