@@ -55,23 +55,17 @@ BOUND_FACTOR = 2.0
 def fit_order(pairs) -> dict:
     """Least-squares slope of log(err) against log(eps).
 
-    Needs at least three pairs with strictly positive entries; the
-    slope is the observed convergence order. Returns the report's fit:
+    Needs three or more pairs of distinct positive eps and positive errors,
+    which ``run_sweep`` and :func:`_fit_with_exclusion` ensure; the slope
+    is the observed convergence order. Returns the report's fit:
     ``slope``, ``intercept``, ``r_squared`` and ``eps_used``.
     """
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        raise ValueError(f"order fit needs >= 3 pairs, got {len(pairs)}")
     eps = np.array([p[0] for p in pairs], dtype=float)
     err = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(eps <= 0.0) or np.any(err <= 0.0):
-        raise ValueError("order fit needs positive eps and positive errors")
     x = np.log(eps)
     y = np.log(err)
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        raise ValueError("order fit needs at least two distinct eps values")
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
     residuals = y - (intercept + slope * x)

@@ -190,9 +190,7 @@ def _rhs_values(grid: Grid, n: np.ndarray, u: np.ndarray, phi: np.ndarray,
 
 
 def rhs_ep(state: EPState, eps: float) -> tuple[Field, Field]:
-    """Time derivative (dn, du) of the full flow; phi from the PB solve."""
-    if not (eps > 0.0):
-        raise ValueError(f"the full flow needs eps > 0, got {eps}")
+    """Time derivative (dn, du) of the full flow; phi from the PB solve (eps > 0)."""
     grid, n = state.grid, state.n.values
     phi = _solve_phi_values(grid, n, eps, PBSolveOptions())[0][0]
     dn, du = _rhs_values(grid, n, state.u.values, phi, np.empty((2, len(n))))

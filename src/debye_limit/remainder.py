@@ -132,14 +132,13 @@ class RemainderRows:
     """An ``on_record`` consumer for ``evolve``: the remainder row ``(n - n0)/eps``,
     ``(u - u0)/eps``, ``(phi - ln n0)/eps`` of each full-flow record with a
     potential ``phi``, against the record of the limit run ``lim_traj`` at the same
-    time, up to its last one. ``opts`` are the full flow's. The rows are sized
-    before any step (:class:`RecordAllocationError` if they do not fit);
-    :func:`remainder_series` stacks the ones taken, at the limit records' times.
+    time, up to its last one. ``opts`` are the full flow's, its eps at least
+    ``MIN_REMAINDER_EPS`` as ``SweepSpec`` and ``cli.cmd_check`` ensure. The rows
+    are sized before any step (:class:`RecordAllocationError` if they do not
+    fit); :func:`remainder_series` stacks the ones taken, at the limit records' times.
     """
 
     def __init__(self, lim_traj, opts):
-        if not (opts.eps > 0.0):
-            raise ValueError("the streamed run must be a full-flow run, eps > 0")
         if lim_traj.eps != 0.0:
             raise ValueError("the paired trajectory must be a limit-flow run")
         self.lim, self.eps, self.count = lim_traj, opts.eps, 0
@@ -171,10 +170,9 @@ def _r1_values(phi0: np.ndarray, phi1: np.ndarray, n0: np.ndarray,
         R1 = eps^(-3/2) * (n0 + eps*n0*phi1 - exp(phi0 + eps*phi1))
 
     Requires the limit relation n0 = exp(phi0) to hold pointwise to
-    1e-10; the rest term is meaningless otherwise.
+    1e-10; the rest term is meaningless otherwise. ``eps`` is a remainder
+    stack's, at least ``MIN_REMAINDER_EPS`` (see :class:`RemainderRows`).
     """
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
     delta = n0 - np.exp(phi0)
     gap = float(np.max(np.abs(delta), initial=0.0))
     if gap > 1e-10:

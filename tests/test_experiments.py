@@ -62,17 +62,6 @@ def test_fit_order_recovers_exact_power_law():
     assert fit["eps_used"] == eps
 
 
-def test_fit_order_validation():
-    with pytest.raises(ValueError, match=">= 3 pairs"):
-        fit_order([(1e-1, 1.0), (1e-2, 0.1)])
-    with pytest.raises(ValueError, match="positive"):
-        fit_order([(1e-1, 1.0), (1e-2, 0.1), (1e-3, -0.1)])
-    with pytest.raises(ValueError, match="positive"):
-        fit_order([(0.0, 1.0), (1e-2, 0.1), (1e-3, 0.01)])
-    with pytest.raises(ValueError, match="distinct"):
-        fit_order([(1e-2, 1.0), (1e-2, 1.0), (1e-2, 1.0)])
-
-
 # ---------------------------------------------------------- uniform bound
 
 

@@ -90,8 +90,6 @@ def test_remainder_series_rejects_mismatched_runs():
     shifted = RemainderRows(replace(lim, t=lim.t + 0.5), opts)
     with pytest.raises(ValueError, match="times"):
         evolve(state, opts, on_record=shifted)
-    with pytest.raises(ValueError, match="full-flow"):
-        RemainderRows(lim, replace(opts, eps=0.0))
     with pytest.raises(ValueError, match="limit-flow"):
         RemainderRows(ep, opts)
     # the rows are sized for every limit record before the run
