@@ -31,7 +31,7 @@ import numpy as np
 from .grid import (MAX_SOBOLEV_ORDER, Field, Grid, _check_order, _hs_norm_values,
                    _integral_values, _l2_values)
 from .io_utils import write_csv
-from .poisson import PBConvergenceError, PBSolveOptions, _solve_phi_values
+from .poisson import PBConvergenceError, PBSolveOptions, _band, _solve_phi_values
 
 # Sobolev order of the blow-up norm monitor.
 GUARD_NORM_ORDER = 2
@@ -253,7 +253,7 @@ def _step_values(grid: Grid, state: np.ndarray, t: float, dt: float,
     _rhs_values(grid, *state, phi[0], ks[0])
     if ahead is not None:
         coeffs = phi[1] + ahead
-        guesses = list(zip(np.fft.irfft(coeffs, grid.n_points), coeffs))
+        guesses = list(zip(_band(grid).values(coeffs), coeffs))
     kept = []
     for j, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
         np.add(np.multiply(ks[j], c, out=s), state, out=s)  # state + c k_j
@@ -378,7 +378,7 @@ def evolve(state: EPState, opts: RunOptions, on_record=None) -> Trajectory:
     # coefficients for the full flow; ahead extrapolates them
     history = ahead = None
     if opts.eps > 0.0:
-        history = np.empty((HISTORY_ORDER, 3, np.count_nonzero(grid.keep)), complex)
+        history = np.empty((HISTORY_ORDER, 3, _band(grid).k2.size), complex)
         ahead = np.empty(history.shape[1:], complex)
     tables = [_extrapolation_weights(c)[:, None, None] for c in range(HISTORY_ORDER + 1)]
     filled = rows = phi_rows = 0
