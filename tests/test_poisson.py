@@ -149,6 +149,26 @@ def test_nonconvergence_reports_residual(monkeypatch):
     assert np.isfinite(info.value.last_residual)
 
 
+def test_line_search_halves_a_step_that_raises_the_residual(monkeypatch):
+    # a cold solve at density ratio ~2000 and small eps, where one full
+    # Newton step raises the residual and its half lowers it. Killed
+    # mutants: DAMPING_MIN = 1.0, which fails the solve at the first rising
+    # step instead of halving it (simulate on this density, N = 32, ends
+    # with pb_divergence at t = 0), and a line search that accepts every
+    # full step (`if True:` for `if trial_norm < res_norm:`).
+    grid = Grid(32)
+    n = 1.0 + 0.999 * np.sin(2 * np.pi * 10 * grid.x)
+    trials = []
+    band_residual = poisson._band_residual
+    monkeypatch.setattr(poisson, "_band_residual",
+                        lambda *args: trials.append(1) or band_residual(*args))
+    _, res_norm, newton, _, _ = poisson._solve_phi_values(grid, n, 1e-4, PBSolveOptions())
+    assert res_norm <= PBSolveOptions().tol
+    # one residual for the guess and one per trial: a step taken whole needs
+    # one trial, so a halved step makes the count exceed the steps plus one
+    assert len(trials) > newton + 1
+
+
 @pytest.mark.parametrize("eps", [1e300, np.inf])
 def test_overflowing_eps_raises_convergence_error(eps):
     # eps k^2 overflows: the solve must fail as a PB failure, not crash
