@@ -39,8 +39,10 @@ def _runner(results):
     return run, calls
 
 
-def _traced(counts=None, correct=True):
-    return [_result(9.0, 1.0, correct, counts)]
+def _traced(counts=None, correct=True, again=None):
+    """A side's two traced runs; the second reads ``again`` if given."""
+    return [_result(9.0, 1.0, correct, counts),
+            _result(9.0, 1.0, correct, counts if again is None else again)]
 
 
 def test_pairs_alternate_and_are_summarized(bench_record):
@@ -52,15 +54,17 @@ def test_pairs_alternate_and_are_summarized(bench_record):
         "change_traced": _traced({"w/grid.fft_calls": 5}),
     })
     body = bench_record.record_pairs(run, BETTER, 4)
-    # the parent first in even pairs, then one traced run a side, the parent's first
+    # the parent first in even pairs, then two traced runs a side, alternated
+    # with the parent's first
     assert calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
                      ("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
-                     ("parent", 1), ("change", 1)]
+                     ("parent", 1), ("change", 1), ("parent", 1), ("change", 1)]
     assert [pair["first"] for pair in body["pairs"]] == ["parent", "change"] * 2
     assert body["machine"] == {"call": 1}
     assert body["trace1"]["change"]["metrics"]["w/wall_s"]["value"] == 9.0
     assert body["counts"] == {"w/grid.fft_calls": {"parent": 7, "change": 5,
                                                    "difference": -2}}
+    assert body["count_mismatches"] == {}
     assert body["correct"] is True
 
     summary = body["summary"]
@@ -110,3 +114,20 @@ def test_counts_pair_every_count_metric_of_the_traced_runs(bench_record):
         "a/poisson.solve_calls": {"parent": 481, "change": None, "difference": None},
         "b/flows.steps": {"parent": 240, "change": 240, "difference": 0},
     }
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_count_that_does_not_repeat_marks_the_record(bench_record, side):
+    # a count is a function of the tree, so a second traced run of one tree
+    # that reads another value (here one more transform call) is a fault
+    counts = {"a/grid.fft_calls": 3849, "a/flows.steps": 240}
+    run, _ = _runner({
+        "parent": [_result(1.0, 10.0)] * 2, "change": [_result(1.0, 10.0)] * 2,
+        "parent_traced": _traced(counts), "change_traced": _traced(counts),
+        f"{side}_traced": _traced(counts, again={**counts, "a/grid.fft_calls": 3850}),
+    })
+    body = bench_record.record_pairs(run, BETTER, 2)
+    assert body["count_mismatches"] == {side: {"a/grid.fft_calls": [3849, 3850]}}
+    assert body["correct"] is False
+    # the counts paired across sides are the first traced run's
+    assert body["counts"]["a/grid.fft_calls"]["difference"] == 0

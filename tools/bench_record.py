@@ -9,11 +9,13 @@ the sibling directories ``parent/`` and ``change/`` of one temporary
 directory, so that their paths have the same length (the end-to-end
 times move with it). ``perfbench/run.py --workload all --trace 0`` then
 runs ten pairs of times at its default run length, the parent first in
-even pairs, and ``--trace 1`` runs once on each side, the parent first,
-for the per-layer metrics. A count (unit ``count``: transform calls,
-solves, steps) is the same in every run of one tree, so one traced run a
-side gives the exact change in counted work, where the timed pairs
-resolve a few percent at best.
+even pairs, and ``--trace 1`` runs twice on each side, alternated with the
+parent first, for the per-layer metrics. A count (unit ``count``:
+transform calls, solves, steps) is the same in every run of one tree, so
+one traced run a side gives the exact change in counted work, where the
+timed pairs resolve a few percent at best; the second traced run checks
+that, and a count metric that differs between the two runs of one tree
+is written under ``count_mismatches`` and makes the record not correct.
 
 The file, written to the working directory, holds both commits, the
 machine facts of run.py's ``perfbench: machine`` line, each pair's two
@@ -27,7 +29,8 @@ the metric's ``better`` direction of BENCHMARK.json (a tie counts for
 neither), each side's median and the distance between the parent's
 quartiles. When run.py exits non-zero or prints no machine line, the
 script stops with a message and writes no file. When a run reads
-``correct: false``, the file is written and the script exits 1.
+``correct: false`` or a count does not repeat, the file is written and
+the script exits 1.
 """
 
 from __future__ import annotations
@@ -57,11 +60,16 @@ def _values(result: dict) -> dict:
     return values
 
 
+def _count_values(result: dict) -> dict:
+    """``{workload/metric: value}`` of every count metric of a result object."""
+    return {key: metric["value"] for key, metric in result["metrics"].items()
+            if metric["unit"] == "count"}
+
+
 def _counts(traced: dict) -> dict:
     """``{workload/metric: {parent, change, difference}}`` of every count
     metric of the two traced result objects."""
-    sides = {side: {key: metric["value"] for key, metric in traced[side]["metrics"].items()
-                    if metric["unit"] == "count"} for side in SIDES}
+    sides = {side: _count_values(traced[side]) for side in SIDES}
     counts = {}
     for key in sorted(set().union(*sides.values())):
         parent, change = (sides[side].get(key) for side in SIDES)
@@ -71,18 +79,20 @@ def _counts(traced: dict) -> dict:
 
 
 def record_pairs(run, better: dict, pairs: int) -> dict:
-    """Run ``pairs`` alternated pairs and one traced run a side, and
+    """Run ``pairs`` alternated pairs and two traced runs a side, and
     summarize them.
 
     ``run(side, trace)`` returns the (machine facts, result object) of one
     ``run.py --workload all`` on ``side``, "parent" or "change"; pair ``i``
     runs the parent first when ``i`` is even, and the traced runs come
-    last, the parent's first. ``better`` maps each end-to-end metric name
-    to "lower" or "higher". Returns the machine facts of the first run, the
-    pairs, the traced results by side, their count metrics
-    (see :func:`_counts`), the summary of every metric that each untraced
+    last, alternated with the parent's first. ``better`` maps each
+    end-to-end metric name to "lower" or "higher". Returns the machine
+    facts of the first run, the pairs, the first traced results by side,
+    their count metrics (see :func:`_counts`), ``count_mismatches`` (by
+    side, each count metric whose two traced runs differ, as
+    ``[first, second]``), the summary of every metric that each untraced
     run reports and ``correct``: every run read ``correct: true`` with no
-    failed flow run.
+    failed flow run, and every count repeated.
     """
     direction = {**better, "compute_s": "lower"}
     machine, records = None, []
@@ -92,7 +102,16 @@ def record_pairs(run, better: dict, pairs: int) -> dict:
             facts, pair[side] = run(side, 0)
             machine = machine or facts
         records.append(pair)
-    traced = {side: run(side, 1)[1] for side in SIDES}
+    repeats = [{side: run(side, 1)[1] for side in SIDES} for _ in range(2)]
+    traced = repeats[0]
+    mismatches = {}
+    for side in SIDES:
+        first, again = (_count_values(runs[side]) for runs in repeats)
+        differ = {key: [first.get(key), again.get(key)]
+                  for key in sorted(first.keys() | again.keys())
+                  if first.get(key) != again.get(key)}
+        if differ:
+            mismatches[side] = differ
 
     values = [{side: _values(pair[side]) for side in SIDES} for pair in records]
     keys = set.intersection(*(set(v[side]) for v in values for side in SIDES))
@@ -112,11 +131,13 @@ def record_pairs(run, better: dict, pairs: int) -> dict:
                         "parent_median": statistics.median(parent),
                         "change_median": statistics.median(change),
                         "parent_iqr": q3 - q1}
-    correct = all(r["correct"] and r["failed"] == 0
-                  for r in [*traced.values(), *(pair[side] for pair in records
-                                                for side in SIDES)])
+    correct = not mismatches and all(
+        r["correct"] and r["failed"] == 0
+        for r in [*(runs[side] for runs in repeats for side in SIDES),
+                  *(pair[side] for pair in records for side in SIDES)])
     return {"machine": machine, "pairs": records, "trace1": traced,
-            "counts": _counts(traced), "summary": summary, "correct": correct}
+            "counts": _counts(traced), "count_mismatches": mismatches,
+            "summary": summary, "correct": correct}
 
 
 def _run(root: Path, trace: int) -> tuple[dict, dict]:
