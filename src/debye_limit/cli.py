@@ -324,8 +324,8 @@ def cmd_check(cfg, args, out: str) -> int:
                           c["kp_max_mode"])
     lhs, rhs, kp_ratio = kp_base  # column j is order j + 1
     write_csv(os.path.join(out, "check_kato_ponce.csv"), "pair,k,lhs,rhs,ratio",
-              [(i, j + 1, lhs[i, j], rhs[i, j], kp_ratio[i, j])
-               for i, j in np.ndindex(lhs.shape)])
+              ((i, j + 1, lhs[i, j], rhs[i, j], kp_ratio[i, j])
+               for i, j in np.ndindex(lhs.shape)))
     max_ratio = np.max(kp_ratio)
     max_ratio_fine = np.max(kp_fine[2])
     reproducible = np.array_equal(kp_again, kp_base)  # every sample, bit for bit

@@ -179,7 +179,7 @@ def write_ledger_csv(snapshots: EnergySnapshot, defects, path) -> None:
     s = snapshots
     columns = (s.e_kin, s.e_phi, s.e_grad, s.e_visc, s.e_lap,
                s.term_i, s.term_ii, s.term_iii, s.term_iv)
-    rows = [(t, s.gamma, *(c[i] for c in columns), defects.get(i, float("nan")))
-            for i, t in enumerate(s.t)]
+    rows = ((t, s.gamma, *(c[i] for c in columns), defects.get(i, float("nan")))
+            for i, t in enumerate(s.t))
     write_csv(path, "t,gamma,e_kin,e_phi,e_grad,e_visc,e_lap,I,II,III,IV,defect",
               rows)

@@ -307,24 +307,20 @@ def write_report_json(report: SweepReport, path) -> None:
 
 def write_report_csv(report: SweepReport, path) -> None:
     """Flat per-(eps, s) rows mirroring the JSON report."""
-    rows = []
-    for row in report.rows:
-        for s in report.spec["s_list"]:
-            sup = row["sup_norms"][f"s{s}"]
-            ell = row["elliptic"][f"k{s}"]
-            rows.append((
-                row["eps"], row["status"], s,
-                sup["n1_Hs"], sup["u1_triple"], sup["phi1_triple"],
-                sup["combined"],
-                row["errors"][f"n_H{s}"], row["errors"][f"u_H{s}"],
-                row["errors"]["phi_l2"], row["errors"]["qn_gap"],
-                ell["density"], ell["potential"],
-                row["wall_time"],
-            ))
+    def rows():
+        for row in report.rows:
+            for s in report.spec["s_list"]:
+                sup = row["sup_norms"][f"s{s}"]
+                ell = row["elliptic"][f"k{s}"]
+                yield (row["eps"], row["status"], s,
+                       sup["n1_Hs"], sup["u1_triple"], sup["phi1_triple"], sup["combined"],
+                       row["errors"][f"n_H{s}"], row["errors"][f"u_H{s}"],
+                       row["errors"]["phi_l2"], row["errors"]["qn_gap"],
+                       ell["density"], ell["potential"], row["wall_time"])
     write_csv(
         path,
         "eps,status,s,sup_n1_Hs,sup_u1_triple,sup_phi1_triple,sup_combined,"
         "err_n_Hs,err_u_Hs,err_phi_l2,qn_gap,elliptic_density,"
         "elliptic_potential,wall_time",
-        rows,
+        rows(),
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import (MAX_SOBOLEV_ORDER, Field, Grid, _check_order, _hs_norm_values,
                    _integral_values, _l2_values)
-from .io_utils import write_csv
+from .io_utils import column_rows, write_csv
 from .poisson import PBConvergenceError, PBSolveOptions, _band, _solve_phi_values
 
 # Sobolev order of the blow-up norm monitor.
@@ -465,7 +465,7 @@ class TrajectoryTable:
         self.rows += 1
 
     def write_csv(self, path) -> None:
-        write_csv(path, self.COLUMNS, self.table[:self.rows].tolist())
+        write_csv(path, self.COLUMNS, column_rows(*self.table[:self.rows].T))
 
 
 def write_snapshot_csv(traj: Trajectory, path) -> None:
@@ -475,4 +475,4 @@ def write_snapshot_csv(traj: Trajectory, path) -> None:
     if traj.phi is not None and len(traj.phi) == len(traj.t):
         columns.append(traj.phi[-1])
         header += ",phi"
-    write_csv(path, header, zip(*(col.tolist() for col in columns)))
+    write_csv(path, header, column_rows(*columns))

@@ -1,15 +1,20 @@
 """Shared file-output helpers.
 
-All writers in this package go through :func:`atomic_write_text` so a
-crashed or interrupted process never leaves a half-written file behind:
-the text lands in a temporary file in the destination directory, which
-must exist, and is moved into place with ``os.replace``.
+Every writer goes through one temp file (:func:`_atomic_file`) in the
+destination directory, which must exist: it gets the mode a plain
+``open()`` would give and replaces the target with ``os.replace`` only
+when complete, so a crashed or interrupted process never leaves a
+half-written file behind. :func:`write_csv` writes ``BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import tempfile
+
+BLOCK_ROWS = 256  # CSV rows converted, formatted and written at a time
 
 
 class OutputError(OSError):
@@ -24,22 +29,36 @@ def make_output_dir(path) -> None:
         raise OutputError(str(exc)) from exc
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename); an
-    ``OSError`` on the way is raised as an :class:`OutputError`."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file that replaces ``path`` if the block ends without an error;
+    an ``OSError`` on the way is raised as an :class:`OutputError`."""
     tmp_path = ""  # removed below if the write stops before the rename
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                        prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
+        os.umask(umask := os.umask(0o077))  # the umask is read by setting it
+        os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp's own mode is 0o600
         os.replace(tmp_path, path)
     except OSError as exc:
         raise OutputError(str(exc)) from exc
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`_atomic_file`."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
+def column_rows(*columns):
+    """Row tuples of equal-length 1-D arrays, ``BLOCK_ROWS`` rows converted at a time."""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        yield from zip(*(col[start:start + BLOCK_ROWS].tolist() for col in columns))
 
 
 def write_csv(path, header: str, rows) -> None:
@@ -49,13 +68,16 @@ def write_csv(path, header: str, rows) -> None:
     ``str``, through one ``%`` call per row. The row format is built once
     per tuple of cell types and reused for every row of those types.
     """
-    lines = [header]
-    formats = {}
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                ["%.17g" if issubclass(kind, float) else "%s" for kind in kinds])
-        lines.append(fmt % row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    formats, rows = {}, map(tuple, rows)
+    with _atomic_file(path) as handle:
+        handle.write(header + "\n")
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            lines = []
+            for row in block:
+                kinds = tuple(map(type, row))
+                fmt = formats.get(kinds)
+                if fmt is None:
+                    fmt = formats[kinds] = ",".join(
+                        ["%.17g" if issubclass(kind, float) else "%s" for kind in kinds])
+                lines.append(fmt % row)
+            handle.write("\n".join(lines) + "\n")

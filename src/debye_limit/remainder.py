@@ -330,15 +330,10 @@ def write_remainder_csv(norms, residuals, path) -> None:
     snapshot pair *ending* at the row's time; the first row carries NaNs
     there.
     """
-    res_n, res_u, res_phi = residuals
     t = next(iter(norms.values())).t
-    rows = []
-    for i in range(len(t)):
-        res = (float("nan"),) * 3 if i == 0 else (
-            res_n[i - 1], res_u[i - 1], res_phi[i - 1])
-        for tn in norms.values():
-            rows.append((tn.t[i], tn.eps, tn.s, tn.n1_hs[i], tn.u1_triple[i],
-                         tn.phi1_triple[i], tn.combined[i], *res))
+    rows = ((tn.t[i], tn.eps, tn.s, tn.n1_hs[i], tn.u1_triple[i], tn.phi1_triple[i],
+             tn.combined[i], *(r[i - 1] if i else float("nan") for r in residuals))
+            for i in range(len(t)) for tn in norms.values())
     write_csv(path,
               "t,eps,s,n1_Hs,u1_triple,phi1_triple,combined,res_n,res_u,res_phi",
               rows)

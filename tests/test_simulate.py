@@ -6,6 +6,9 @@ record (``evolve`` without a consumer) and reduces the stacks one
 record at a time.
 """
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,19 @@ def test_pb_divergence_at_a_later_record_equals_the_stack_oracle(
     assert len(kept.phi) == 1
     assert (traj_text, snap_text) == _oracle(kept, s)
     assert traj_text.splitlines()[-1].endswith(",nan")
+
+
+def test_simulate_outputs_get_the_mode_the_umask_gives(tmp_path):
+    # the mode of a plain open(): 0o666 less the umask, not mkstemp's 0o600
+    umask = os.umask(0o022)
+    try:
+        code = main(["simulate", "--flow", "limit", "--grid", "32", "--t-end", "0.01",
+                     "--out", str(tmp_path)])
+    finally:
+        os.umask(umask)
+    assert code == 0
+    modes = [stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()]
+    assert modes == [0o644, 0o644]
 
 
 def test_simulate_memory_is_linear_in_the_grid(tmp_path, peak_alloc):
