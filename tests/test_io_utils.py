@@ -31,8 +31,7 @@ def test_write_csv_formats_mixed_rows_like_the_per_cell_rule(tmp_path):
     assert path.read_text() == "h\n"
 
 
-@pytest.mark.parametrize("count", [250, 2 * BLOCK_ROWS + 1])
-def test_write_csv_keys_each_row_format_on_its_cell_types(tmp_path, count):
+def test_write_csv_keys_each_row_format_on_its_cell_types(tmp_path):
     # rows of one length whose cell types move between columns from row to
     # row: a format reused past a change of types would print a float with
     # %s (or fail on a str), so every row must match the per-cell rule; at
@@ -40,13 +39,14 @@ def test_write_csv_keys_each_row_format_on_its_cell_types(tmp_path, count):
     cells = [3, np.int64(-4), 0.1, np.float64(2 / 3), float("nan"),
              np.float64("-inf"), "s"]
     rng = np.random.default_rng(0)
-    rows = [tuple(cells[i] for i in rng.permutation(len(cells)))
-            for _ in range(count - 50)]
-    rows += rows[:50]  # types seen before, in a later run of rows
-    path = tmp_path / "kinds.csv"
-    write_csv(path, "a,b,c,d,e,f,g", iter(rows))
-    want = ["a,b,c,d,e,f,g"] + [",".join(_cell(v) for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    for count in (250, 2 * BLOCK_ROWS + 1):
+        rows = [tuple(cells[i] for i in rng.permutation(len(cells)))
+                for _ in range(count - 50)]
+        rows += rows[:50]  # types seen before, in a later run of rows
+        path = tmp_path / "kinds.csv"
+        write_csv(path, "a,b,c,d,e,f,g", iter(rows))
+        want = ["a,b,c,d,e,f,g"] + [",".join(_cell(v) for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_write_csv_memory_is_set_by_the_block_not_the_rows(tmp_path, peak_alloc):
